@@ -256,12 +256,7 @@ def _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts) 
     if method == "oracle":
         return solve_oracle(instance)
     if method == "exact":
-        budget = None
-        if budget_nodes is not None or budget_seconds is not None:
-            budget = SolveBudget(
-                max_nodes=budget_nodes or 10**12,
-                max_seconds=budget_seconds or 10**6,
-            )
+        budget = SolveBudget(max_nodes=budget_nodes, max_seconds=budget_seconds)
         return solve_bnb(instance, budget=budget)
     start = construct(instance, seed=seed)
     params = SearchParams(seed=seed, restarts=restarts)

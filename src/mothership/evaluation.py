@@ -2,17 +2,22 @@
 Geometry, feasibility validation, and schedule propagation.
 
 Everything here is a pure function over immutable inputs.  `validate`
-covers the structural constraints (1)-(11) of docs/MODEL.md and returns
-violations instead of raising, so deliberately broken plans can be
-audited.  `propagate` evaluates the time constraints (12)-(17) taken
-tight (earliest feasible departures) and is the single source of truth
-for objective values: every solver in this package reports objectives
-computed by this function, which keeps comparisons bit-exact.
+covers the structural constraints (1)-(11) of docs/MODEL.md, range (9)
+included, and returns violations instead of raising, so deliberately
+broken plans can be audited.  `propagate` evaluates the time
+constraints (12)-(17) taken tight (earliest feasible departures) and is
+the single source of truth for objective values: every solver in this
+package reports objectives computed by this function, which keeps
+comparisons bit-exact.  It checks plan structure only; range is
+`validate`'s job.
 
 Floating-point note: the propagation recurrence divides summed distances
 once per hop, e.g. (L_ok + L_kp) / robot_speed, rather than adding two
 pre-divided legs.  Tests freeze exact binary values of the reference
-schedules, so the operation order is part of the contract.
+schedules, so the operation order is part of the contract.  Each
+station-customer distance is computed once per sortie and reused for
+the out and the back leg: `distance` is sign-symmetric, so both legs
+are the same double.
 """
 
 from __future__ import annotations
@@ -75,20 +80,18 @@ class DistanceTable:
 
 
 def sortie_length(instance: Instance, sortie: Sortie) -> float:
-    """Total distance of one sortie, as the literal leg chain.
+    """Total distance of one sortie, the length range constraint (9) checks.
 
-    The robot rides station -> o1, back, station -> o2, ... , back.
-    Algebraically this equals twice the sum of the station-customer
-    legs; the literal chain form below is what the range constraint (9)
-    checks against.
+    The robot rides station -> o1, back, station -> o2, ... , back, so
+    every customer contributes its station leg twice.  The two legs are
+    bit-equal (`distance` is sign-symmetric) and `math.fsum` is
+    correctly rounded, so summing `2 * L(k,o)` per customer gives
+    exactly the value of the literal out-and-back leg chain.
     """
     station = instance.station(sortie.station).location
-    legs = [distance(station, instance.customer(sortie.services[0]).location)]
-    for prev, nxt in zip(sortie.services, sortie.services[1:]):
-        legs.append(distance(instance.customer(prev).location, station))
-        legs.append(distance(station, instance.customer(nxt).location))
-    legs.append(distance(instance.customer(sortie.services[-1]).location, station))
-    return math.fsum(legs)
+    return math.fsum(
+        2.0 * distance(station, instance.customer(o).location) for o in sortie.services
+    )
 
 
 def validate(instance: Instance, plan: RoutePlan) -> list[Violation]:
@@ -101,21 +104,40 @@ def validate(instance: Instance, plan: RoutePlan) -> list[Violation]:
     customer served exactly once (10)-(11).  Unknown ids and robot
     indices outside the fleet are reported as structural.
     """
+    out, ids_known = _structure_violations(instance, plan)
+    if ids_known:
+        for s in plan.sorties:
+            length = sortie_length(instance, s)
+            if length > instance.robot_range + EPSILON:
+                out.append(
+                    Violation(
+                        "range(9)",
+                        f"sortie (r{s.robot}, S{s.station}, {list(s.services)}) has length "
+                        f"{length:.4f} > TR={instance.robot_range:g}",
+                    )
+                )
+    return out
+
+
+def _structure_violations(instance: Instance, plan: RoutePlan) -> tuple[list[Violation], bool]:
+    """Every violation of `validate` except range (9), in its order, and
+    whether every station and customer id the plan names exists (the
+    range check needs the locations)."""
     out: list[Violation] = []
     station_ids = {s.id for s in instance.stations}
     customer_ids = {c.id for c in instance.customers}
 
-    bad_structure = False
+    ids_known = True
     for k in plan.tour:
         if k not in station_ids:
             out.append(Violation("structural", f"tour references unknown station {k}"))
-            bad_structure = True
+            ids_known = False
     for s in plan.sorties:
         if s.station not in station_ids:
             out.append(
                 Violation("structural", f"sortie (r{s.robot}, S{s.station}) references unknown station")
             )
-            bad_structure = True
+            ids_known = False
         if s.robot >= instance.fleet_size:
             out.append(
                 Violation(
@@ -128,7 +150,7 @@ def validate(instance: Instance, plan: RoutePlan) -> list[Violation]:
                 out.append(
                     Violation("structural", f"sortie (r{s.robot}, S{s.station}) references unknown customer {o}")
                 )
-                bad_structure = True
+                ids_known = False
 
     seen = set()
     dupes = sorted({k for k in plan.tour if k in seen or seen.add(k)})
@@ -156,19 +178,7 @@ def validate(instance: Instance, plan: RoutePlan) -> list[Violation]:
         out.append(Violation("coverage(10,11)", f"customers {unserved} are never served"))
     if multi:
         out.append(Violation("coverage(10,11)", f"customers {multi} are served more than once"))
-
-    if not bad_structure:
-        for s in plan.sorties:
-            length = sortie_length(instance, s)
-            if length > instance.robot_range + EPSILON:
-                out.append(
-                    Violation(
-                        "range(9)",
-                        f"sortie (r{s.robot}, S{s.station}, {list(s.services)}) has length "
-                        f"{length:.4f} > TR={instance.robot_range:g}",
-                    )
-                )
-    return out
+    return out, ids_known
 
 
 def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
@@ -181,11 +191,12 @@ def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
     departs as soon as the arrival has happened and every robot is back
     (14), (16).  Tardiness is max(0, completion - deadline) (17).
 
-    Range violations are tolerated (the schedule of an over-range plan
-    is still well defined and needed for auditing); any other violation
-    raises ModelError.
+    Only plan structure is checked: any violation `validate` reports
+    other than range (9) raises ModelError.  Range is not checked (the
+    schedule of an over-range plan is still well defined and needed for
+    auditing); that is `validate`'s job.
     """
-    problems = [v for v in validate(instance, plan) if v.kind != "range(9)"]
+    problems, _ = _structure_violations(instance, plan)
     if problems:
         raise ModelError(
             "plan structure invalid: " + "; ".join(v.detail for v in problems)
@@ -193,9 +204,14 @@ def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
 
     vv = instance.vehicle_speed
     vr = instance.robot_speed
+    customers = instance.customers  # indexed by id; the ids were just checked
     arrive: dict[int, float] = {}
     depart: dict[int, float] = {}
     complete: dict[int, float] = {}
+
+    at_station: dict[int, list[Sortie]] = {}
+    for s in plan.sorties:
+        at_station.setdefault(s.station, []).append(s)
 
     t = 0.0
     prev = instance.depot
@@ -204,19 +220,16 @@ def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
         t_arr = t + distance(prev, loc) / vv
         arrive[k] = t_arr
         t_dep = t_arr
-        for s in plan.sorties:
-            if s.station != k:
-                continue
-            st = loc
-            first = instance.customer(s.services[0]).location
-            c = t_arr + distance(st, first) / vr
-            complete[s.services[0]] = c
-            for prev_o, next_o in zip(s.services, s.services[1:]):
-                back = distance(instance.customer(prev_o).location, st)
-                out = distance(st, instance.customer(next_o).location)
-                c = c + (back + out) / vr
-                complete[next_o] = c
-            ret = c + distance(instance.customer(s.services[-1]).location, st) / vr
+        for s in at_station.get(k, ()):
+            services = s.services
+            # one leg per customer: out and back are the same double
+            legs = [distance(loc, customers[o].location) for o in services]
+            c = t_arr + legs[0] / vr
+            complete[services[0]] = c
+            for i in range(1, len(legs)):
+                c = c + (legs[i - 1] + legs[i]) / vr
+                complete[services[i]] = c
+            ret = c + legs[-1] / vr
             if ret > t_dep:
                 t_dep = ret
         depart[k] = t_dep
@@ -225,7 +238,7 @@ def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
 
     tardiness: dict[int, float] = {}
     total = 0.0
-    for c in instance.customers:  # id order, part of the float contract
+    for c in customers:  # id order, part of the float contract
         late = complete[c.id] - c.deadline
         tardiness[c.id] = late if late > 0.0 else 0.0
         if late > 0.0:

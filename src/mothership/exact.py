@@ -66,10 +66,6 @@ class SearchNode:
     assigned: tuple[tuple[int, tuple[int, int, int]], ...]
     bound: float
 
-    @property
-    def assignment(self) -> dict[int, tuple[int, int, int]]:
-        return dict(self.assigned)
-
 
 @dataclass(frozen=True)
 class SolveReport:

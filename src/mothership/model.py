@@ -230,11 +230,8 @@ class Schedule:
 
 
 VIOLATION_KINDS = (
-    "depot-degree(1,2)",
     "station-degree(3,4)",
     "multiplicity(5,6)",
-    "balance(7)",
-    "continuity(8)",
     "range(9)",
     "coverage(10,11)",
     "structural",

@@ -183,6 +183,16 @@ class TestSolve:
         assert result.exit_code == 1
         assert "budget exhausted" in result.output
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--budget-nodes", "max_nodes must be positive"),
+         ("--budget-seconds", "max_seconds must be positive")],
+    )
+    def test_zero_budget_exits_1(self, runner, flag, message):
+        result = runner.invoke(cli, ["solve", "--fixture", "small", flag, "0"])
+        assert result.exit_code == 1
+        assert message in result.output
+
     def test_partial_budget_reports_gap(self, runner):
         result = runner.invoke(cli, ["solve", "--fixture", "small",
                                      "--budget-nodes", "100"])

@@ -23,6 +23,7 @@ from mothership import (
     Sortie,
     Station,
     builtin_fixture,
+    construct,
     distance,
     generate,
     objective,
@@ -219,8 +220,21 @@ class TestPropagate:
 
     def test_structural_breakage_rejected(self):
         inst, plan = builtin_fixture("small")
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError) as info:
             propagate(inst, RoutePlan(tour=(1,), sorties=plan.sorties))
+        assert str(info.value) == "plan structure invalid: tour never visits stations [2]"
+        # every structural detail, in validate's order
+        broken = RoutePlan(tour=(1, 3, 1), sorties=plan.sorties + (Sortie(7, 2, (0, 99)),))
+        with pytest.raises(ModelError) as info:
+            propagate(inst, broken)
+        assert str(info.value) == (
+            "plan structure invalid: tour references unknown station 3; "
+            "sortie (r7, S2) robot index outside fleet of 2; "
+            "sortie (r7, S2) references unknown customer 99; "
+            "tour visits stations [1] more than once; "
+            "tour never visits stations [2]; "
+            "customers [0] are served more than once"
+        )
 
     def test_range_violation_tolerated(self):
         inst, plan = builtin_fixture("medium")
@@ -289,10 +303,8 @@ class TestObjective:
 
 class TestPlanEvaluator:
     def test_objective_bit_equal_to_propagate_on_corpus(self):
-        for seed in range(40):
-            inst = generate(seed, 2, 2, 4, robot_range=200.0)
+        for inst, plan in _cross_check_cases():
             ev = PlanEvaluator(inst)
-            plan = _random_plan(inst, seed)
             groups = _groups_of(inst, plan)
             full = propagate(inst, plan)
             assert ev.objective_of(list(plan.tour), groups) == full.objective
@@ -306,6 +318,38 @@ class TestPlanEvaluator:
         ev = PlanEvaluator(inst)
         for s in plan.sorties:
             assert ev.group_length(s.station, list(s.services)) == sortie_length(inst, s)
+
+
+def _cross_check_cases():
+    for seed in range(40):
+        inst = generate(seed, 2, 2, 4, robot_range=200.0)
+        yield inst, _random_plan(inst, seed)
+    for shape in ((4, 3, 12), (6, 4, 40)):
+        for seed in range(3):
+            inst = generate(seed, *shape)
+            plan = construct(inst, seed)
+            yield inst, plan
+            yield inst, RoutePlan(plan.tour, plan.sorties[::-1])  # against tour order
+    # customer 0 sits on station 1 (a zero-length leg), station 3 flies
+    # no sorties, and station 2's sortie is listed before station 1's
+    inst = Instance(
+        depot=Point(0.0, 0.0),
+        stations=(
+            Station(1, Point(10.0, 0.0)),
+            Station(2, Point(0.0, 10.0)),
+            Station(3, Point(5.0, 5.0)),
+        ),
+        customers=(
+            Customer(0, Point(10.0, 0.0), 2.0, 0.5),
+            Customer(1, Point(13.0, 4.0), 1.0, 1.0),
+            Customer(2, Point(0.0, 14.0), 0.5, 2.0),
+        ),
+        fleet_size=2,
+        robot_range=50.0,
+        vehicle_speed=7.0,
+        robot_speed=3.0,
+    )
+    yield inst, RoutePlan(tour=(3, 1, 2), sorties=(Sortie(0, 2, (2,)), Sortie(0, 1, (1, 0))))
 
 
 def _random_plan(instance, seed):

@@ -12,6 +12,7 @@ from mothership import (
     InfeasibleInstanceError,
     Instance,
     ModelError,
+    PlanEvaluator,
     Point,
     RoutePlan,
     SearchParams,
@@ -26,6 +27,7 @@ from mothership import (
     solve_bnb,
     validate,
 )
+from mothership.heuristic import _Evaluator, _scan_moves, _Work
 
 SMALL_OPTIMUM = 36.37122987569251
 
@@ -184,6 +186,20 @@ class TestIncrementalEvaluator:
         for seed in range(6):
             report = improve(inst, construct(inst, seed), SearchParams(seed=seed, restarts=1))
             assert report.objective == propagate(inst, report.plan).objective
+
+    def test_probe_equals_propagate_for_every_move(self):
+        moves = dict.fromkeys(NEIGHBORHOODS, 0)
+        for fixture in ("small", "medium"):
+            inst, plan = builtin_fixture(fixture)
+            ev = PlanEvaluator(inst)
+            state = _Evaluator(ev, _Work.from_plan(inst, plan))
+            assert state.objective == propagate(inst, plan).objective
+            for name in NEIGHBORHOODS:
+                for from_idx, tour, groups in _scan_moves(ev, state, name):
+                    candidate = _Work(tour, groups).plan()
+                    assert state.probe(tour, groups, from_idx) == propagate(inst, candidate).objective
+                    moves[name] += 1
+        assert all(moves.values()), moves
 
     def test_medium_fixture_improves(self):
         inst, plan = builtin_fixture("medium")
