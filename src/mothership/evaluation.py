@@ -201,7 +201,12 @@ def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
         raise ModelError(
             "plan structure invalid: " + "; ".join(v.detail for v in problems)
         )
+    return _tight_schedule(instance, plan)
 
+
+def _tight_schedule(instance: Instance, plan: RoutePlan) -> Schedule:
+    """`propagate` without its structure check, for callers that have
+    just validated the plan."""
     vv = instance.vehicle_speed
     vr = instance.robot_speed
     customers = instance.customers  # indexed by id; the ids were just checked

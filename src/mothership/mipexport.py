@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 
-from .evaluation import DistanceTable, propagate, validate
+from .evaluation import DistanceTable, _tight_schedule, propagate, validate
 from .exact import horizon
 from .model import Instance, ModelError, RoutePlan, Schedule, Sortie
 
@@ -77,43 +77,67 @@ def parse_variable(name: str) -> tuple[str, tuple[int, ...]]:
     return kind, idx
 
 
+class _Names:
+    """Every model variable name of one instance, formatted once.
+
+    Built per export, assignment or import call and dropped when it
+    returns.  Stations are keyed by id, customers indexed by id (the
+    ids are 0..n-1): `y[k][l]`, `x[r][k][o]`, `z[r][k][o]` (which is
+    `name_z(r, o, k)`), `w[r][k][o][p]` (diagonal included), `ta[k]`,
+    `td[k]`, `tc[o]`, `tt[o]`.
+    """
+
+    def __init__(self, instance: Instance):
+        nodes = [0] + [s.id for s in instance.stations]
+        stations = nodes[1:]
+        customers = range(instance.n_customers)
+        robots = range(instance.fleet_size)
+        self.y = {k: {l: name_y(k, l) for l in nodes if l != k} for k in nodes}
+        self.x = [{k: [name_x(r, k, o) for o in customers] for k in stations} for r in robots]
+        self.z = [{k: [name_z(r, o, k) for o in customers] for k in stations} for r in robots]
+        # name_w(r, k, o, "") is the head all of o's successions share
+        ids = [str(p) for p in customers]
+        self.w = [
+            {
+                k: [[head + p for p in ids] for head in [name_w(r, k, o, "") for o in customers]]
+                for k in stations
+            }
+            for r in robots
+        ]
+        self.ta = {k: f"ta_{k}" for k in stations}
+        self.td = {k: f"td_{k}" for k in stations}
+        self.tc = [f"tc_{o}" for o in customers]
+        self.tt = [f"tt_{o}" for o in customers]
+
+    def binaries(self) -> list[str]:
+        """The y, x, z and w names in emission order."""
+        out = [n for row in self.y.values() for n in row.values()]
+        out += [n for xr in self.x for xk in xr.values() for n in xk]
+        for zr in self.z:  # name_z order: robot, customer, station
+            out += [n for by_o in zip(*zr.values()) for n in by_o]
+        out += [n for wr in self.w for wk in wr.values() for wo in wk for n in wo]
+        return out
+
+    def every(self) -> list[str]:
+        """Every model variable in emission order: binaries, then times."""
+        return [
+            *self.binaries(),
+            *self.ta.values(),
+            *self.td.values(),
+            *self.tc,
+            *self.tt,
+        ]
+
+
 def _variable_names(instance: Instance) -> dict[str, float]:
     """Every model variable, initialized to 0.0, in emission order."""
-    names: dict[str, float] = {}
-    nodes = [0] + [s.id for s in instance.stations]
-    for k in nodes:
-        for l in nodes:
-            if k != l:
-                names[name_y(k, l)] = 0.0
-    robots = range(instance.fleet_size)
-    stations = [s.id for s in instance.stations]
-    customers = [c.id for c in instance.customers]
-    for r in robots:
-        for k in stations:
-            for o in customers:
-                names[name_x(r, k, o)] = 0.0
-    for r in robots:
-        for o in customers:
-            for k in stations:
-                names[name_z(r, o, k)] = 0.0
-    for r in robots:
-        for k in stations:
-            for o in customers:
-                for p in customers:
-                    names[name_w(r, k, o, p)] = 0.0
-    for k in stations:
-        names[f"ta_{k}"] = 0.0
-    for k in stations:
-        names[f"td_{k}"] = 0.0
-    for o in customers:
-        names[f"tc_{o}"] = 0.0
-    for o in customers:
-        names[f"tt_{o}"] = 0.0
-    return names
+    return dict.fromkeys(_Names(instance).every(), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # LP text assembly
+
+_LINE_WIDTH = 220
 
 
 def _num(v: float) -> str:
@@ -123,34 +147,48 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def _term(coef: float, body: str, first: bool) -> str:
-    sign = "-" if coef < 0 else "+"
-    mag = abs(coef)
-    lead = "" if (first and sign == "+") else sign + " "
-    if mag == 1.0:
-        return f"{lead}{body}"
-    return f"{lead}{_num(mag)} {body}"
+def _pack(text: str, width: int, indent: int) -> list[str]:
+    """Greedy split of `text` at its spaces into pieces.
+
+    Each piece takes as many whole space-separated tokens as fit: the
+    first piece in `width` characters, later ones in `width - indent`
+    (room for the caller's indent).  A token wider than its room is a
+    piece of its own.
+    """
+    pieces = []
+    start, room, n = 0, width, len(text)
+    while n - start > room:
+        end = text.rfind(" ", start, start + room + 1)
+        if end < 0:  # the first token alone is too wide
+            end = text.find(" ", start)
+            if end < 0:
+                break
+        pieces.append(text[start:end])
+        start = end + 1
+        room = width - indent
+    pieces.append(text[start:])
+    return pieces
 
 
-def _wrap(line: str, width: int = 220) -> list[str]:
-    """Split one logical row onto continuation lines between tokens."""
+def _wrap(line: str, width: int = _LINE_WIDTH) -> list[str]:
+    """Split one logical row onto continuation lines between tokens.
+
+    A wrapped row's first line drops the row's leading space;
+    continuation lines are indented 3 spaces.
+    """
     if len(line) <= width:
         return [line]
-    out = []
-    cur = ""
-    for tok in line.split(" "):
-        if cur and len(cur) + 1 + len(tok) > width:
-            out.append(cur)
-            cur = "   " + tok
-        else:
-            cur = tok if not cur else cur + " " + tok
-    if cur:
-        out.append(cur)
-    return out
+    first, *rest = _pack(line.lstrip(" "), width, 3)
+    return [first, *["   " + piece for piece in rest]]
 
 
 class _Model:
-    """Accumulates LP sections before rendering."""
+    """Accumulates LP sections before rendering.
+
+    Every coefficient's text comes from `leads`, rendered once per
+    distinct value and model; every row goes through `add`, which wraps
+    it.
+    """
 
     def __init__(self):
         self.header: list[str] = []
@@ -158,7 +196,7 @@ class _Model:
         self.rows: list[str] = []  # already-rendered constraint lines
         self.bounds: list[str] = []
         self.binaries: list[str] = []
-        self.n_rows = 0
+        self._leads: dict[float, tuple[str, str]] = {}
 
     def comment(self, text: str = ""):
         self.rows.append(rf"\ {text}" if text else "\\")
@@ -167,38 +205,56 @@ class _Model:
         """Header comment, rendered before the objective."""
         self.header.append(rf"\ {text}" if text else "\\")
 
+    def leads(self, coef: float) -> tuple[str, str]:
+        """The text before a variable with coefficient `coef`, as the
+        first term of a row and after another term: ('', '+ ') for 1,
+        ('- 2.5 ', '- 2.5 ') for -2.5."""
+        pair = self._leads.get(coef)
+        if pair is None:
+            mag = "" if abs(coef) == 1.0 else _num(abs(coef)) + " "
+            pair = ("- " + mag,) * 2 if coef < 0 else (mag, "+ " + mag)
+            self._leads[coef] = pair
+        return pair
+
+    def terms(self, linear) -> str:
+        """Terms of [(coef, var)], zero coefficients left out."""
+        kept = [(coef, var) for coef, var in linear if coef != 0.0]
+        if not kept:
+            return ""
+        known, leads = self._leads, self.leads
+        pieces = [(known.get(coef) or leads(coef))[1] + var for coef, var in kept]
+        coef, var = kept[0]
+        pieces[0] = leads(coef)[0] + var
+        return " ".join(pieces)
+
+    def group(self, coef: float, names, first: bool = False) -> str:
+        """Terms of `names`, each with coefficient `coef` (not zero)."""
+        head, later = self.leads(coef)
+        return (head if first else later) + (" " + later).join(names)
+
+    def add(self, line: str):
+        """One rendered row, wrapped when too wide."""
+        if len(line) <= _LINE_WIDTH:
+            self.rows.append(line)
+        else:
+            self.rows.extend(_wrap(line))
+
     def row(self, rname: str, linear, quad, sense: str, rhs: float):
         """One constraint; `linear` is [(coef, var)], `quad` is
         [(coef, var_a, var_b)] rendered inside a single bracket."""
-        pieces = []
-        first = True
-        for coef, var in linear:
-            if coef == 0.0:
-                continue
-            pieces.append(_term(coef, var, first))
-            first = False
+        body = self.terms(linear)
         if quad:
-            inner = []
-            qfirst = True
-            for coef, a, b in quad:
-                inner.append(_term(coef, f"{a} * {b}", qfirst))
-                qfirst = False
-            pieces.append(("" if first else "+ ") + "[ " + " ".join(inner) + " ]")
-            first = False
-        if not pieces:
+            inner = self.terms([(coef, f"{a} * {b}") for coef, a, b in quad])
+            body = f"{body} + [ {inner} ]" if body else f"[ {inner} ]"
+        if not body:
             raise ModelError(f"row {rname} has no terms")
-        body = " ".join(pieces)
-        self.rows.extend(_wrap(f" {rname}: {body} {sense} {_num(rhs)}"))
-        self.n_rows += 1
+        self.add(f" {rname}: {body} {sense} {_num(rhs)}")
 
     def render(self) -> str:
         out = list(self.header)
         out.append("Minimize")
-        obj = []
-        first = True
-        for coef, var in self.objective:
-            obj.append(_term(coef, var, first))
-            first = False
+        leads = self.leads
+        obj = [leads(coef)[1 if i else 0] + var for i, (coef, var) in enumerate(self.objective)]
         out.extend(_wrap(" obj: " + " ".join(obj)))
         out.append("Subject To")
         out.extend(self.rows)
@@ -206,17 +262,10 @@ class _Model:
             out.append("Bounds")
             out.extend(self.bounds)
         out.append("Binaries")
-        line = ""
-        for name in self.binaries:
-            if line and len(line) + 1 + len(name) > 220:
-                out.append(" " + line)
-                line = name
-            else:
-                line = name if not line else line + " " + name
-        if line:
-            out.append(" " + line)
+        out.extend(" " + piece for piece in _pack(" ".join(self.binaries), _LINE_WIDTH, 0))
         out.append("End")
-        return "\n".join(out) + "\n"
+        out.append("")  # the text ends with a newline
+        return "\n".join(out)
 
 
 def _distance_comments(model: _Model, instance: Instance, table: DistanceTable):
@@ -281,26 +330,24 @@ def _check_arrival_speed(arrival_speed: str) -> None:
         )
 
 
-def _emit_linear_core(model: _Model, instance: Instance, table: DistanceTable):
+def _emit_linear_core(model: _Model, instance: Instance, table: DistanceTable, names: _Names):
     """Rows (1)-(11): pure-binary structure shared by both forms."""
     stations = [s.id for s in instance.stations]
-    customers = [c.id for c in instance.customers]
+    customers = range(instance.n_customers)
     robots = range(instance.fleet_size)
     nodes = [0] + stations
+    y, x, z, w = names.y, names.x, names.z, names.w
+    add, group = model.add, model.group
 
     model.comment("(1),(2) the vehicle leaves and re-enters the depot once")
-    model.row("c1", [(1.0, name_y(0, k)) for k in stations], [], "=", 1.0)
-    model.row("c2", [(1.0, name_y(k, 0)) for k in stations], [], "=", 1.0)
+    add(f" c1: {group(1.0, [y[0][k] for k in stations], True)} = 1")
+    add(f" c2: {group(1.0, [y[k][0] for k in stations], True)} = 1")
 
     model.comment("(3),(4) every station is entered once and left once")
     for k in stations:
-        model.row(
-            f"c3_k{k}", [(1.0, name_y(l, k)) for l in nodes if l != k], [], "=", 1.0
-        )
+        add(f" c3_k{k}: {group(1.0, [y[l][k] for l in nodes if l != k], True)} = 1")
     for k in stations:
-        model.row(
-            f"c4_k{k}", [(1.0, name_y(k, l)) for l in nodes if l != k], [], "=", 1.0
-        )
+        add(f" c4_k{k}: {group(1.0, [y[k][l] for l in nodes if l != k], True)} = 1")
 
     if not customers:
         return
@@ -308,105 +355,92 @@ def _emit_linear_core(model: _Model, instance: Instance, table: DistanceTable):
     model.comment("(5),(6) per robot and station: at most one first / last service")
     for r in robots:
         for k in stations:
-            model.row(
-                f"c5_r{r}_k{k}",
-                [(1.0, name_x(r, k, o)) for o in customers],
-                [],
-                "<=",
-                1.0,
-            )
+            add(f" c5_r{r}_k{k}: {group(1.0, x[r][k], True)} <= 1")
     for r in robots:
         for k in stations:
-            model.row(
-                f"c6_r{r}_k{k}",
-                [(1.0, name_z(r, o, k)) for o in customers],
-                [],
-                "<=",
-                1.0,
-            )
+            add(f" c6_r{r}_k{k}: {group(1.0, z[r][k], True)} <= 1")
 
     model.comment("(7) a sortie that starts must end (per robot and station)")
     for r in robots:
         for k in stations:
-            lin = [(1.0, name_x(r, k, o)) for o in customers]
-            lin += [(-1.0, name_z(r, o, k)) for o in customers]
-            model.row(f"c7_r{r}_k{k}", lin, [], "=", 0.0)
+            add(f" c7_r{r}_k{k}: {group(1.0, x[r][k], True)} {group(-1.0, z[r][k])} = 0")
 
     model.comment("(8) service chain continuity at each (station, robot, customer)")
     for k in stations:
         for r in robots:
+            wk = w[r][k]
+            preds = list(zip(*wk))  # preds[o][p] is wk[p][o]
             for o in customers:
-                lin = [(1.0, name_x(r, k, o))]
-                lin += [(1.0, name_w(r, k, p, o)) for p in customers if p != o]
-                lin += [(-1.0, name_w(r, k, o, p)) for p in customers if p != o]
-                lin.append((-1.0, name_z(r, o, k)))
-                model.row(f"c8_k{k}_r{r}_o{o}", lin, [], "=", 0.0)
+                into = [x[r][k][o], *preds[o][:o], *preds[o][o + 1 :]]
+                out = [*wk[o][:o], *wk[o][o + 1 :], z[r][k][o]]
+                add(f" c8_k{k}_r{r}_o{o}: {group(1.0, into, True)} {group(-1.0, out)} = 0")
 
     model.comment("(9) sortie length within robot range (per robot and station)")
+    # the coefficients depend on the station only
+    lengths = {}
+    for k in stations:
+        d = [table.station_customer[(k, o)] for o in customers]
+        coefs = [v for o in customers for v in (d[o], d[o])]
+        coefs += [d[o] + d[p] for o in customers for p in customers if p != o]
+        lengths[k] = coefs
     for r in robots:
         for k in stations:
-            lin = []
-            for o in customers:
-                d = table.station_customer[(k, o)]
-                lin.append((d, name_x(r, k, o)))
-                lin.append((d, name_z(r, o, k)))
-            for o in customers:
-                for p in customers:
-                    if p == o:
-                        continue
-                    d = table.station_customer[(k, o)] + table.station_customer[(k, p)]
-                    lin.append((d, name_w(r, k, o, p)))
-            model.row(f"c9_r{r}_k{k}", lin, [], "<=", instance.robot_range)
+            terms = [v for o in customers for v in (x[r][k][o], z[r][k][o])]
+            terms += [wp for o in customers for p, wp in enumerate(w[r][k][o]) if p != o]
+            model.row(f"c9_r{r}_k{k}", zip(lengths[k], terms), [], "<=", instance.robot_range)
 
     model.comment("(10),(11) every customer enters and leaves exactly one chain")
     for o in customers:
-        lin = [(1.0, name_x(r, k, o)) for r in robots for k in stations]
-        lin += [
-            (1.0, name_w(r, k, p, o))
-            for r in robots
-            for k in stations
-            for p in customers
-            if p != o
+        into = [x[r][k][o] for r in robots for k in stations]
+        into += [
+            w[r][k][p][o] for r in robots for k in stations for p in customers if p != o
         ]
-        model.row(f"c10_o{o}", lin, [], "=", 1.0)
+        add(f" c10_o{o}: {group(1.0, into, True)} = 1")
     for o in customers:
-        lin = [(1.0, name_z(r, o, k)) for r in robots for k in stations]
-        lin += [
-            (1.0, name_w(r, k, o, p))
-            for r in robots
-            for k in stations
-            for p in customers
-            if p != o
+        out = [z[r][k][o] for r in robots for k in stations]
+        out += [
+            wp for r in robots for k in stations for p, wp in enumerate(w[r][k][o]) if p != o
         ]
-        model.row(f"c11_o{o}", lin, [], "=", 1.0)
+        add(f" c11_o{o}: {group(1.0, out, True)} = 1")
 
 
-def _emit_objective(model: _Model, instance: Instance):
-    model.objective = [(c.importance, f"tt_{c.id}") for c in instance.customers]
+def _emit_objective(model: _Model, instance: Instance, names: _Names):
+    model.objective = [(c.importance, names.tt[c.id]) for c in instance.customers]
     if not model.objective:
-        model.objective = [(0.0, name_y(0, instance.stations[0].id))]
+        model.objective = [(0.0, names.y[0][instance.stations[0].id])]
 
 
-def _emit_tail(model: _Model, instance: Instance, bound: float | None):
+def _emit_departure_order(model: _Model, instance: Instance, names: _Names):
+    model.comment("(14) the vehicle cannot leave before it arrives")
+    for s in instance.stations:
+        k = s.id
+        model.row(f"c14_k{k}", [(1.0, names.td[k]), (-1.0, names.ta[k])], [], ">=", 0.0)
+
+
+def _emit_tardiness(model: _Model, instance: Instance, names: _Names):
+    model.comment("(17) tardiness is completion past the deadline, floored at 0")
+    for c in instance.customers:
+        o = c.id
+        model.row(f"c17_o{o}", [(1.0, names.tt[o]), (-1.0, names.tc[o])], [], ">=", -c.deadline)
+
+
+def _emit_tail(model: _Model, instance: Instance, names: _Names, bound: float | None):
     """Bounds (w diagonal, optional time caps) and the Binaries list."""
     stations = [s.id for s in instance.stations]
-    customers = [c.id for c in instance.customers]
-    robots = range(instance.fleet_size)
-    for r in robots:
+    customers = range(instance.n_customers)
+    for wr in names.w:
         for k in stations:
-            for o in customers:
-                model.bounds.append(f" {name_w(r, k, o, o)} = 0")
+            model.bounds.extend([f" {wr[k][o][o]} = 0" for o in customers])
     if bound is not None:
-        for k in stations:
-            model.bounds.append(f" ta_{k} <= {_num(bound)}")
-        for k in stations:
-            model.bounds.append(f" td_{k} <= {_num(bound)}")
-        for o in customers:
-            model.bounds.append(f" tc_{o} <= {_num(bound)}")
-        for o in customers:
-            model.bounds.append(f" tt_{o} <= {_num(bound)}")
-    names = _variable_names(instance)
-    model.binaries = [n for n in names if n[0] in "yxzw"]
+        cap = _num(bound)
+        for block in (names.ta.values(), names.td.values(), names.tc, names.tt):
+            model.bounds.extend([f" {n} <= {cap}" for n in block])
+    model.binaries = names.binaries()
+
+
+def _pair_rhs(ride: float, big_m: float) -> tuple[str, str]:
+    """Right-hand sides of a big-M implication pair: ride + M, ride - M."""
+    return _num(ride + big_m), _num(ride - big_m)
 
 
 def _vehicle_leg_speed(instance: Instance, arrival_speed: str) -> float:
@@ -424,11 +458,14 @@ def export_miqcp(instance: Instance, arrival_speed: str = "vehicle") -> str:
     """
     _check_arrival_speed(arrival_speed)
     table = DistanceTable.build(instance)
+    names = _Names(instance)
     stations = [s.id for s in instance.stations]
-    customers = [c.id for c in instance.customers]
+    customers = range(instance.n_customers)
     robots = range(instance.fleet_size)
     vv = _vehicle_leg_speed(instance, arrival_speed)
     vr = instance.robot_speed
+    y, x, z, w = names.y, names.x, names.z, names.w
+    ta, td, tc = names.ta, names.td, names.tc
 
     model = _Model()
     _common_header(model, instance, "MIQCP", arrival_speed)
@@ -437,66 +474,54 @@ def export_miqcp(instance: Instance, arrival_speed: str = "vehicle") -> str:
         " for solvers that reject '=' on quadratic constraints"
     )
     _distance_comments(model, instance, table)
-    _emit_objective(model, instance)
-    _emit_linear_core(model, instance, table)
+    _emit_objective(model, instance, names)
+    _emit_linear_core(model, instance, table, names)
 
     model.comment("(13) arrival time = departure of the predecessor + ride time")
     for k in stations:
-        lin = [(1.0, f"ta_{k}")]
-        lin.append((-table.depot_station[k] / vv, name_y(0, k)))
+        lin = [(1.0, ta[k])]
+        lin.append((-table.depot_station[k] / vv, y[0][k]))
         quad = []
         for l in stations:
             if l == k:
                 continue
-            lin.append((-table.station_station[(l, k)] / vv, name_y(l, k)))
-            quad.append((-1.0, name_y(l, k), f"td_{l}"))
+            lin.append((-table.station_station[(l, k)] / vv, y[l][k]))
+            quad.append((-1.0, y[l][k], td[l]))
         model.row(f"c13_k{k}", lin, quad, "=", 0.0)
 
-    model.comment("(14) the vehicle cannot leave before it arrives")
-    for k in stations:
-        model.row(f"c14_k{k}", [(1.0, f"td_{k}"), (-1.0, f"ta_{k}")], [], ">=", 0.0)
+    _emit_departure_order(model, instance, names)
 
     model.comment("(15) completion time: first service from arrival, later")
     model.comment("     services from the predecessor's completion")
     for p in customers:
-        lin = [(1.0, f"tc_{p}")]
+        lin = [(1.0, tc[p])]
         quad = []
         for r in robots:
             for k in stations:
-                lin.append((-table.station_customer[(k, p)] / vr, name_x(r, k, p)))
-                quad.append((-1.0, name_x(r, k, p), f"ta_{k}"))
+                xp = x[r][k][p]
+                lin.append((-table.station_customer[(k, p)] / vr, xp))
+                quad.append((-1.0, xp, ta[k]))
                 for o in customers:
                     if o == p:
                         continue
                     ride = (
                         table.station_customer[(k, o)] + table.station_customer[(k, p)]
                     ) / vr
-                    lin.append((-ride, name_w(r, k, o, p)))
-                    quad.append((-1.0, name_w(r, k, o, p), f"tc_{o}"))
+                    wp = w[r][k][o][p]
+                    lin.append((-ride, wp))
+                    quad.append((-1.0, wp, tc[o]))
         model.row(f"c15_o{p}", lin, quad, "=", 0.0)
 
     model.comment("(16) departure waits for every robot's last return")
     for k in stations:
         for r in robots:
             for o in customers:
-                lin = [
-                    (1.0, f"td_{k}"),
-                    (-table.station_customer[(k, o)] / vr, name_z(r, o, k)),
-                ]
-                quad = [(-1.0, name_z(r, o, k), f"tc_{o}")]
+                lin = [(1.0, td[k]), (-table.station_customer[(k, o)] / vr, z[r][k][o])]
+                quad = [(-1.0, z[r][k][o], tc[o])]
                 model.row(f"c16_k{k}_r{r}_o{o}", lin, quad, ">=", 0.0)
 
-    model.comment("(17) tardiness is completion past the deadline, floored at 0")
-    for c in instance.customers:
-        model.row(
-            f"c17_o{c.id}",
-            [(1.0, f"tt_{c.id}"), (-1.0, f"tc_{c.id}")],
-            [],
-            ">=",
-            -c.deadline,
-        )
-
-    _emit_tail(model, instance, bound=None)
+    _emit_tardiness(model, instance, names)
+    _emit_tail(model, instance, names, bound=None)
     return model.render()
 
 
@@ -512,11 +537,14 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
     """
     _check_arrival_speed(arrival_speed)
     table = DistanceTable.build(instance)
+    names = _Names(instance)
     stations = [s.id for s in instance.stations]
-    customers = [c.id for c in instance.customers]
+    customers = range(instance.n_customers)
     robots = range(instance.fleet_size)
     vv = _vehicle_leg_speed(instance, arrival_speed)
     vr = instance.robot_speed
+    y, x, z, w = names.y, names.x, names.z, names.w
+    ta, td, tc = names.ta, names.td, names.tc
 
     h = horizon(instance)
     max_vehicle_leg = max(
@@ -539,128 +567,83 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
     )
     model.note("time variables are capped at the horizon in Bounds")
     _distance_comments(model, instance, table)
-    _emit_objective(model, instance)
-    _emit_linear_core(model, instance, table)
+    _emit_objective(model, instance, names)
+    _emit_linear_core(model, instance, table, names)
 
     model.comment("(13) arrival time propagation, as two implications per arc")
     for k in stations:
         ride = table.depot_station[k] / vv
-        model.row(
-            f"c13a_l0_k{k}",
-            [(1.0, f"ta_{k}"), (big_m, name_y(0, k))],
-            [],
-            "<=",
-            ride + big_m,
-        )
-        model.row(
-            f"c13b_l0_k{k}",
-            [(1.0, f"ta_{k}"), (-big_m, name_y(0, k))],
-            [],
-            ">=",
-            ride - big_m,
-        )
+        model.row(f"c13a_l0_k{k}", [(1.0, ta[k]), (big_m, y[0][k])], [], "<=", ride + big_m)
+        model.row(f"c13b_l0_k{k}", [(1.0, ta[k]), (-big_m, y[0][k])], [], ">=", ride - big_m)
         for l in stations:
             if l == k:
                 continue
             ride = table.station_station[(l, k)] / vv
             model.row(
                 f"c13a_l{l}_k{k}",
-                [(1.0, f"ta_{k}"), (-1.0, f"td_{l}"), (big_m, name_y(l, k))],
+                [(1.0, ta[k]), (-1.0, td[l]), (big_m, y[l][k])],
                 [],
                 "<=",
                 ride + big_m,
             )
             model.row(
                 f"c13b_l{l}_k{k}",
-                [(1.0, f"ta_{k}"), (-1.0, f"td_{l}"), (-big_m, name_y(l, k))],
+                [(1.0, ta[k]), (-1.0, td[l]), (-big_m, y[l][k])],
                 [],
                 ">=",
                 ride - big_m,
             )
 
-    model.comment("(14) the vehicle cannot leave before it arrives")
-    for k in stations:
-        model.row(f"c14_k{k}", [(1.0, f"td_{k}"), (-1.0, f"ta_{k}")], [], ">=", 0.0)
+    _emit_departure_order(model, instance, names)
+
+    # With customers, M > 0: a zero M would leave row (9) without terms,
+    # which raises above.  So every (15) and (16) row has all three
+    # terms, and their text is put together here from `leads`.
+    one = model.leads(1.0)[0]
+    minus = model.leads(-1.0)[1]
+    plus_m = model.leads(big_m)[1]
+    minus_m = model.leads(-big_m)[1]
+    add = model.add
 
     model.comment("(15) completion time propagation, two implications per")
     model.comment("     first-service and per succession variable")
+    d = {k: [table.station_customer[(k, o)] for o in customers] for k in stations}
     for p in customers:
+        tcp = tc[p]
+        # right-hand sides per (station, predecessor), shared by the robots
+        first_rhs = {k: _pair_rhs(d[k][p] / vr, big_m) for k in stations}
+        pair_rhs = {
+            k: [_pair_rhs((d[k][o] + d[k][p]) / vr, big_m) for o in customers] for k in stations
+        }
         for r in robots:
             for k in stations:
-                ride = table.station_customer[(k, p)] / vr
                 base = f"_o{p}_r{r}_k{k}"
-                model.row(
-                    f"c15a_x{base}",
-                    [(1.0, f"tc_{p}"), (-1.0, f"ta_{k}"), (big_m, name_x(r, k, p))],
-                    [],
-                    "<=",
-                    ride + big_m,
-                )
-                model.row(
-                    f"c15b_x{base}",
-                    [(1.0, f"tc_{p}"), (-1.0, f"ta_{k}"), (-big_m, name_x(r, k, p))],
-                    [],
-                    ">=",
-                    ride - big_m,
-                )
+                xp, tak = x[r][k][p], ta[k]
+                upper, lower = first_rhs[k]
+                add(f" c15a_x{base}: {one}{tcp} {minus}{tak} {plus_m}{xp} <= {upper}")
+                add(f" c15b_x{base}: {one}{tcp} {minus}{tak} {minus_m}{xp} >= {lower}")
+                wk, rhs = w[r][k], pair_rhs[k]
                 for o in customers:
                     if o == p:
                         continue
-                    ride = (
-                        table.station_customer[(k, o)] + table.station_customer[(k, p)]
-                    ) / vr
-                    pair = f"_o{p}_r{r}_k{k}_p{o}"
-                    model.row(
-                        f"c15a_w{pair}",
-                        [
-                            (1.0, f"tc_{p}"),
-                            (-1.0, f"tc_{o}"),
-                            (big_m, name_w(r, k, o, p)),
-                        ],
-                        [],
-                        "<=",
-                        ride + big_m,
-                    )
-                    model.row(
-                        f"c15b_w{pair}",
-                        [
-                            (1.0, f"tc_{p}"),
-                            (-1.0, f"tc_{o}"),
-                            (-big_m, name_w(r, k, o, p)),
-                        ],
-                        [],
-                        ">=",
-                        ride - big_m,
-                    )
+                    pair = f"{base}_p{o}"
+                    wp, tco = wk[o][p], tc[o]
+                    upper, lower = rhs[o]
+                    add(f" c15a_w{pair}: {one}{tcp} {minus}{tco} {plus_m}{wp} <= {upper}")
+                    add(f" c15b_w{pair}: {one}{tcp} {minus}{tco} {minus_m}{wp} >= {lower}")
 
     model.comment("(16) departure waits for every robot's last return")
     for k in stations:
         for r in robots:
             for o in customers:
                 ride = table.station_customer[(k, o)] / vr
-                model.row(
-                    f"c16_k{k}_r{r}_o{o}",
-                    [
-                        (1.0, f"td_{k}"),
-                        (-1.0, f"tc_{o}"),
-                        (-big_m, name_z(r, o, k)),
-                    ],
-                    [],
-                    ">=",
-                    ride - big_m,
+                add(
+                    f" c16_k{k}_r{r}_o{o}: {one}{td[k]} {minus}{tc[o]} {minus_m}{z[r][k][o]}"
+                    f" >= {_num(ride - big_m)}"
                 )
 
-    model.comment("(17) tardiness is completion past the deadline, floored at 0")
-    for c in instance.customers:
-        model.row(
-            f"c17_o{c.id}",
-            [(1.0, f"tt_{c.id}"), (-1.0, f"tc_{c.id}")],
-            [],
-            ">=",
-            -c.deadline,
-        )
-
-    _emit_tail(model, instance, bound=h)
+    _emit_tardiness(model, instance, names)
+    _emit_tail(model, instance, names, bound=h)
     return model.render()
 
 
@@ -844,7 +827,7 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
             "imported plan is infeasible: " + "; ".join(v.detail for v in violations)
         )
 
-    schedule = propagate(instance, plan)
+    schedule = _tight_schedule(instance, plan)  # validate checked the structure
     recomputed = {}
     for k in stations:
         recomputed[f"ta_{k}"] = schedule.arrive[k]

@@ -14,6 +14,8 @@ from click.testing import CliRunner
 import mothership
 from mothership import (
     builtin_fixture,
+    export_bigm,
+    export_miqcp,
     parse_instance,
     parse_plan,
     plan_assignment,
@@ -215,6 +217,16 @@ class TestExport:
         assert result.exit_code == 0
         text = out.read_text()
         assert "Bounds" in text and text.rstrip().endswith("End")
+
+    @pytest.mark.parametrize("form,exporter", [("bigm", export_bigm), ("miqcp", export_miqcp)])
+    @pytest.mark.parametrize("speed", ["vehicle", "robot"])
+    def test_file_is_the_library_text(self, runner, tmp_path, form, exporter, speed):
+        out = tmp_path / "model.lp"
+        result = runner.invoke(cli, ["export", "--fixture", "small", "--form", form,
+                                     "--arrival-speed", speed, "-o", str(out)])
+        assert result.exit_code == 0
+        inst, _ = builtin_fixture("small")
+        assert out.read_bytes() == exporter(inst, arrival_speed=speed).encode()
 
     def test_arrival_speed_option(self, runner):
         a = runner.invoke(cli, ["export", "--fixture", "small"])

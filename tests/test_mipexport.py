@@ -6,6 +6,7 @@ tests/lp_eval.py: substitute a known-good assignment, evaluate every
 row, and demand zero violations at 1e-6.
 """
 
+import hashlib
 import logging
 import math
 
@@ -23,6 +24,7 @@ from mothership import (
     Sortie,
     Station,
     builtin_fixture,
+    construct,
     export_bigm,
     export_miqcp,
     generate,
@@ -36,9 +38,73 @@ from mothership import (
     propagate,
     serialize_plan,
     solve_oracle,
+    validate,
 )
+from mothership.mipexport import _wrap
 
 SMALL_OPTIMUM = 36.37122987569251
+
+# SHA-256 of the export text per (instance, form, arrival speed).  Any
+# change to these bytes is a format change: update the digests in the
+# same change and say so in docs/FORMAT.md.
+EXPORT_SHA256 = {
+    ("small", "miqcp", "vehicle"): "fd7f5aae6efdedee0d6eb3ce7528013fdd14fb4cec33b971cb7259691fa64977",
+    ("small", "miqcp", "robot"): "80489356b78d7ad25e323e1e12cf9e1afe46066aa4295645a71fde0bf5d294a3",
+    ("small", "bigm", "vehicle"): "9f6d671069991ec3eca7892320fda65692ba46435b3d6f162405d2d013283c78",
+    ("small", "bigm", "robot"): "beb126154c5e887f481395ae711df6f4f48816f0880f50b6b5e911f1e64e9f2f",
+    ("medium", "miqcp", "vehicle"): "8b2254a257f5e5b13f451d6bf9debf43a2fc17b7321c4418167c08edf67a3a8c",
+    ("medium", "miqcp", "robot"): "abe24de5387e9ef2dc0eacaf685d89c7fae1acf2f10dd61df092e0b93702119f",
+    ("medium", "bigm", "vehicle"): "64fd906b8dd6dbc1b8d11c3c78abc289bb5a860fc0749b6ee48dd9d52152e005",
+    ("medium", "bigm", "robot"): "41fc44a8167a4b9db79373c683125a69bae9f87a858354d34479df048e62f80e",
+    ("1-1-2", "miqcp", "vehicle"): "cd108eb101f17ddcacc36672dd5c540a320e3c5d145c8abbcd31a627b357949b",
+    ("1-1-2", "miqcp", "robot"): "0c972c199a1fb84f144a94be3418b6e3938784198baf706049319861bb5c3dca",
+    ("1-1-2", "bigm", "vehicle"): "e412418a27fe4ffbaa68f4fec7718400e46891e680cea9fc1e0271570f31b3de",
+    ("1-1-2", "bigm", "robot"): "3120d8c0d0441f7f4c790e07ee938d5c36242fcf6f30b26c0256177f95ffddf9",
+    ("2-2-4", "miqcp", "vehicle"): "b49d2bb9b48149145d89bcb9f1c7d7afc0c18206b0558fab39346014577ca49b",
+    ("2-2-4", "miqcp", "robot"): "29b9a48e5ad514c24a325b1081e6c83928d187eae77bdc55bef136add0641682",
+    ("2-2-4", "bigm", "vehicle"): "d366cff37ffb523945f00d991a80f0bd4bea3396d5cd9a8058156f8b00034032",
+    ("2-2-4", "bigm", "robot"): "6e35efee9168081a43dc12d42be06c8c8a20adeca4c8870db3f2fc353b66a545",
+    ("4-3-20", "miqcp", "vehicle"): "73574b59deeecdb9dff404010b195790852377dc732bd9acf8ea678d3a3761b8",
+    ("4-3-20", "miqcp", "robot"): "a650f96622b85a7eb4da34cdf4f5ef5f4a50a1aa33ec2bbaa0c04c661851be5d",
+    ("4-3-20", "bigm", "vehicle"): "ca3f948cd3a665382456a43034531569c529f1c98d02119d469c70da003eadab",
+    ("4-3-20", "bigm", "robot"): "4b9c32b2895ea6f563d2298ad90b3cac840e41a11e4cc903992523fe301f344f",
+    ("colocated", "miqcp", "vehicle"): "cfae0559a98b7bb356a6719b0fcbc971b202c95995e20a1e843fc077072b65fc",
+    ("colocated", "miqcp", "robot"): "04a9462bc7202242b895905f08a10ea1cb6b0a3347284d20c9f297085658b2a0",
+    ("colocated", "bigm", "vehicle"): "96aab9ab85c3ae333dc9d864de89c842e4da1c85f6968431cba4f9d09ecff104",
+    ("colocated", "bigm", "robot"): "4f718d5b4e058fd2e5025baba5d2c48079c28333483978c3075e74c3afe83a25",
+}
+
+
+def colocated_instance(customers):
+    """Both stations on the depot, so some coefficients are 0 and left out."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(0.0, 0.0)), Station(2, Point(0.0, 0.0))),
+        customers=customers,
+        fleet_size=2,
+        robot_range=20.0,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
+def pinned_instance(case):
+    if case in ("small", "medium"):
+        return builtin_fixture(case)[0]
+    if case == "colocated":
+        return colocated_instance(
+            (Customer(0, Point(0.0, 0.0), 1.0, 0.0), Customer(1, Point(3.0, 4.0), 2.5, 1.0))
+        )
+    shape = tuple(int(n) for n in case.split("-"))
+    return generate(0 if shape == (4, 3, 20) else 1, *shape)
+
+
+def bigm_rows(n_s, n_r, n_c):
+    """Rows of the big-M form: the shared rows (1)-(11), (14), (17),
+    two per vehicle arc for (13), two per first service and per
+    succession for (15), and one per (station, robot, customer) for (16)."""
+    shared = 2 + 3 * n_s + 4 * n_r * n_s + n_s * n_r * n_c + 3 * n_c
+    return shared + 2 * n_s * n_s + 2 * n_r * n_s * n_c * n_c + n_s * n_r * n_c
 
 
 def model_sizes(n_s, n_r, n_c):
@@ -90,6 +156,20 @@ class TestExportStructure:
         assert len(m.rows) == rows
         assert len(m.binaries) == binaries
 
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (2, 1, 3), (2, 2, 4)])
+    def test_bigm_row_count_formula_on_generated(self, shape):
+        n_s, n_r, n_c = shape
+        inst = generate(1, n_s, n_r, n_c, robot_range=200.0)
+        _, binaries = model_sizes(n_s, n_r, n_c)
+        b = parse_lp(export_bigm(inst))
+        assert len(b.rows) == bigm_rows(n_s, n_r, n_c)
+        assert len(b.binaries) == binaries
+
+    def test_bigm_row_count_formula_on_fixtures(self):
+        assert bigm_rows(2, 2, 8) == 632
+        b = parse_lp(export_bigm(builtin_fixture("medium")[0]))
+        assert len(b.rows) == bigm_rows(4, 4, 12)
+
     def test_diagonal_succession_pinned_to_zero(self):
         inst, _ = builtin_fixture("small")
         m = parse_lp(export_miqcp(inst))
@@ -120,6 +200,63 @@ class TestExportStructure:
         values = plan_assignment(inst, *[builtin_fixture("small")[1]])
         assert check_assignment(base, values) == []
         assert check_assignment(variant, values) != []
+
+
+class TestExportBytes:
+    @pytest.mark.parametrize("case,form,speed", sorted(EXPORT_SHA256))
+    def test_digest_pinned(self, case, form, speed):
+        exporter = export_miqcp if form == "miqcp" else export_bigm
+        text = exporter(pinned_instance(case), arrival_speed=speed)
+        assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[(case, form, speed)]
+
+    @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
+    def test_row_without_terms_rejected(self, form):
+        inst = colocated_instance((Customer(0, Point(0.0, 0.0), 1.0, 0.0),))
+        with pytest.raises(ModelError, match="row c9_r0_k1 has no terms"):
+            form(inst)
+
+    def test_pinned_set_has_wrapped_rows(self):
+        text = export_miqcp(pinned_instance("4-3-20"))
+        assert any(line.startswith("   ") for line in text.splitlines())
+
+
+class TestWrap:
+    def test_exact_width_is_not_wrapped(self):
+        line = " c1: " + "y" * 215
+        assert len(line) == 220
+        assert _wrap(line) == [line]
+
+    def test_one_past_width_is_wrapped(self):
+        # wrapping drops the leading space, after which this row fits
+        line = " c1: " + "y " * 107 + "yy"
+        assert len(line) == 221
+        assert _wrap(line) == [line[1:]]
+        assert _wrap(line + "y") == [line[1:-3], "   yyy"]
+
+    def test_continuation_indent_and_greedy_fill(self):
+        line = " r: " + " ".join(["abcd"] * 12)
+        assert _wrap(line, width=20) == [
+            "r: abcd abcd abcd",
+            "   abcd abcd abcd",
+            "   abcd abcd abcd",
+            "   abcd abcd abcd",
+        ]
+
+    def test_first_line_drops_leading_space(self):
+        out = _wrap(" r: " + "a " * 20, width=12)
+        assert out[0] == "r: a a a a a"
+        assert all(ln.startswith("   ") for ln in out[1:])
+
+    def test_overlong_token_sits_alone(self):
+        long = "t" * 30
+        assert _wrap(f" r: a {long} b c", width=10) == ["r: a", f"   {long}", "   b c"]
+        assert _wrap(f" {long} b", width=10) == [long, "   b"]
+
+    def test_rejoins_to_the_row(self):
+        line = " c9: " + " ".join(f"+ {i}.5 w_{i}" for i in range(200))
+        out = _wrap(line)
+        assert all(len(ln) <= 220 for ln in out)
+        assert " " + " ".join(ln.strip() for ln in out) == line
 
 
 class TestMechanicalSatisfaction:
@@ -337,6 +474,40 @@ class TestImportSolution:
         ] + self._served_rest(inst, skip={0, 7})
         with pytest.raises(SolutionImportError, match="infeasible"):
             import_solution(inst, "\n".join(lines))
+
+    def test_infeasible_plan_message_lists_every_violation(self):
+        inst, _ = builtin_fixture("small")
+        lines = self._base_tour_lines() + [
+            "x_0_1_0 1",
+            "z_0_0_1 1",
+        ] + self._served_rest(inst, skip={0, 7})
+        with pytest.raises(SolutionImportError) as err:
+            import_solution(inst, "\n".join(lines))
+        assert str(err.value) == (
+            "imported plan is infeasible: customers [7] are never served; "
+            "sortie (r1, S2, [1, 2, 3, 4, 5, 6]) has length 566.9816 > TR=200"
+        )
+
+    def test_over_range_plan_rejected_with_validate_text(self):
+        inst, plan = builtin_fixture("medium")
+        with pytest.raises(SolutionImportError) as err:
+            import_solution(inst, solution_text(plan_assignment(inst, plan)))
+        assert str(err.value) == (
+            "imported plan is infeasible: sortie (r0, S4, [6, 0]) has length 160.7080 > TR=80"
+        )
+        assert [v.detail for v in validate(inst, plan)] == [
+            "sortie (r0, S4, [6, 0]) has length 160.7080 > TR=80"
+        ]
+
+    @pytest.mark.parametrize("shape,seed", [((2, 2, 4), 1), ((4, 3, 20), 0)])
+    def test_imported_schedule_equals_propagation(self, shape, seed):
+        inst = generate(seed, *shape)
+        plan = construct(inst, seed=seed)
+        assert validate(inst, plan) == []
+        back, sched = import_solution(inst, solution_text(plan_assignment(inst, plan)))
+        want = propagate(inst, back)
+        assert sched == want
+        assert sched.objective == propagate(inst, plan).objective
 
 
 @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
