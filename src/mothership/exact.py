@@ -2,12 +2,24 @@
 Exact solvers: exhaustive oracle and branch-and-bound.
 
 `solve_oracle` enumerates every feasible plan of a tiny instance and is
-the ground truth the branch-and-bound is tested against.  `solve_bnb`
-explores the same space in two phases, first the station tour, then one
-customer at a time into a (station, robot, position) slot, pruning with
-the admissible bound of `lower_bound`.  Both report objectives computed
-with the arithmetic of `evaluation.propagate`, so their results compare
-bit-exactly.
+the ground truth the branch-and-bound is tested against; it scores
+plans with `PlanEvaluator.bound_of`, so it stays an independent check.
+`solve_bnb` explores the same space in two phases, first the station
+tour, then one customer at a time into a (station, robot, position)
+slot, pruning with the admissible bound of `lower_bound`.  Both report
+objectives computed with the arithmetic of `evaluation.propagate`, so
+their results compare bit-exactly.
+
+`lower_bound` and `PlanEvaluator.bound_of` define the bound.
+`solve_bnb` does not call them per candidate: each node carries its
+partial schedule (`_NodeSchedule`), and a candidate's bound is
+recomputed from its insertion point with per-station step tables
+(`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
+arithmetic contract).  A candidate whose partial sum already exceeds
+the incumbent is dropped unfinished.  Both solvers, and `construct`,
+first run `check_capacity`, so an instance whose customers need more
+range than the whole fleet has fails at once, not after a factorial
+search.
 
 Ties between equal-objective plans go to the lexicographically smallest
 plan serialization.  Robots at one station are interchangeable, so both
@@ -20,8 +32,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, islice, permutations
+from operator import add
 
 from .evaluation import PlanEvaluator, propagate
 from .model import EPSILON, Instance, ModelError, RoutePlan, Schedule, Sortie, serialize_plan
@@ -76,7 +90,8 @@ class SolveReport:
     stopped the search (then `bound_gap` is incumbent minus the best
     open bound), and "heuristic" for local-search results, which prove
     nothing.  The plan always passes `validate` and `objective` always
-    equals `propagate(plan).objective`.
+    equals `propagate(plan).objective`.  `stats` holds the solver's
+    own counters (see `solve_bnb`); other solvers leave it empty.
     """
 
     plan: RoutePlan
@@ -86,6 +101,32 @@ class SolveReport:
     bound_gap: float | None
     nodes: int
     wall_time: float
+    stats: dict[str, int] = field(default_factory=dict)
+
+
+def check_capacity(ev: PlanEvaluator) -> None:
+    """Raise InfeasibleInstanceError when the fleet surely cannot serve
+    every customer within range.
+
+    Customer o adds at least min over k of 2*L(k,o) to whichever sortie
+    serves it, and there are at most n_stations * fleet_size sorties,
+    each at most TR + EPSILON long, so a total need beyond that leaves
+    no feasible plan.  The check is necessary, not sufficient: an
+    instance that passes may still be infeasible (the range can be
+    fragmented across sorties), and then the search decides.  The
+    relative 1e-12 covers the rounding of the per-sortie fsum and of
+    the product.
+    """
+    instance = ev.instance
+    # zip gives each customer's legs from every station; doubling is
+    # exact, so 2 * min is the least doubled leg
+    need = math.fsum(2.0 * min(legs) for legs in zip(*ev.sc.values()))
+    sorties = instance.n_stations * instance.fleet_size
+    if need > sorties * (instance.robot_range + EPSILON) * (1.0 + 1e-12):
+        raise InfeasibleInstanceError(
+            f"no feasible plan: the customers need {need:.6g} of robot range in total, "
+            f"more than the {sorties} sortie(s) of range {instance.robot_range:g} offer"
+        )
 
 
 def _relaxed_completions(instance: Instance, ev: PlanEvaluator) -> list[float]:
@@ -213,9 +254,11 @@ def solve_oracle(instance: Instance) -> SolveReport:
     evaluated with the propagation arithmetic.  Raises
     EnumerationLimitError when the plan count estimate exceeds the
     documented limit and InfeasibleInstanceError when no feasible plan
-    exists.
+    exists (at once when the capacity check of `check_capacity` fails).
     """
     started = time.perf_counter()
+    ev = PlanEvaluator(instance)
+    check_capacity(ev)
     n_s, n_c, n_r = instance.n_stations, instance.n_customers, instance.fleet_size
     slots = n_s * min(n_r, n_c) if n_c else n_s * n_r
     estimate = math.factorial(n_s)
@@ -227,7 +270,6 @@ def solve_oracle(instance: Instance) -> SolveReport:
             "intended sizes are about 3 stations, 6 customers, 2 robots"
         )
 
-    ev = PlanEvaluator(instance)
     relax = [0.0] * n_c  # unused: leaves are fully assigned
     best = _Best()
     leaves = 0
@@ -276,6 +318,256 @@ def solve_oracle(instance: Instance) -> SolveReport:
     )
 
 
+def _chain_tail(first, step, g, j, before, arrive):
+    """Completions of chain `g` from position `j` on, and its return time.
+
+    `before` is the completion of `g[j - 1]`; at `j == 0` the chain
+    starts from `arrive` instead.  `first[o]` is L(k,o)/VR and
+    `step[a][b]` is (L(k,a)+L(k,b))/VR for the chain's station, the
+    quotients `PlanEvaluator.completions` divides per hop, so every
+    value is bit-equal to its counterpart there.
+    """
+    o = g[j]
+    c = before + step[g[j - 1]][o] if j else arrive + first[o]
+    out = [c]
+    for i in range(j + 1, len(g)):
+        b = g[i]
+        c = c + step[o][b]
+        out.append(c)
+        o = b
+    return out, c + first[o]
+
+
+class _StepTables:
+    """Per-station quotients of the chain recurrence, keyed by station id:
+    `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
+    `doubled[k][o]` = 2*L(k,o), the addend of `group_length`.  Only
+    `solve_bnb` builds them."""
+
+    def __init__(self, ev: PlanEvaluator):
+        vr = ev.vr
+        self.first = {k: [x / vr for x in d] for k, d in ev.sc.items()}
+        self.step = {k: [[(a + b) / vr for b in d] for a in d] for k, d in ev.sc.items()}
+        self.doubled = {k: [2.0 * x for x in d] for k, d in ev.sc.items()}
+
+
+class _NodeSchedule:
+    """Partial schedule of one search node, by tour position.
+
+    `chains[i][r]` lists the completions along robot r's chain at tour
+    position i and `returns[i][r]` its return time (-inf while empty);
+    `low[i]` is the smallest customer id served at position i (n while
+    none is).
+    `terms[o]` is customer o's addend of the bound: its weighted
+    tardiness once assigned, its relaxed contribution before.
+    `prefix[o]` is the float sum of `terms[:o]` added in id order, as
+    `bound_of` adds them, so `prefix[n]` is the bound `bound_of` gives
+    the node.  A schedule is never changed once built; children copy
+    what differs.
+    """
+
+    __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix")
+
+    def __init__(self, arrive, depart, chains, returns, low, terms, prefix):
+        self.arrive = arrive
+        self.depart = depart
+        self.chains = chains
+        self.returns = returns
+        self.low = low
+        self.terms = terms
+        self.prefix = prefix
+
+
+class _IncrementalBound:
+    """`PlanEvaluator.bound_of` of a child node, from its parent's schedule.
+
+    Inserting a customer into robot r's chain at tour position i leaves
+    the chain before the insertion point and every earlier station
+    unchanged.  The chain is recomputed from the insertion point; the
+    stations after i only when the departure from i moved, and only
+    until an arrival comes out unchanged.  The sum restarts at the
+    parent's prefix sum below the smallest changed customer id.  Same
+    operations on the same doubles in the same order as `bound_of`, so
+    the bound is bit-equal.
+    """
+
+    def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
+        self.tour = tour
+        self.groups = groups
+        self.first = tables.first
+        self.step = tables.step
+        self.deadline = ev.deadline
+        self.weight = ev.weight
+        rides = []
+        prev = None
+        for k in tour:
+            leg = ev.depot_leg[k] if prev is None else ev.ss[(prev, k)]
+            rides.append(leg / ev.vv)
+            prev = k
+        self.rides = rides
+
+    def root(self, relax) -> _NodeSchedule:
+        """Schedule of the tour with no customer assigned."""
+        arrive = []
+        t = 0.0
+        for ride in self.rides:
+            t = t + ride
+            arrive.append(t)
+        n_r = len(self.groups[self.tour[0]])
+        return _NodeSchedule(
+            arrive,
+            arrive[:],
+            [[[] for _ in range(n_r)] for _ in self.tour],
+            [[-math.inf] * n_r for _ in self.tour],
+            [len(relax)] * len(self.tour),
+            list(relax),
+            list(accumulate(relax, add, initial=0.0)),
+        )
+
+    def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float):
+        """Bound of the child that inserts customer `o` at `pos` of robot
+        `r`'s chain at tour position `ki`, as the candidate tuple
+        `(bound, ki, r, pos, change)`, where `change` is what `child`
+        needs to build the child's schedule.  None as soon as a partial
+        sum exceeds `limit`: the bound adds non-negative terms in a
+        fixed order, and a float sum of non-negative terms never
+        decreases, so it is at least any one of its terms and any of
+        its prefix sums.
+
+        The two inner loops are `_chain_tail` with each completion's
+        term computed on the spot.
+        """
+        k = self.tour[ki]
+        g = self.groups[k][r]
+        first, step = self.first[k], self.step[k]
+        deadline, weight = self.deadline, self.weight
+        terms = st.terms[:]
+        if pos:
+            prev, c = g[pos - 1], st.chains[ki][r][pos - 1]
+        else:
+            prev, c = None, st.arrive[ki]
+        seg = g[pos:]
+        seg.insert(0, o)
+        for b in seg:
+            c = c + first[b] if prev is None else c + step[prev][b]
+            late = c - deadline[b]
+            if late > 0.0:
+                x = weight[b] * late
+                if x > limit:
+                    return None
+                terms[b] = x
+            else:
+                terms[b] = 0.0
+            prev = b
+        ret = c + first[prev]
+        m = min(seg)
+
+        rets = st.returns[ki]
+        dep = st.depart[ki]
+        if ret >= rets[r]:
+            new_dep = ret if ret > dep else dep
+        else:  # rounding can shorten a chain that gained a customer
+            new_dep = max(st.arrive[ki], ret, *rets[:r], *rets[r + 1 :])
+
+        later = ki + 1  # tour positions before this one keep their times
+        if new_dep != dep:
+            if new_dep > dep:
+                # every later time can only grow, and so can every term:
+                # the sum with the later stations unchanged is a floor
+                start = st.prefix[m]
+                if start > limit or reduce(add, islice(terms, m, None), start) > limit:
+                    return None
+            tour, rides, arrive, low = self.tour, self.rides, st.arrive, st.low
+            t = new_dep
+            for i in range(ki + 1, len(tour)):
+                a = t + rides[i]
+                if a == arrive[i]:
+                    break  # this station and all after it keep their times
+                kk = tour[i]
+                first, step = self.first[kk], self.step[kk]
+                t = a
+                for g2 in self.groups[kk]:
+                    if not g2:
+                        continue
+                    prev, c = None, a
+                    for b in g2:
+                        c = c + first[b] if prev is None else c + step[prev][b]
+                        late = c - deadline[b]
+                        if late > 0.0:
+                            x = weight[b] * late
+                            if x > limit:
+                                return None
+                            terms[b] = x
+                        else:
+                            terms[b] = 0.0
+                        prev = b
+                    back = c + first[prev]
+                    if back > t:
+                        t = back
+                if low[i] < m:
+                    m = low[i]
+                later = i + 1
+
+        start = st.prefix[m]
+        if start > limit:
+            return None
+        total = reduce(add, islice(terms, m, None), start)
+        if total > limit:
+            return None
+        return total, ki, r, pos, (ret, new_dep, later, m, terms)
+
+    def child(self, st: _NodeSchedule, ki: int, r: int, pos: int, change) -> _NodeSchedule:
+        """The schedule of a candidate `probe` returned, built from the
+        parent's once the customer is in the groups."""
+        ret, new_dep, later, m, terms = change
+        k = self.tour[ki]
+        g = self.groups[k][r]
+        head = st.chains[ki][r]
+        before = head[pos - 1] if pos else 0.0
+        tail, _ = _chain_tail(self.first[k], self.step[k], g, pos, before, st.arrive[ki])
+        chains = st.chains[:]
+        returns = st.returns[:]
+        chains[ki] = chains[ki][:]
+        chains[ki][r] = head[:pos] + tail
+        returns[ki] = returns[ki][:]
+        returns[ki][r] = ret
+        depart = st.depart[:]
+        depart[ki] = new_dep
+        low = st.low
+        o = g[pos]
+        if o < low[ki]:
+            low = low[:]
+            low[ki] = o
+        arrive = st.arrive
+        if later > ki + 1:
+            arrive = arrive[:]
+            t = new_dep
+            for i in range(ki + 1, later):
+                a = arrive[i] = t + self.rides[i]
+                chains[i], returns[i], t = self._station(i, a)
+                depart[i] = t
+        prefix = st.prefix[:m]
+        prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix)
+
+    def _station(self, i: int, a: float):
+        """Chains, returns and departure at tour position `i` for arrival `a`."""
+        k = self.tour[i]
+        first, step = self.first[k], self.step[k]
+        chains, returns = [], []
+        t = a
+        for g in self.groups[k]:
+            if g:
+                cs, back = _chain_tail(first, step, g, 0, 0.0, a)
+                if back > t:
+                    t = back
+            else:
+                cs, back = [], -math.inf
+            chains.append(cs)
+            returns.append(back)
+        return chains, returns, t
+
+
 def solve_bnb(
     instance: Instance,
     budget: SolveBudget | None = None,
@@ -291,13 +583,25 @@ def solve_bnb(
     instance the oracle can enumerate.  `on_node`, when given, receives
     every expanded node as a SearchNode (used by admissibility tests).
 
+    Candidate bounds are computed incrementally from the parent's
+    schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
+    candidate whose partial bound already exceeds the incumbent is
+    dropped before its bound is finished: it would be pruned on entry,
+    and the incumbent only decreases.
+
     With no budget the report status is always "optimal"; with caps the
     search returns the incumbent and the gap to the best open bound.
+    `stats` counts expanded nodes (tour nodes included), bounded
+    candidates, candidates pruned by the bound (dropped early or cut off
+    after sorting) and (station, robot) chains rejected by range.
     """
     started = time.perf_counter()
     budget = budget or SolveBudget()
     ev = PlanEvaluator(instance)
+    check_capacity(ev)
+    tables = _StepTables(ev)
     n_c, n_r = instance.n_customers, instance.fleet_size
+    cap = instance.robot_range + EPSILON
     relax = _relaxed_contributions(instance, ev)
     root_bound = math.fsum(relax)
     station_ids = sorted(s.id for s in instance.stations)
@@ -308,6 +612,7 @@ def solve_bnb(
 
     best = _Best()
     state = {"nodes": 0, "aborted": False, "frontier": math.inf, "proved": False}
+    stats = {"nodes": 0, "candidates": 0, "pruned_by_bound": 0, "rejected_by_range": 0}
 
     def over_budget() -> bool:
         if state["aborted"]:
@@ -330,7 +635,7 @@ def solve_bnb(
         assigned.sort()
         on_node(SearchNode(tuple(tour_prefix), tuple(assigned), bound))
 
-    def assign(tour, idx, groups, node_bound):
+    def assign(tour, idx, groups, node_bound, kernel, sched):
         state["nodes"] += 1
         if over_budget():
             state["frontier"] = min(state["frontier"], node_bound)
@@ -343,34 +648,56 @@ def solve_bnb(
                     state["proved"] = True
             return
         o = urgency[idx]
+        limit = best.objective
+        probe = kernel.probe
+        w, due = ev.weight[o], ev.deadline[o]
         candidates = []
+        probed = dropped = rejected = 0
         for ki, k in enumerate(tour):
             lists = groups[k]
-            used = sum(1 for g in lists if g)
+            doubled = tables.doubled[k]
+            # the customer completes no earlier than a direct first
+            # service: past the limit there, it is past it in every slot
+            late = sched.arrive[ki] + tables.first[k][o] - due
+            hopeless = late > 0.0 and w * late > limit
+            used = n_r - lists.count([])
             for r in range(min(used + 1, n_r)):
                 g = lists[r]
-                if ev.group_length(k, g + [o]) > instance.robot_range + EPSILON:
+                if math.fsum([doubled[x] for x in g] + [doubled[o]]) > cap:
+                    rejected += 1
+                    continue
+                probed += len(g) + 1
+                if hopeless:
+                    dropped += len(g) + 1
                     continue
                 for pos in range(len(g) + 1):
-                    g.insert(pos, o)
-                    bound = ev.bound_of(tour, groups, relax)
-                    g.pop(pos)
-                    candidates.append((bound, ki, r, pos, k))
+                    found = probe(sched, ki, r, pos, o, limit)
+                    if found is None:
+                        dropped += 1
+                    else:
+                        candidates.append(found)
+        stats["candidates"] += probed
+        stats["rejected_by_range"] += rejected
+        stats["pruned_by_bound"] += dropped
         candidates.sort()
-        for bound, ki, r, pos, k in candidates:
+        for i, (bound, ki, r, pos, change) in enumerate(candidates):
             if state["proved"]:
                 return
             if bound > best.objective:
-                break  # sorted ascending: the rest are pruned too
-            g = groups[k][r]
+                # sorted ascending: the rest are pruned too
+                stats["pruned_by_bound"] += len(candidates) - i
+                break
+            g = groups[tour[ki]][r]
             g.insert(pos, o)
-            assign(tour, idx + 1, groups, bound)
+            assign(tour, idx + 1, groups, bound, kernel, kernel.child(sched, ki, r, pos, change))
             g.pop(pos)
 
     def extend_tour(prefix, remaining):
         if not remaining:
+            tour = tuple(prefix)
             groups = {k: [[] for _ in range(n_r)] for k in station_ids}
-            assign(tuple(prefix), 0, groups, root_bound)
+            kernel = _IncrementalBound(ev, tables, tour, groups)
+            assign(tour, 0, groups, root_bound, kernel, kernel.root(relax))
             return
         state["nodes"] += 1
         if state["proved"]:
@@ -385,6 +712,7 @@ def solve_bnb(
             prefix.pop()
 
     extend_tour([], frozenset(station_ids))
+    stats["nodes"] = state["nodes"]
 
     wall = time.perf_counter() - started
     if best.plan is None:
@@ -408,4 +736,5 @@ def solve_bnb(
         bound_gap=gap,
         nodes=state["nodes"],
         wall_time=wall,
+        stats=stats,
     )

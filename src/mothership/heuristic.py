@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .evaluation import PlanEvaluator, propagate, validate
-from .exact import InfeasibleInstanceError, SolveReport
+from .exact import InfeasibleInstanceError, SolveReport, check_capacity
 from .model import EPSILON, Instance, ModelError, RoutePlan, Sortie, serialize_plan
 
 NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
@@ -196,8 +196,12 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     start.  Larger seeds draw, in a fixed order, a random start
     station, one urgency jitter per customer, and one semi-greedy slot
     pick per insertion.
+
+    An instance that fails `check_capacity` raises
+    InfeasibleInstanceError before any backtracking starts.
     """
     ev = PlanEvaluator(instance)
+    check_capacity(ev)
     ids = sorted(s.id for s in instance.stations)
     rnd = random.Random(seed)
 

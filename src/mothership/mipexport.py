@@ -385,6 +385,9 @@ def _emit_linear_core(model: _Model, instance: Instance, table: DistanceTable, n
         lengths[k] = coefs
     for r in robots:
         for k in stations:
+            if not any(lengths[k]):
+                # every customer sits on station k: the row reads 0 <= TR
+                continue
             terms = [v for o in customers for v in (x[r][k][o], z[r][k][o])]
             terms += [wp for o in customers for p, wp in enumerate(w[r][k][o]) if p != o]
             model.row(f"c9_r{r}_k{k}", zip(lengths[k], terms), [], "<=", instance.robot_range)
@@ -558,13 +561,22 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
     )
     max_robot_leg = max(table.station_customer.values()) / vr if customers else 0.0
     big_m = h + max_vehicle_leg + 2.0 * max_robot_leg
+    parts = (
+        f"horizon {_num(h)}",
+        f"max vehicle leg time {_num(max_vehicle_leg)}",
+        f"2 * max robot leg time {_num(max_robot_leg)}",
+    )
+    if big_m > 0.0:
+        m_note = f"M = {_num(big_m)} = " + " + ".join(parts)
+    else:
+        # every place coincides, so every time is 0 and any positive M
+        # leaves a deactivated implication slack
+        big_m = 1.0
+        m_note = "M = 1, since " + ", ".join(parts) + " are all 0"
 
     model = _Model()
     _common_header(model, instance, "big-M MILP", arrival_speed)
-    model.note(
-        f"M = {_num(big_m)} = horizon {_num(h)} + max vehicle leg time "
-        f"{_num(max_vehicle_leg)} + 2 * max robot leg time {_num(max_robot_leg)}"
-    )
+    model.note(m_note)
     model.note("time variables are capped at the horizon in Bounds")
     _distance_comments(model, instance, table)
     _emit_objective(model, instance, names)
@@ -596,9 +608,8 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
 
     _emit_departure_order(model, instance, names)
 
-    # With customers, M > 0: a zero M would leave row (9) without terms,
-    # which raises above.  So every (15) and (16) row has all three
-    # terms, and their text is put together here from `leads`.
+    # M > 0, so every (15) and (16) row has all three terms, and their
+    # text is put together here from `leads`.
     one = model.leads(1.0)[0]
     minus = model.leads(-1.0)[1]
     plus_m = model.leads(big_m)[1]

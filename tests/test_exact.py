@@ -10,6 +10,7 @@ would need the same bug in two independent code paths.
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from mothership import (
     InfeasibleInstanceError,
     Instance,
     ModelError,
+    PlanEvaluator,
     Point,
     RoutePlan,
     SearchNode,
@@ -26,14 +28,22 @@ from mothership import (
     Sortie,
     Station,
     builtin_fixture,
+    construct,
     generate,
     horizon,
+    improve,
     lower_bound,
     propagate,
     serialize_plan,
     solve_bnb,
     solve_oracle,
     validate,
+)
+from mothership.exact import (
+    _canonical_plan,
+    _chain_tail,
+    _relaxed_contributions,
+    _StepTables,
 )
 
 SMALL_OPTIMUM = 36.37122987569251
@@ -204,6 +214,234 @@ class TestBranchAndBound:
         assert nodes
         for node in nodes[::7]:
             assert lower_bound(inst, node) == node.bound
+
+
+def reference_search(instance):
+    """The branch-and-bound search of `solve_bnb`, written plainly: every
+    candidate slot is inserted into the groups and bounded from scratch
+    with `PlanEvaluator.bound_of`.  Returns the expanded nodes in order,
+    the node count and the best objective."""
+    ev = PlanEvaluator(instance)
+    n_c, n_r = instance.n_customers, instance.fleet_size
+    relax = _relaxed_contributions(instance, ev)
+    root_bound = math.fsum(relax)
+    station_ids = sorted(s.id for s in instance.stations)
+    urgency = sorted(
+        range(n_c),
+        key=lambda o: (instance.customers[o].deadline / instance.customers[o].importance, o),
+    )
+    emitted = []
+    state = {"nodes": 0, "proved": False, "best": math.inf, "key": None}
+
+    def emit(tour, groups, bound):
+        assigned = sorted(
+            (o, (k, r, pos))
+            for k, lists in groups.items()
+            for r, g in enumerate(lists)
+            for pos, o in enumerate(g)
+        )
+        emitted.append(SearchNode(tuple(tour), tuple(assigned), bound))
+
+    def assign(tour, idx, groups, node_bound):
+        state["nodes"] += 1
+        emit(tour, groups, node_bound)
+        if idx == n_c:
+            key = serialize_plan(_canonical_plan(tour, groups))
+            if node_bound < state["best"] or (node_bound == state["best"] and key < state["key"]):
+                state["best"], state["key"] = node_bound, key
+                if node_bound <= root_bound:
+                    state["proved"] = True
+            return
+        o = urgency[idx]
+        candidates = []
+        for ki, k in enumerate(tour):
+            lists = groups[k]
+            used = sum(1 for g in lists if g)
+            for r in range(min(used + 1, n_r)):
+                g = lists[r]
+                if ev.group_length(k, g + [o]) > instance.robot_range + 1e-9:
+                    continue
+                for pos in range(len(g) + 1):
+                    g.insert(pos, o)
+                    candidates.append((ev.bound_of(tour, groups, relax), ki, r, pos, k))
+                    g.pop(pos)
+        candidates.sort()
+        for bound, ki, r, pos, k in candidates:
+            if state["proved"]:
+                return
+            if bound > state["best"]:
+                break
+            groups[k][r].insert(pos, o)
+            assign(tour, idx + 1, groups, bound)
+            groups[k][r].pop(pos)
+
+    def extend_tour(prefix, remaining):
+        if not remaining:
+            groups = {k: [[] for _ in range(n_r)] for k in station_ids}
+            assign(tuple(prefix), 0, groups, root_bound)
+            return
+        state["nodes"] += 1
+        if state["proved"]:
+            return
+        emit(prefix, {}, root_bound)
+        for k in sorted(remaining):
+            prefix.append(k)
+            extend_tour(prefix, remaining - {k})
+            prefix.pop()
+
+    extend_tour([], frozenset(station_ids))
+    return emitted, state["nodes"], state["best"]
+
+
+def customers_on_stations(seed):
+    """A (2,2,6) instance with about half its customers moved onto a
+    station.  Zero-length legs let rounding shorten a chain that gained
+    a customer: (d_a + d_b)/VR can round above d_a/VR + d_b/VR."""
+    rnd = random.Random(seed)
+    inst = generate(seed, 2, 2, 6, robot_speed=rnd.choice([0.3, 1.1, 3.0, 7.0]))
+    customers = tuple(
+        Customer(c.id, rnd.choice(inst.stations).location, c.importance, c.deadline)
+        if rnd.random() < 0.5
+        else c
+        for c in inst.customers
+    )
+    return Instance(
+        inst.depot, inst.stations, customers, inst.fleet_size,
+        inst.robot_range, inst.vehicle_speed, inst.robot_speed,
+    )
+
+
+def search_case(name):
+    """"small", "<stations>-<robots>-<customers>-s<seed>" for a generated
+    instance, or "on-stations-s<seed>" for `customers_on_stations`."""
+    if name == "small":
+        return builtin_fixture("small")[0]
+    head, seed = name.rsplit("-s", 1)
+    if head == "on-stations":
+        return customers_on_stations(int(seed))
+    return generate(int(seed), *(int(n) for n in head.split("-")))
+
+
+# (2,2,5) and (3,2,8), seeds 0-3, and seeds whose search meets a chain
+# that got shorter by rounding; on 532 and 631 that chain was the last
+# back, so the departure drops
+SEARCH_CASES = (
+    ["small"]
+    + [f"{shape}-s{seed}" for shape in ("2-2-5", "3-2-8") for seed in range(4)]
+    + [f"on-stations-s{seed}" for seed in (33, 532, 631)]
+)
+
+
+class TestIncrementalBound:
+    """`solve_bnb` bounds candidates incrementally; the search it makes
+    must be the one `bound_of` defines, bound for bound."""
+
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_same_nodes_as_reference_search(self, name):
+        instance = search_case(name)
+        expected, nodes, best = reference_search(instance)
+        seen = []
+        report = solve_bnb(instance, on_node=seen.append)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert got.tour_prefix == want.tour_prefix
+            assert got.assigned == want.assigned
+            assert got.bound == want.bound
+        assert report.nodes == nodes
+        assert report.objective == best
+
+    @pytest.mark.parametrize("seed,nodes", [(0, 20089), (1, 3843), (2, 8270), (3, 52223)])
+    def test_node_counts_pinned(self, seed, nodes):
+        report = solve_bnb(generate(seed, 3, 2, 10))
+        assert report.nodes == nodes
+        assert report.stats["nodes"] == nodes
+
+    def test_chain_tail_matches_completions(self):
+        rnd = random.Random(5)
+        for seed in range(6):
+            inst = generate(seed, 3, 2, 9)
+            ev = PlanEvaluator(inst)
+            tables = _StepTables(ev)
+            tour = [s.id for s in inst.stations]
+            for _ in range(10):
+                rnd.shuffle(tour)
+                k = rnd.choice(tour)
+                g = rnd.sample(range(inst.n_customers), rnd.randint(1, inst.n_customers))
+                comp, arrive, depart = ev.completions(tour, {k: [g]})
+                whole = [comp[o] for o in g]
+                for j in range(len(g)):
+                    before = whole[j - 1] if j else 0.0
+                    tail, back = _chain_tail(
+                        tables.first[k], tables.step[k], g, j, before, arrive[k]
+                    )
+                    assert whole[:j] + tail == whole
+                    assert max(arrive[k], back) == depart[k]
+
+    def test_stats_count_the_search(self):
+        inst, _ = builtin_fixture("small")
+        report = solve_bnb(inst)
+        stats = report.stats
+        assert set(stats) == {"nodes", "candidates", "pruned_by_bound", "rejected_by_range"}
+        assert stats["nodes"] == report.nodes
+        # two stations: 3 tour-prefix nodes and 2 full tours as roots;
+        # every other node is a candidate that was entered, and every
+        # candidate not entered was pruned by the bound
+        entered = report.nodes - 3 - 2
+        assert stats["candidates"] == stats["pruned_by_bound"] + entered
+        assert stats["rejected_by_range"] > 0
+
+    def test_other_solvers_leave_stats_empty(self):
+        inst = generate(3, 2, 1, 3, robot_range=200.0)
+        assert solve_oracle(inst).stats == {}
+        plan = construct(inst)
+        assert improve(inst, plan).stats == {}
+
+
+def identical_customers(n, fits):
+    """One station and one robot; `n` customers 1.5 away, with a range
+    that fits `fits` of them in the one sortie."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(0.0, 0.0)),),
+        customers=tuple(Customer(o, Point(1.5, 0.0), 1.0, 1.0) for o in range(n)),
+        fleet_size=1,
+        robot_range=3.0 * fits + 1.0,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
+class TestCapacityCheck:
+    @pytest.mark.parametrize("solver", [construct, solve_bnb, solve_oracle])
+    def test_infeasible_by_capacity_fails_fast(self, solver):
+        # without the check this shape takes factorial time (about 9x
+        # per extra customer): every insertion order is retried
+        inst = identical_customers(12, fits=11)
+        started = time.perf_counter()
+        with pytest.raises(InfeasibleInstanceError, match="more than the 1 sortie"):
+            solver(inst)
+        assert time.perf_counter() - started < 1.0
+
+    def test_necessary_not_sufficient(self):
+        # full capacity passes the check and is solved
+        inst = identical_customers(4, fits=4)
+        assert validate(inst, construct(inst)) == []
+        assert solve_bnb(inst).status == "optimal"
+        # three customers 3 away from the one station, two robots with
+        # range 9: the total need 18 fits the two sorties' 18, but each
+        # sortie holds one customer; the search finds that out
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(0.0, 0.0)),),
+            customers=tuple(Customer(o, Point(0.0, 3.0), 1.0, 1.0) for o in range(3)),
+            fleet_size=2,
+            robot_range=9.0,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        for solver in (construct, solve_bnb, solve_oracle):
+            with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
+                solver(inst)
 
 
 def optimal_path_nodes(plan):

@@ -40,7 +40,7 @@ from mothership import (
     solve_oracle,
     validate,
 )
-from mothership.mipexport import _wrap
+from mothership.mipexport import _Model, _wrap
 
 SMALL_OPTIMUM = 36.37122987569251
 
@@ -210,10 +210,39 @@ class TestExportBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[(case, form, speed)]
 
     @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
-    def test_row_without_terms_rejected(self, form):
-        inst = colocated_instance((Customer(0, Point(0.0, 0.0), 1.0, 0.0),))
-        with pytest.raises(ModelError, match="row c9_r0_k1 has no terms"):
-            form(inst)
+    @pytest.mark.parametrize("far", [False, True], ids=["colocated", "far"])
+    def test_customers_on_stations_exported(self, form, far):
+        # every customer sits on a station, so that station's range rows
+        # (9) have only zero coefficients and read 0 <= TR: they are left
+        # out.  With `far`, station 2 lies away from the depot and the
+        # plan is late; without it every place and time coincides.
+        at = Point(3.0, 4.0) if far else Point(0.0, 0.0)
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(0.0, 0.0)), Station(2, at)),
+            customers=(Customer(0, at, 1.0, 0.0), Customer(1, at, 2.5, 1.0)),
+            fleet_size=2,
+            robot_range=20.0,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        plan = RoutePlan(tour=(1, 2), sorties=(Sortie(robot=0, station=2, services=(0, 1)),))
+        model = parse_lp(form(inst))
+        names = {row.name for row in model.rows}
+        assert not {"c9_r0_k2", "c9_r1_k2"} & names
+        if far:
+            assert {"c9_r0_k1", "c9_r1_k1"} <= names
+        else:
+            assert not any(n.startswith("c9_") for n in names)
+        values = plan_assignment(inst, plan)
+        assert check_assignment(model, values) == []
+        objective = propagate(inst, plan).objective
+        assert objective == (5.0 + 2.5 * 4.0 if far else 0.0)
+        assert model.objective_value(values) == objective
+
+    def test_row_without_terms_rejected(self):
+        with pytest.raises(ModelError, match="row c1 has no terms"):
+            _Model().row("c1", [(0.0, "x"), (0.0, "y")], [], "<=", 1.0)
 
     def test_pinned_set_has_wrapped_rows(self):
         text = export_miqcp(pinned_instance("4-3-20"))
