@@ -244,6 +244,8 @@ def cmd_solve(instance_path, fixture, method, budget_nodes, budget_seconds,
         click.echo(f"gap        {report.bound_gap!r}")
     click.echo(f"nodes      {report.nodes}")
     click.echo(f"wall_time  {report.wall_time:.3f}s")
+    if report.stats:
+        click.echo("stats      " + " ".join(f"{k}={v}" for k, v in report.stats.items()))
     click.echo(f"tour       {' -> '.join(str(k) for k in report.plan.tour)}")
     for s in report.plan.sorties:
         chain = ", ".join(f"C{o}" for o in s.services)

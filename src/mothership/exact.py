@@ -16,7 +16,8 @@ partial schedule (`_NodeSchedule`), and a candidate's bound is
 recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
-the incumbent is dropped unfinished.  Both solvers, and `construct`,
+the incumbent is dropped unfinished.  `heuristic.improve` scores its
+moves with the same kernel.  Both solvers, and `construct`,
 first run `check_capacity`, so an instance whose customers need more
 range than the whole fleet has fails at once, not after a factorial
 search.
@@ -91,7 +92,8 @@ class SolveReport:
     open bound), and "heuristic" for local-search results, which prove
     nothing.  The plan always passes `validate` and `objective` always
     equals `propagate(plan).objective`.  `stats` holds the solver's
-    own counters (see `solve_bnb`); other solvers leave it empty.
+    own counters (see `solve_bnb` and `heuristic.improve`);
+    `solve_oracle` leaves it empty.
     """
 
     plan: RoutePlan
@@ -341,8 +343,8 @@ def _chain_tail(first, step, g, j, before, arrive):
 class _StepTables:
     """Per-station quotients of the chain recurrence, keyed by station id:
     `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
-    `doubled[k][o]` = 2*L(k,o), the addend of `group_length`.  Only
-    `solve_bnb` builds them."""
+    `doubled[k][o]` = 2*L(k,o), the addend of `group_length`.  Built once
+    per `solve_bnb` and per `heuristic.improve` call."""
 
     def __init__(self, ev: PlanEvaluator):
         vr = ev.vr
@@ -389,6 +391,12 @@ class _IncrementalBound:
     parent's prefix sum below the smallest changed customer id.  Same
     operations on the same doubles in the same order as `bound_of`, so
     the bound is bit-equal.
+
+    The kernel reads `groups` as they stand, so a caller may change
+    them in place and score the result.  `improve` does that: a
+    relocate takes its customer out, builds that plan's `schedule` and
+    makes every insertion slot one `probe` of it; the other moves are
+    scored with `rescore`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -406,22 +414,37 @@ class _IncrementalBound:
             prev = k
         self.rides = rides
 
-    def root(self, relax) -> _NodeSchedule:
-        """Schedule of the tour with no customer assigned."""
-        arrive = []
+    def schedule(self, terms) -> _NodeSchedule:
+        """Schedule of the tour with the groups as they stand.
+
+        `terms[o]` is the addend of a customer no chain serves: its
+        relaxed contribution at the B&B root, 0.0 for a customer the
+        local search has taken out.  Served customers get their
+        weighted tardiness, so with every customer served `prefix[n]`
+        is the plan's objective, bit-equal to `propagate`'s.
+        """
+        terms = list(terms)
+        n = len(terms)
+        deadline, weight = self.deadline, self.weight
+        arrive, depart, chains, returns, low = [], [], [], [], []
         t = 0.0
-        for ride in self.rides:
-            t = t + ride
-            arrive.append(t)
-        n_r = len(self.groups[self.tour[0]])
+        for i, ride in enumerate(self.rides):
+            a = t + ride
+            cs, rs, t = self._station(i, a)
+            m = n
+            for g, comp in zip(self.groups[self.tour[i]], cs):
+                for o, c in zip(g, comp):
+                    late = c - deadline[o]
+                    terms[o] = weight[o] * late if late > 0.0 else 0.0
+                    if o < m:
+                        m = o
+            arrive.append(a)
+            depart.append(t)
+            chains.append(cs)
+            returns.append(rs)
+            low.append(m)
         return _NodeSchedule(
-            arrive,
-            arrive[:],
-            [[[] for _ in range(n_r)] for _ in self.tour],
-            [[-math.inf] * n_r for _ in self.tour],
-            [len(relax)] * len(self.tour),
-            list(relax),
-            list(accumulate(relax, add, initial=0.0)),
+            arrive, depart, chains, returns, low, terms, list(accumulate(terms, add, initial=0.0))
         )
 
     def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float):
@@ -515,6 +538,41 @@ class _IncrementalBound:
         if total > limit:
             return None
         return total, ki, r, pos, (ret, new_dep, later, m, terms)
+
+    def rescore(self, st: _NodeSchedule, lo: int, hi: int) -> float:
+        """Bound with the groups (and tour) as they stand, where they
+        differ from `st`'s only at tour positions `lo` to `hi`, and no
+        customer has left those positions.  Those stations are
+        recomputed, the later ones only while their arrival moves, and
+        the sum restarts below the smallest recomputed customer id, as
+        in `probe`."""
+        tour, rides = self.tour, self.rides
+        deadline, weight = self.deadline, self.weight
+        terms = st.terms[:]
+        m = len(terms)
+        t = st.depart[lo - 1] if lo else 0.0
+        for i in range(lo, len(tour)):
+            a = t + rides[i]
+            if i > hi and a == st.arrive[i]:
+                break  # this station and all after it keep their times
+            k = tour[i]
+            first, step = self.first[k], self.step[k]
+            t = a
+            for g in self.groups[k]:
+                if not g:
+                    continue
+                prev, c = None, a
+                for b in g:
+                    c = c + first[b] if prev is None else c + step[prev][b]
+                    late = c - deadline[b]
+                    terms[b] = weight[b] * late if late > 0.0 else 0.0
+                    if b < m:
+                        m = b
+                    prev = b
+                back = c + first[prev]
+                if back > t:
+                    t = back
+        return reduce(add, islice(terms, m, None), st.prefix[m])
 
     def child(self, st: _NodeSchedule, ki: int, r: int, pos: int, change) -> _NodeSchedule:
         """The schedule of a candidate `probe` returned, built from the
@@ -697,7 +755,7 @@ def solve_bnb(
             tour = tuple(prefix)
             groups = {k: [[] for _ in range(n_r)] for k in station_ids}
             kernel = _IncrementalBound(ev, tables, tour, groups)
-            assign(tour, 0, groups, root_bound, kernel, kernel.root(relax))
+            assign(tour, 0, groups, root_bound, kernel, kernel.schedule(relax))
             return
         state["nodes"] += 1
         if state["proved"]:

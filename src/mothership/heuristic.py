@@ -11,9 +11,18 @@ reassignment, tour 2-opt) with optional multistart.
 
 Restart r of a run seeded s constructs its starting plan with seed
 s + r; that fixed splitting rule makes multistart runs reproducible.
-Candidate schedules are recomputed from the first tour position a move
-touches, reusing the unchanged prefix; tests check this incremental
-evaluation against full propagation.
+
+Moves are scored with the branch-and-bound's schedule kernel
+(`exact._IncrementalBound`) over the plan under improvement, which
+moves change in place and undo.  A relocate takes its customer out of
+the plan once and probes every insertion slot from the insertion point
+on; a slot whose partial sum already exceeds the current objective is
+dropped unfinished (docs/MODEL.md, monotone float sums).  The other
+neighborhoods rescore from the first tour position a move touches.
+Every score is bit-equal to `propagate(...).objective`, and the
+candidate order, range checks and evaluation count are fixed, so tests
+check the search against a plain dict-based descent that copies every
+candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +32,14 @@ import time
 from dataclasses import dataclass
 
 from .evaluation import PlanEvaluator, propagate, validate
-from .exact import InfeasibleInstanceError, SolveReport, check_capacity
+from .exact import (
+    InfeasibleInstanceError,
+    SolveReport,
+    _IncrementalBound,
+    _NodeSchedule,
+    _StepTables,
+    check_capacity,
+)
 from .model import EPSILON, Instance, ModelError, RoutePlan, Sortie, serialize_plan
 
 NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
@@ -84,73 +100,37 @@ class _Work:
 
 
 class _Evaluator:
-    """Schedule state with recomputation from the first affected station."""
+    """The plan under improvement, its schedule and its objective.
 
-    def __init__(self, ev: PlanEvaluator, work: _Work):
+    Moves change `work` in place; `kernel` reads the same tour and
+    groups.  `sched` is the kernel's schedule of the plan as last kept,
+    with every customer served, so `objective` is its full sum,
+    bit-equal to `propagate(...).objective`.
+    """
+
+    def __init__(self, ev: PlanEvaluator, tables: _StepTables, work: _Work):
         self.ev = ev
+        self.tables = tables
         self.work = work
-        self.departs: list[float] = []
-        self.comp_by_pos: list[dict[int, float]] = []
-        self.objective = self._refresh()
+        self.unserved = [0.0] * ev.n  # the term of a customer taken out
+        self.refresh()
 
-    def _station(self, j: int, t: float, tour, groups):
-        ev = self.ev
-        k = tour[j]
-        leg = ev.depot_leg[k] if j == 0 else ev.ss[(tour[j - 1], k)]
-        a = t + leg / ev.vv
-        d = ev.sc[k]
-        t_dep = a
-        comp: dict[int, float] = {}
-        for g in groups[k]:
-            if not g:
-                continue
-            c = a + d[g[0]] / ev.vr
-            comp[g[0]] = c
-            for i in range(1, len(g)):
-                c = c + (d[g[i - 1]] + d[g[i]]) / ev.vr
-                comp[g[i]] = c
-            ret = c + d[g[-1]] / ev.vr
-            if ret > t_dep:
-                t_dep = ret
-        return comp, t_dep
+    def refresh(self) -> None:
+        """Re-read the plan after a move was kept."""
+        self.kernel = _IncrementalBound(self.ev, self.tables, self.work.tour, self.work.groups)
+        self.sched = self.schedule()
+        self.objective = self.sched.prefix[-1]
+        self.at = {k: i for i, k in enumerate(self.work.tour)}
 
-    def _objective_of(self, comp_dicts) -> float:
-        ev = self.ev
-        merged: dict[int, float] = {}
-        for d in comp_dicts:
-            merged.update(d)
-        total = 0.0
-        for o in range(ev.n):
-            late = merged[o] - ev.deadline[o]
-            if late > 0.0:
-                total += ev.weight[o] * late
-        return total
+    def schedule(self) -> _NodeSchedule:
+        """The kernel's schedule of the plan as it stands."""
+        return self.kernel.schedule(self.unserved)
 
-    def _refresh(self) -> float:
-        self.departs = []
-        self.comp_by_pos = []
-        t = 0.0
-        for j in range(len(self.work.tour)):
-            comp, t = self._station(j, t, self.work.tour, self.work.groups)
-            self.comp_by_pos.append(comp)
-            self.departs.append(t)
-        self.objective = self._objective_of(self.comp_by_pos)
-        return self.objective
-
-    def probe(self, tour, groups, from_idx: int) -> float:
-        """Objective of a candidate state, recomputed from `from_idx` on."""
-        t = self.departs[from_idx - 1] if from_idx else 0.0
-        comp_dicts = self.comp_by_pos[:from_idx]
-        suffix = []
-        for j in range(from_idx, len(tour)):
-            comp, t = self._station(j, t, tour, groups)
-            suffix.append(comp)
-        return self._objective_of(comp_dicts + suffix)
-
-    def commit(self, tour, groups) -> float:
-        self.work.tour = list(tour)
-        self.work.groups = {k: [list(g) for g in lists] for k, lists in groups.items()}
-        return self._refresh()
+    def score(self, k: int, k2: int) -> float:
+        """Objective of the plan as it stands, when a move changed the
+        chains of stations `k` and `k2` only."""
+        lo, hi = sorted((self.at[k], self.at[k2]))
+        return self.kernel.rescore(self.sched, lo, hi)
 
 
 def _tour_2opt(ev: PlanEvaluator, tour: list[int]) -> list[int]:
@@ -283,110 +263,202 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     return _Work(tour, groups).plan()
 
 
-def _scan_moves(ev: PlanEvaluator, state: _Evaluator, name: str):
-    """Yield candidate states (first_affected_idx, tour, groups) of one
-    neighborhood, in a fixed deterministic order."""
-    work = state.work
-    tour = work.tour
-    n_r = len(next(iter(work.groups.values()))) if work.groups else 0
-    pos_of = {k: i for i, k in enumerate(tour)}
 
-    def located():
-        for k in tour:
-            for r, g in enumerate(work.groups[k]):
-                for pos, o in enumerate(g):
-                    yield o, k, r, pos
 
+def _located(work: _Work):
+    """(customer, station, robot, position) of every served customer,
+    by customer id."""
+    return sorted(
+        (o, k, r, pos)
+        for k in work.tour
+        for r, g in enumerate(work.groups[k])
+        for pos, o in enumerate(g)
+    )
+
+
+def _apply(work: _Work, name: str, move) -> None:
+    """Apply one move of neighborhood `name` to `work` in place.  Swap,
+    reassign and two_opt moves are their own inverses."""
+    groups = work.groups
     if name == "relocate":
-        for o, k, r, pos in sorted(located()):
-            for k2 in tour:
-                for r2 in range(n_r):
-                    if (k2, r2) == (k, r):
+        k, r, pos, k2, r2, pos2 = move
+        groups[k2][r2].insert(pos2, groups[k][r].pop(pos))
+    elif name == "swap":
+        k, r, pos, k2, r2, pos2 = move
+        a, b = groups[k][r], groups[k2][r2]
+        a[pos], b[pos2] = b[pos2], a[pos]
+    elif name == "reorder":
+        k, r, pos, pos2 = move
+        g = groups[k][r]
+        g.insert(pos2, g.pop(pos))
+    elif name == "reassign":
+        k, r, k2, r2 = move
+        groups[k][r], groups[k2][r2] = groups[k2][r2], groups[k][r]
+    else:  # two_opt
+        i, j = move
+        work.tour[i : j + 1] = reversed(work.tour[i : j + 1])
+
+
+def _relocate(state: _Evaluator, limit: float):
+    """Yield (score, move) for every relocate move: each customer by id
+    to every other (station, robot) chain whose range allows it, at
+    every position.
+
+    The customer is taken out of its chain once, and every slot is one
+    `_IncrementalBound.probe` of the schedule without it.  The score is
+    None when the probe dropped the slot, which it does only once a
+    partial sum exceeds `limit` (then the objective is above `limit`
+    too).  The plan is missing the customer while a yield is pending;
+    closing the generator puts it back.
+    """
+    ev, work = state.ev, state.work
+    tour, groups = work.tour, work.groups
+    probe = state.kernel.probe
+    cap = ev.range + EPSILON
+    for o, k, r, pos in _located(work):
+        chain = groups[k][r]
+        chain.pop(pos)
+        try:
+            sched = state.schedule()
+            for ki2, k2 in enumerate(tour):
+                for r2, target in enumerate(groups[k2]):
+                    if r2 == r and k2 == k:
                         continue
-                    target = work.groups[k2][r2]
-                    if ev.group_length(k2, target + [o]) > ev.range + EPSILON:
+                    if ev.group_length(k2, target + [o]) > cap:
                         continue
                     for pos2 in range(len(target) + 1):
-                        groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
-                        groups[k][r].pop(pos)
-                        groups[k2][r2].insert(pos2, o)
-                        yield min(pos_of[k], pos_of[k2]), tour, groups
-    elif name == "swap":
-        spots = sorted(located())
-        for i, (o, k, r, pos) in enumerate(spots):
-            for p, k2, r2, pos2 in spots[i + 1 :]:
-                if (k, r) == (k2, r2):
-                    continue
-                a = [x for x in work.groups[k][r]]
-                b = [x for x in work.groups[k2][r2]]
-                a[pos], b[pos2] = p, o
-                if ev.group_length(k, a) > ev.range + EPSILON:
-                    continue
-                if ev.group_length(k2, b) > ev.range + EPSILON:
-                    continue
-                groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
-                groups[k][r] = a
-                groups[k2][r2] = b
-                yield min(pos_of[k], pos_of[k2]), tour, groups
-    elif name == "reorder":
-        for o, k, r, pos in sorted(located()):
-            g = work.groups[k][r]
-            if len(g) < 2:
+                        found = probe(sched, ki2, r2, pos2, o, limit)
+                        yield (None if found is None else found[0]), (k, r, pos, k2, r2, pos2)
+        finally:
+            chain.insert(pos, o)
+
+
+def _swap(state: _Evaluator, limit: float):
+    """Yield (score, move) for every exchange of two customers on
+    different chains, both chains within range."""
+    ev, groups = state.ev, state.work.groups
+    cap = ev.range + EPSILON
+    spots = _located(state.work)
+    for i, (o, k, r, pos) in enumerate(spots):
+        for p, k2, r2, pos2 in spots[i + 1 :]:
+            if (k, r) == (k2, r2):
                 continue
-            for pos2 in range(len(g)):
-                if pos2 == pos:
-                    continue
-                groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
-                moved = groups[k][r].pop(pos)
-                groups[k][r].insert(pos2, moved)
-                yield pos_of[k], tour, groups
-    elif name == "reassign":
-        for k in tour:
-            for r, g in enumerate(work.groups[k]):
-                if not g:
-                    continue
-                for k2 in tour:
-                    if k2 == k:
-                        continue
-                    free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
-                    if not free:
-                        continue
-                    if ev.group_length(k2, g) > ev.range + EPSILON:
-                        continue
-                    groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
-                    groups[k][r] = []
-                    groups[k2][free[0]] = list(g)
-                    yield min(pos_of[k], pos_of[k2]), tour, groups
-    elif name == "two_opt":
-        for i in range(len(tour) - 1):
-            for j in range(i + 1, len(tour)):
-                t2 = list(tour)
-                t2[i : j + 1] = reversed(t2[i : j + 1])
-                yield i, t2, work.groups
-    else:  # pragma: no cover - params validation rejects unknown names
-        raise ModelError(f"unknown neighborhood {name!r}")
+            move = (k, r, pos, k2, r2, pos2)
+            _apply(state.work, "swap", move)
+            fits = (
+                ev.group_length(k, groups[k][r]) <= cap
+                and ev.group_length(k2, groups[k2][r2]) <= cap
+            )
+            score = state.score(k, k2) if fits else None
+            _apply(state.work, "swap", move)
+            if fits:
+                yield score, move
 
 
-def _descend(ev, state: _Evaluator, params: SearchParams, started: float, counters: dict):
-    """First-improvement descent to a local optimum, in place."""
-    improved = True
-    while improved:
-        improved = False
+def _reorder(state: _Evaluator, limit: float):
+    """Yield (score, move) for every move of a customer to another
+    position of its own chain."""
+    for _, k, r, pos in _located(state.work):
+        g = state.work.groups[k][r]
+        for pos2 in range(len(g)):
+            if pos2 == pos:
+                continue
+            _apply(state.work, "reorder", (k, r, pos, pos2))
+            score = state.score(k, k)
+            _apply(state.work, "reorder", (k, r, pos2, pos))
+            yield score, (k, r, pos, pos2)
+
+
+def _reassign(state: _Evaluator, limit: float):
+    """Yield (score, move) for every move of a whole chain to the first
+    idle robot of another station, within range there."""
+    ev, work = state.ev, state.work
+    cap = ev.range + EPSILON
+    for k in work.tour:
+        for r, g in enumerate(work.groups[k]):
+            if not g:
+                continue
+            for k2 in work.tour:
+                if k2 == k:
+                    continue
+                free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
+                if not free or ev.group_length(k2, g) > cap:
+                    continue
+                move = (k, r, k2, free[0])
+                _apply(work, "reassign", move)
+                score = state.score(k, k2)
+                _apply(work, "reassign", move)
+                yield score, move
+
+
+def _two_opt(state: _Evaluator, limit: float):
+    """Yield (score, move) for every reversal of a tour segment."""
+    work = state.work
+    n = len(work.tour)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            _apply(work, "two_opt", (i, j))
+            kernel = _IncrementalBound(state.ev, state.tables, work.tour, work.groups)
+            score = kernel.rescore(state.sched, i, j)
+            _apply(work, "two_opt", (i, j))
+            yield score, (i, j)
+
+
+# Each yields (score, move) in a fixed deterministic order, with the
+# plan restored at every yield except relocate's (see `_relocate`);
+# only relocate drops candidates past the limit, the others score exactly.
+_MOVES = {
+    "relocate": _relocate,
+    "swap": _swap,
+    "reorder": _reorder,
+    "reassign": _reassign,
+    "two_opt": _two_opt,
+}
+
+
+class _Stop(Exception):
+    """An evaluation or time cap ended the search."""
+
+
+def _first_improvement(
+    state: _Evaluator, name: str, params: SearchParams, started: float, stats: dict
+):
+    """The first move of neighborhood `name` that lowers the objective,
+    or None.  Every candidate counts one evaluation, and the caps are
+    checked before it is judged; raises _Stop when one is reached, with
+    the plan whole."""
+    moves = _MOVES[name](state, state.objective)
+    evals = stats["evals"]
+    try:
+        for score, move in moves:
+            evals += 1
+            if evals >= params.max_iterations:
+                raise _Stop
+            if evals % 64 == 0 and time.perf_counter() - started > params.max_seconds:
+                raise _Stop
+            if score is not None and score < state.objective:
+                return move
+        return None
+    finally:
+        moves.close()
+        stats["evals_" + name] += evals - stats["evals"]
+        stats["evals"] = evals
+
+
+def _descend(state: _Evaluator, params: SearchParams, started: float, stats: dict) -> None:
+    """First-improvement descent to a local optimum, in place; raises
+    _Stop when a cap ends it."""
+    stats["descents"] += 1
+    while True:
         for name in params.neighborhoods:
-            for from_idx, tour, groups in _scan_moves(ev, state, name):
-                counters["evals"] += 1
-                if counters["evals"] >= params.max_iterations:
-                    return
-                if counters["evals"] % 64 == 0:
-                    if time.perf_counter() - started > params.max_seconds:
-                        return
-                cand = state.probe(tour, groups, from_idx)
-                if cand < state.objective:
-                    state.commit(tour, groups)
-                    improved = True
-                    break
-            if improved:
+            move = _first_improvement(state, name, params, started, stats)
+            if move is not None:
+                _apply(state.work, name, move)
+                state.refresh()
+                stats["moves_" + name] += 1
                 break
+        else:
+            return
 
 
 def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchParams()) -> SolveReport:
@@ -396,6 +468,9 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     fresh constructions (seeds `params.seed + r`), and returns the best
     plan found; never worse than the input, always feasible.  The
     report status is "heuristic": no optimality proof is implied.
+    `nodes` counts move evaluations; `stats` splits them by
+    neighborhood (`evals_<name>`), counts the moves kept
+    (`moves_<name>`) and the descents run (`descents`).
     """
     started = time.perf_counter()
     violations = validate(instance, plan)
@@ -404,7 +479,10 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
             "improve requires a feasible plan: " + "; ".join(v.detail for v in violations)
         )
     ev = PlanEvaluator(instance)
-    counters = {"evals": 0}
+    tables = _StepTables(ev)
+    stats = {"evals": 0, "descents": 0}
+    for prefix in ("evals_", "moves_"):
+        stats.update((prefix + name, 0) for name in params.neighborhoods)
 
     best_plan: RoutePlan | None = None
     best_obj = float("inf")
@@ -417,30 +495,38 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         if objective < best_obj or (objective == best_obj and key < best_key):
             best_plan, best_obj, best_key = built, objective, key
 
-    state = _Evaluator(ev, _Work.from_plan(instance, plan))
-    _descend(ev, state, params, started, counters)
-    offer(state.work, state.objective)
-
-    for r in range(1, params.restarts):
-        if counters["evals"] >= params.max_iterations:
-            break
-        if time.perf_counter() - started > params.max_seconds:
-            break
+    def run(start: RoutePlan) -> bool:
+        """Descend from `start` and offer the result; False when a cap
+        ended the descent."""
+        state = _Evaluator(ev, tables, _Work.from_plan(instance, start))
         try:
-            seeded = construct(instance, params.seed + r)
-        except InfeasibleInstanceError:  # pragma: no cover - input plan proves feasibility
-            break
-        state = _Evaluator(ev, _Work.from_plan(instance, seeded))
-        _descend(ev, state, params, started, counters)
+            _descend(state, params, started, stats)
+            finished = True
+        except _Stop:
+            finished = False
         offer(state.work, state.objective)
+        return finished
+
+    if run(plan):
+        for r in range(1, params.restarts):
+            if time.perf_counter() - started > params.max_seconds:
+                break
+            try:
+                seeded = construct(instance, params.seed + r)
+            except InfeasibleInstanceError:  # pragma: no cover - input plan proves feasibility
+                break
+            if not run(seeded):
+                break
 
     schedule = propagate(instance, best_plan)
+    nodes = stats.pop("evals")
     return SolveReport(
         plan=best_plan,
         schedule=schedule,
         objective=schedule.objective,
         status="heuristic",
         bound_gap=None,
-        nodes=counters["evals"],
+        nodes=nodes,
         wall_time=time.perf_counter() - started,
+        stats=stats,
     )

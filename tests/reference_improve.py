@@ -1,0 +1,232 @@
+"""
+The local search of `heuristic.improve`, written plainly.
+
+Every candidate is built as a deep copy of the plan's groups (and tour)
+and scored by recomputing the schedule in dicts from the first tour
+position the move touches, with the recurrence of `propagate` written
+out once more.  `improve` scores its moves with the branch-and-bound's
+incremental kernel instead; tests assert that both make the same search:
+the same objective, plan and evaluation count under every cap.
+"""
+
+from __future__ import annotations
+
+import time
+
+from mothership import (
+    InfeasibleInstanceError,
+    PlanEvaluator,
+    SearchParams,
+    construct,
+    serialize_plan,
+)
+from mothership.heuristic import _Work
+from mothership.model import EPSILON
+
+
+class Evaluator:
+    """Schedule state with recomputation from the first affected station."""
+
+    def __init__(self, ev: PlanEvaluator, work: _Work):
+        self.ev = ev
+        self.work = work
+        self.departs: list[float] = []
+        self.comp_by_pos: list[dict[int, float]] = []
+        self.objective = self._refresh()
+
+    def _station(self, j: int, t: float, tour, groups):
+        ev = self.ev
+        k = tour[j]
+        leg = ev.depot_leg[k] if j == 0 else ev.ss[(tour[j - 1], k)]
+        a = t + leg / ev.vv
+        d = ev.sc[k]
+        t_dep = a
+        comp: dict[int, float] = {}
+        for g in groups[k]:
+            if not g:
+                continue
+            c = a + d[g[0]] / ev.vr
+            comp[g[0]] = c
+            for i in range(1, len(g)):
+                c = c + (d[g[i - 1]] + d[g[i]]) / ev.vr
+                comp[g[i]] = c
+            ret = c + d[g[-1]] / ev.vr
+            if ret > t_dep:
+                t_dep = ret
+        return comp, t_dep
+
+    def _objective_of(self, comp_dicts) -> float:
+        ev = self.ev
+        merged: dict[int, float] = {}
+        for d in comp_dicts:
+            merged.update(d)
+        total = 0.0
+        for o in range(ev.n):
+            late = merged[o] - ev.deadline[o]
+            if late > 0.0:
+                total += ev.weight[o] * late
+        return total
+
+    def _refresh(self) -> float:
+        self.departs = []
+        self.comp_by_pos = []
+        t = 0.0
+        for j in range(len(self.work.tour)):
+            comp, t = self._station(j, t, self.work.tour, self.work.groups)
+            self.comp_by_pos.append(comp)
+            self.departs.append(t)
+        self.objective = self._objective_of(self.comp_by_pos)
+        return self.objective
+
+    def probe(self, tour, groups, from_idx: int) -> float:
+        """Objective of a candidate state, recomputed from `from_idx` on."""
+        t = self.departs[from_idx - 1] if from_idx else 0.0
+        comp_dicts = self.comp_by_pos[:from_idx]
+        suffix = []
+        for j in range(from_idx, len(tour)):
+            comp, t = self._station(j, t, tour, groups)
+            suffix.append(comp)
+        return self._objective_of(comp_dicts + suffix)
+
+    def commit(self, tour, groups) -> float:
+        self.work.tour = list(tour)
+        self.work.groups = {k: [list(g) for g in lists] for k, lists in groups.items()}
+        return self._refresh()
+
+
+def scan_moves(ev: PlanEvaluator, state: Evaluator, name: str):
+    """Yield candidate states (first_affected_idx, tour, groups) of one
+    neighborhood, in a fixed deterministic order."""
+    work = state.work
+    tour = work.tour
+    n_r = len(next(iter(work.groups.values()))) if work.groups else 0
+    pos_of = {k: i for i, k in enumerate(tour)}
+
+    def located():
+        for k in tour:
+            for r, g in enumerate(work.groups[k]):
+                for pos, o in enumerate(g):
+                    yield o, k, r, pos
+
+    if name == "relocate":
+        for o, k, r, pos in sorted(located()):
+            for k2 in tour:
+                for r2 in range(n_r):
+                    if (k2, r2) == (k, r):
+                        continue
+                    target = work.groups[k2][r2]
+                    if ev.group_length(k2, target + [o]) > ev.range + EPSILON:
+                        continue
+                    for pos2 in range(len(target) + 1):
+                        groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                        groups[k][r].pop(pos)
+                        groups[k2][r2].insert(pos2, o)
+                        yield min(pos_of[k], pos_of[k2]), tour, groups
+    elif name == "swap":
+        spots = sorted(located())
+        for i, (o, k, r, pos) in enumerate(spots):
+            for p, k2, r2, pos2 in spots[i + 1 :]:
+                if (k, r) == (k2, r2):
+                    continue
+                a = [x for x in work.groups[k][r]]
+                b = [x for x in work.groups[k2][r2]]
+                a[pos], b[pos2] = p, o
+                if ev.group_length(k, a) > ev.range + EPSILON:
+                    continue
+                if ev.group_length(k2, b) > ev.range + EPSILON:
+                    continue
+                groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                groups[k][r] = a
+                groups[k2][r2] = b
+                yield min(pos_of[k], pos_of[k2]), tour, groups
+    elif name == "reorder":
+        for o, k, r, pos in sorted(located()):
+            g = work.groups[k][r]
+            if len(g) < 2:
+                continue
+            for pos2 in range(len(g)):
+                if pos2 == pos:
+                    continue
+                groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                moved = groups[k][r].pop(pos)
+                groups[k][r].insert(pos2, moved)
+                yield pos_of[k], tour, groups
+    elif name == "reassign":
+        for k in tour:
+            for r, g in enumerate(work.groups[k]):
+                if not g:
+                    continue
+                for k2 in tour:
+                    if k2 == k:
+                        continue
+                    free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
+                    if not free:
+                        continue
+                    if ev.group_length(k2, g) > ev.range + EPSILON:
+                        continue
+                    groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                    groups[k][r] = []
+                    groups[k2][free[0]] = list(g)
+                    yield min(pos_of[k], pos_of[k2]), tour, groups
+    elif name == "two_opt":
+        for i in range(len(tour) - 1):
+            for j in range(i + 1, len(tour)):
+                t2 = list(tour)
+                t2[i : j + 1] = reversed(t2[i : j + 1])
+                yield i, t2, work.groups
+    else:
+        raise ValueError(f"unknown neighborhood {name!r}")
+
+
+def descend(ev, state: Evaluator, params: SearchParams, started: float, counters: dict):
+    """First-improvement descent to a local optimum, in place."""
+    improved = True
+    while improved:
+        improved = False
+        for name in params.neighborhoods:
+            for from_idx, tour, groups in scan_moves(ev, state, name):
+                counters["evals"] += 1
+                if counters["evals"] >= params.max_iterations:
+                    return
+                if counters["evals"] % 64 == 0:
+                    if time.perf_counter() - started > params.max_seconds:
+                        return
+                cand = state.probe(tour, groups, from_idx)
+                if cand < state.objective:
+                    state.commit(tour, groups)
+                    improved = True
+                    break
+            if improved:
+                break
+
+
+def reference_improve(instance, plan, params: SearchParams = SearchParams()):
+    """(objective, plan text, evaluations) of the search `improve` makes
+    from `plan` under `params`; give `params` a `max_seconds` no run
+    reaches, or the time check makes the result depend on the machine."""
+    started = time.perf_counter()
+    ev = PlanEvaluator(instance)
+    counters = {"evals": 0}
+    best = (float("inf"), "")
+
+    def offer(work: _Work, objective: float):
+        nonlocal best
+        best = min(best, (objective, serialize_plan(work.plan())))
+
+    state = Evaluator(ev, _Work.from_plan(instance, plan))
+    descend(ev, state, params, started, counters)
+    offer(state.work, state.objective)
+    for r in range(1, params.restarts):
+        if counters["evals"] >= params.max_iterations:
+            break
+        if time.perf_counter() - started > params.max_seconds:
+            break
+        try:
+            seeded = construct(instance, params.seed + r)
+        except InfeasibleInstanceError:
+            break
+        state = Evaluator(ev, _Work.from_plan(instance, seeded))
+        descend(ev, state, params, started, counters)
+        offer(state.work, state.objective)
+    objective, text = best
+    return objective, text, counters["evals"]

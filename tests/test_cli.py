@@ -14,8 +14,10 @@ from click.testing import CliRunner
 import mothership
 from mothership import (
     builtin_fixture,
+    construct,
     export_bigm,
     export_miqcp,
+    improve,
     parse_instance,
     parse_plan,
     plan_assignment,
@@ -161,6 +163,32 @@ class TestSolve:
         assert result.exit_code == 0
         assert "status     heuristic" in result.output
         assert repr(SMALL_OPTIMUM) in result.output
+
+    @pytest.mark.parametrize("method", ["exact", "heuristic"])
+    def test_stats_line(self, runner, method):
+        result = runner.invoke(cli, ["solve", "--fixture", "small", "--method", method])
+        assert result.exit_code == 0
+        lines = [line for line in result.output.splitlines() if line.startswith("stats ")]
+        assert len(lines) == 1
+        printed = dict(item.split("=") for item in lines[0].split()[1:])
+        inst = builtin_fixture("small")[0]
+        if method == "exact":
+            report = solve_bnb(inst)
+        else:
+            report = improve(inst, construct(inst))
+        assert report.stats
+        assert printed == {k: str(v) for k, v in report.stats.items()}
+
+    def test_no_stats_line_without_stats(self, runner, tmp_path):
+        gen = runner.invoke(
+            cli, ["generate", "--seed", "4", "--stations", "2", "--robots", "1",
+                  "--customers", "3"]
+        )
+        ipath = tmp_path / "tiny.json"
+        ipath.write_text(gen.output)
+        result = runner.invoke(cli, ["solve", "-i", str(ipath), "--method", "oracle"])
+        assert result.exit_code == 0
+        assert "stats" not in result.output
 
     def test_oracle_rejects_oversized_fixture(self, runner):
         result = runner.invoke(cli, ["solve", "--fixture", "small",

@@ -2,9 +2,12 @@
 Construction and local search: feasibility, determinism, quality.
 """
 
+import math
+import random
 import time
 
 import pytest
+from reference_improve import reference_improve
 
 from mothership import (
     NEIGHBORHOODS,
@@ -27,7 +30,8 @@ from mothership import (
     solve_bnb,
     validate,
 )
-from mothership.heuristic import _Evaluator, _scan_moves, _Work
+from mothership.exact import _StepTables
+from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply
 
 SMALL_OPTIMUM = 36.37122987569251
 
@@ -188,18 +192,39 @@ class TestIncrementalEvaluator:
             assert report.objective == propagate(inst, report.plan).objective
 
     def test_probe_equals_propagate_for_every_move(self):
+        # every candidate of every neighborhood, scored without a limit,
+        # equals propagate of the candidate plan; with the objective as
+        # the limit, a relocate slot is dropped only when it is no better
         moves = dict.fromkeys(NEIGHBORHOODS, 0)
-        for fixture in ("small", "medium"):
-            inst, plan = builtin_fixture(fixture)
+        dropped = 0
+        # on_stations(254) has relocate slots where rounding shortens
+        # the chain that gains the customer
+        cases = [builtin_fixture("small"), builtin_fixture("medium")]
+        cases.append((on_stations(254), construct(on_stations(254))))
+        for inst, plan in cases:
             ev = PlanEvaluator(inst)
-            state = _Evaluator(ev, _Work.from_plan(inst, plan))
+            state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, plan))
             assert state.objective == propagate(inst, plan).objective
+            before = serialize_plan(state.work.plan())
             for name in NEIGHBORHOODS:
-                for from_idx, tour, groups in _scan_moves(ev, state, name):
-                    candidate = _Work(tour, groups).plan()
-                    assert state.probe(tour, groups, from_idx) == propagate(inst, candidate).objective
+                scored = list(_MOVES[name](state, math.inf))
+                limited = list(_MOVES[name](state, state.objective))
+                assert [move for _, move in limited] == [move for _, move in scored]
+                for (score, move), (bounded, _) in zip(scored, limited):
+                    candidate = state.work.clone()
+                    _apply(candidate, name, move)
+                    exact = propagate(inst, candidate.plan()).objective
+                    assert score == exact
+                    if bounded is None:
+                        assert name == "relocate"
+                        assert exact >= state.objective
+                        dropped += 1
+                    else:
+                        assert bounded == exact
                     moves[name] += 1
+                assert serialize_plan(state.work.plan()) == before
         assert all(moves.values()), moves
+        assert dropped
 
     def test_medium_fixture_improves(self):
         inst, plan = builtin_fixture("medium")
@@ -207,3 +232,128 @@ class TestIncrementalEvaluator:
         report = improve(inst, construct(inst), SearchParams(restarts=2))
         assert report.objective <= base
         assert validate(inst, report.plan) == []
+
+
+def on_stations(seed):
+    """A (3,2,9) instance with about half its customers moved onto a
+    station, where zero-length legs let rounding shorten a chain that
+    gained a customer."""
+    rnd = random.Random(seed)
+    inst = generate(seed, 3, 2, 9, robot_speed=rnd.choice([0.3, 1.1, 3.0, 7.0]))
+    customers = tuple(
+        Customer(c.id, rnd.choice(inst.stations).location, c.importance, c.deadline)
+        if rnd.random() < 0.5
+        else c
+        for c in inst.customers
+    )
+    return Instance(
+        inst.depot, inst.stations, customers, inst.fleet_size,
+        inst.robot_range, inst.vehicle_speed, inst.robot_speed,
+    )
+
+
+def descent_case(name):
+    """(instance, start plan, params) of a named reference case: a
+    fixture or (3,2,9) instance with seed s, "on-stations-s<s>", or
+    "large-s<s>-r<restarts>" for (6,4,40) at 52,000 evaluations.  No
+    case may reach its time cap."""
+    head, seed = name.rsplit("-s", 1)
+    if head == "large":
+        seed, restarts = (int(x) for x in seed.split("-r"))
+        inst = generate(seed, 6, 4, 40)
+        return inst, construct(inst), SearchParams(
+            max_iterations=52_000, max_seconds=1e6, restarts=restarts
+        )
+    seed = int(seed)
+    if head in ("small", "medium"):
+        inst = builtin_fixture(head)[0]
+    elif head == "on-stations":
+        inst = on_stations(seed)
+    else:
+        inst = generate(seed, 3, 2, 9)
+    return inst, construct(inst, seed), SearchParams(seed=seed, max_seconds=1e6)
+
+
+# on-stations seeds 44 and 90 are ones whose search meets a chain that
+# rounding shortened when it gained a customer
+DESCENT_CASES = (
+    [f"{head}-s{seed}" for head in ("small", "medium", "3-2-9", "on-stations") for seed in range(4)]
+    + ["on-stations-s44", "on-stations-s90"]
+    + [f"large-s{seed}-r{restarts}" for seed in range(4) for restarts in (1, 4)]
+)
+
+# improve on (6,4,40) seeds 0-3 from construct at 52,000 evaluations
+# with the default restarts, as the plain dict-based descent gave them
+LARGE_OBJECTIVES = (647.0300426571624, 437.48001435445855, 412.54705848638116, 415.3863063016614)
+
+
+class TestReferenceDescent:
+    """`improve` scores moves with the B&B's incremental kernel; the
+    search it makes must be the one `reference_improve` makes, which
+    deep-copies every candidate and recomputes its schedule in dicts."""
+
+    @pytest.mark.parametrize("name", DESCENT_CASES)
+    def test_same_search_as_reference(self, name):
+        inst, start, params = descent_case(name)
+        report = improve(inst, start, params)
+        objective, text, nodes = reference_improve(inst, start, params)
+        assert report.objective == objective
+        assert serialize_plan(report.plan) == text
+        assert report.nodes == nodes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_objectives_pinned(self, seed):
+        inst = generate(seed, 6, 4, 40)
+        params = SearchParams(max_iterations=52_000, max_seconds=1e6)
+        report = improve(inst, construct(inst), params)
+        assert report.objective == LARGE_OBJECTIVES[seed]
+        assert report.nodes == 52_000
+
+    @pytest.mark.parametrize(
+        "which,cap",
+        [("medium", 1), ("medium", 64), ("medium", 500), ("medium", 700)]
+        + [("large-s1", cap) for cap in (1, 64, 5_000)],
+    )
+    def test_cap_stops_leave_a_whole_plan(self, which, cap):
+        # each cap lands inside a relocate scan (in the first, second
+        # and third descent on medium), while the customer is out of
+        # the plan: the plan returned still serves everyone
+        if which == "medium":
+            inst = builtin_fixture("medium")[0]
+        else:
+            inst = generate(1, 6, 4, 40)
+        start = construct(inst)
+        params = SearchParams(max_iterations=cap, max_seconds=1e6)
+        report = improve(inst, start, params)
+        assert validate(inst, report.plan) == []
+        assert report.nodes == cap
+        assert report.stats["evals_relocate"] > 0
+        objective, text, nodes = reference_improve(inst, start, params)
+        assert report.objective == objective
+        assert serialize_plan(report.plan) == text
+        assert report.nodes == nodes
+
+
+class TestSearchStats:
+    def test_counters_add_up(self):
+        inst, _ = builtin_fixture("medium")
+        report = improve(inst, construct(inst), SearchParams(restarts=3, max_seconds=1e6))
+        stats = report.stats
+        assert set(stats) == {"descents"} | {
+            f"{kind}_{name}" for kind in ("evals", "moves") for name in NEIGHBORHOODS
+        }
+        assert sum(stats[f"evals_{name}"] for name in NEIGHBORHOODS) == report.nodes
+        assert stats["descents"] == 3
+        assert sum(stats[f"moves_{name}"] for name in NEIGHBORHOODS) > 0
+        for name in NEIGHBORHOODS:
+            assert stats[f"moves_{name}"] <= stats[f"evals_{name}"]
+
+    def test_only_the_chosen_neighborhoods(self):
+        inst, _ = builtin_fixture("small")
+        report = improve(
+            inst, construct(inst), SearchParams(neighborhoods=("swap", "two_opt"), restarts=1)
+        )
+        assert set(report.stats) == {
+            "descents", "evals_swap", "evals_two_opt", "moves_swap", "moves_two_opt"
+        }
+        assert report.stats["evals_swap"] + report.stats["evals_two_opt"] == report.nodes
