@@ -16,8 +16,9 @@ partial schedule (`_NodeSchedule`), and a candidate's bound is
 recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
-the incumbent is dropped unfinished.  `heuristic.improve` scores its
-moves with the same kernel.  Both solvers, and `construct`,
+the incumbent is dropped unfinished.  `heuristic.construct` scores its
+insertion slots and `heuristic.improve` its moves with the same
+kernel.  Both solvers, and `construct`,
 first run `check_capacity`, so an instance whose customers need more
 range than the whole fleet has fails at once, not after a factorial
 search.
@@ -293,16 +294,19 @@ def solve_oracle(instance: Instance) -> SolveReport:
             used = sum(1 for g in lists if g)
             for r in range(min(used + 1, n_r)):
                 g = lists[r]
-                if ev.group_length(k, g + [o]) > instance.robot_range + 1e-9:
+                if ev.group_length(k, g + [o]) > instance.robot_range + EPSILON:
                     continue
                 for pos in range(len(g) + 1):
                     g.insert(pos, o)
                     place(tour, idx + 1, groups)
                     g.pop(pos)
 
-    for tour in permutations(station_ids):
-        groups = {k: [[] for _ in range(n_r)] for k in station_ids}
-        place(tour, 0, groups)
+    try:
+        for tour in permutations(station_ids):
+            groups = {k: [[] for _ in range(n_r)] for k in station_ids}
+            place(tour, 0, groups)
+    finally:
+        del place  # a recursive closure is a reference cycle; empty its cell
 
     if best.plan is None:
         raise InfeasibleInstanceError(
@@ -343,14 +347,21 @@ def _chain_tail(first, step, g, j, before, arrive):
 class _StepTables:
     """Per-station quotients of the chain recurrence, keyed by station id:
     `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
-    `doubled[k][o]` = 2*L(k,o), the addend of `group_length`.  Built once
-    per `solve_bnb` and per `heuristic.improve` call."""
+    `doubled[k][o]` = 2*L(k,o), the addend of `group_length`, for the
+    range check.  Built once per `solve_bnb`, `heuristic.construct` and
+    `heuristic.improve` call."""
 
     def __init__(self, ev: PlanEvaluator):
         vr = ev.vr
         self.first = {k: [x / vr for x in d] for k, d in ev.sc.items()}
         self.step = {k: [[(a + b) / vr for b in d] for a in d] for k, d in ev.sc.items()}
         self.doubled = {k: [2.0 * x for x in d] for k, d in ev.sc.items()}
+
+    def length(self, k: int, chain) -> float:
+        """Sortie length of `chain` at station `k`, bit-equal to
+        `PlanEvaluator.group_length`."""
+        doubled = self.doubled[k]
+        return math.fsum([doubled[o] for o in chain])
 
 
 class _NodeSchedule:
@@ -396,7 +407,10 @@ class _IncrementalBound:
     them in place and score the result.  `improve` does that: a
     relocate takes its customer out, builds that plan's `schedule` and
     makes every insertion slot one `probe` of it; the other moves are
-    scored with `rescore`.
+    scored with `rescore`.  `construct` walks down like the search:
+    from the empty plan's `schedule` (0.0 for every customer not yet
+    placed) it probes each slot with no limit and enters the chosen
+    one with `child`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -494,9 +508,10 @@ class _IncrementalBound:
 
         later = ki + 1  # tour positions before this one keep their times
         if new_dep != dep:
-            if new_dep > dep:
+            if new_dep > dep and limit < math.inf:
                 # every later time can only grow, and so can every term:
                 # the sum with the later stations unchanged is a floor
+                # (an infinite limit drops nothing, so it is not summed)
                 start = st.prefix[m]
                 if start > limit or reduce(add, islice(terms, m, None), start) > limit:
                     return None
@@ -769,7 +784,12 @@ def solve_bnb(
             extend_tour(prefix, remaining - {k})
             prefix.pop()
 
-    extend_tour([], frozenset(station_ids))
+    try:
+        extend_tour([], frozenset(station_ids))
+    finally:
+        # recursive closures are reference cycles; emptying their cells
+        # frees the search state without waiting for the cycle collector
+        del assign, extend_tour
     stats["nodes"] = state["nodes"]
 
     wall = time.perf_counter() - started

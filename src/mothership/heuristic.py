@@ -12,9 +12,15 @@ reassignment, tour 2-opt) with optional multistart.
 Restart r of a run seeded s constructs its starting plan with seed
 s + r; that fixed splitting rule makes multistart runs reproducible.
 
-Moves are scored with the branch-and-bound's schedule kernel
-(`exact._IncrementalBound`) over the plan under improvement, which
-moves change in place and undo.  A relocate takes its customer out of
+Both score with the branch-and-bound's schedule kernel
+(`exact._IncrementalBound`) and check range on its step tables'
+doubled legs.  `construct` probes every insertion slot of the next
+customer from the slot on and enters the chosen one with `child`, so
+no slot costs a whole-schedule recomputation; tests check its plans
+against a plain construction that rescores the whole schedule per slot.
+
+`improve` scores moves over the plan under improvement, which moves
+change in place and undo.  A relocate takes its customer out of
 the plan once and probes every insertion slot from the insertion point
 on; a slot whose partial sum already exceeds the current objective is
 dropped unfinished (docs/MODEL.md, monotone float sums).  The other
@@ -27,6 +33,7 @@ candidate.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -169,6 +176,12 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     least; if some later customer cannot be placed, earlier choices
     are backtracked in cost order.
 
+    A slot's cost is the objective over the customers placed so far,
+    probed with the branch-and-bound's kernel (`exact._IncrementalBound`)
+    from the slot on, with 0.0 standing for every customer not yet
+    placed; adding 0.0 leaves a sum unchanged, so the cost is bit-equal
+    to that partial objective (docs/MODEL.md).
+
     The seed ladders the multistart diversification.  Seed 0 is the
     pure recipe with the nearest-neighbor tour grown from the depot.
     Seeds 1 through n_stations keep the pure insertion but start the
@@ -176,6 +189,15 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     start.  Larger seeds draw, in a fixed order, a random start
     station, one urgency jitter per customer, and one semi-greedy slot
     pick per insertion.
+
+    Whether the customers still to place fit depends only on which
+    customers share each (station, robot) chain, and robots at one
+    station are interchangeable, so on the pure seeds a state whose
+    chains as sets already failed once is not searched again; that cut
+    subtree draws nothing, so the plan is the one the full search
+    builds.  The noisy seeds search every state: skipping a failed
+    subtree would skip its draws too, and later picks would change on
+    any instance that backtracks (the small fixture does).
 
     An instance that fails `check_capacity` raises
     InfeasibleInstanceError before any backtracking starts.
@@ -215,54 +237,59 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
         ),
     )
 
-    groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
+    n_r = instance.fleet_size
+    cap = instance.robot_range + EPSILON
+    groups = {k: [[] for _ in range(n_r)] for k in ids}
+    tables = _StepTables(ev)
+    kernel = _IncrementalBound(ev, tables, tour, groups)
+    failed = set()  # chains, as sets, from which no placement completes (pure seeds)
 
-    def placed_objective() -> float:
-        # partial objective over placed customers only
-        comp, _, _ = ev.completions(tour, groups)
-        total = 0.0
-        for o, c in sorted(comp.items()):
-            late = c - ev.deadline[o]
-            if late > 0.0:
-                total += ev.weight[o] * late
-        return total
+    def chains():
+        return frozenset((k, frozenset(frozenset(g) for g in groups[k] if g)) for k in ids)
 
-    def place(idx: int) -> bool:
+    def place(idx: int, sched: _NodeSchedule) -> bool:
         if idx == len(order):
             return True
+        if failed and chains() in failed:
+            return False
         o = order[idx]
         candidates = []
         for ki, k in enumerate(tour):
             lists = groups[k]
-            used = sum(1 for g in lists if g)
-            for r in range(min(used + 1, instance.fleet_size)):
+            doubled = tables.doubled[k]
+            for r in range(min(n_r - lists.count([]) + 1, n_r)):
                 g = lists[r]
-                if ev.group_length(k, g + [o]) > instance.robot_range + EPSILON:
+                if math.fsum([doubled[x] for x in g] + [doubled[o]]) > cap:
                     continue
                 for pos in range(len(g) + 1):
-                    g.insert(pos, o)
-                    cost = placed_objective()
-                    g.pop(pos)
-                    candidates.append((cost, ki, r, pos, k))
+                    candidates.append(kernel.probe(sched, ki, r, pos, o, math.inf)[:4])
         candidates.sort()
         if noisy and len(candidates) > 1:
             # semi-greedy: lead with one of the cheapest few slots
             i = rnd.randrange(min(3, len(candidates)))
             candidates.insert(0, candidates.pop(i))
-        for cost, ki, r, pos, k in candidates:
-            groups[k][r].insert(pos, o)
-            if place(idx + 1):
+        for _, ki, r, pos in candidates:
+            # probed again on entry: kept for every slot of every level,
+            # the changes would hold a copy of the terms each
+            change = kernel.probe(sched, ki, r, pos, o, math.inf)[4]
+            g = groups[tour[ki]][r]
+            g.insert(pos, o)
+            if place(idx + 1, kernel.child(sched, ki, r, pos, change)):
                 return True
-            groups[k][r].pop(pos)
+            g.pop(pos)
+        if not noisy:
+            failed.add(chains())
         return False
 
-    if not place(0):
+    try:
+        placed = place(0, kernel.schedule([0.0] * ev.n))
+    finally:
+        del place  # a recursive closure is a reference cycle; empty its cell
+    if not placed:
         raise InfeasibleInstanceError(
             "no feasible plan: customers cannot be packed into per-robot sorties within range"
         )
     return _Work(tour, groups).plan()
-
-
 
 
 def _located(work: _Work):
@@ -310,21 +337,29 @@ def _relocate(state: _Evaluator, limit: float):
     partial sum exceeds `limit` (then the objective is above `limit`
     too).  The plan is missing the customer while a yield is pending;
     closing the generator puts it back.
+
+    A target chain never changes during the scan (only the moving
+    customer's own chain does, and it is no target), so its doubled
+    legs are listed once; fsum is correctly rounded, so the range
+    check gives `group_length`'s verdict.
     """
     ev, work = state.ev, state.work
     tour, groups = work.tour, work.groups
     probe = state.kernel.probe
     cap = ev.range + EPSILON
+    doubled = state.tables.doubled
+    legs = {k: [[doubled[k][x] for x in g] for g in groups[k]] for k in tour}
     for o, k, r, pos in _located(work):
         chain = groups[k][r]
         chain.pop(pos)
         try:
             sched = state.schedule()
             for ki2, k2 in enumerate(tour):
+                extra = [doubled[k2][o]]
                 for r2, target in enumerate(groups[k2]):
                     if r2 == r and k2 == k:
                         continue
-                    if ev.group_length(k2, target + [o]) > cap:
+                    if math.fsum(legs[k2][r2] + extra) > cap:
                         continue
                     for pos2 in range(len(target) + 1):
                         found = probe(sched, ki2, r2, pos2, o, limit)
@@ -336,8 +371,8 @@ def _relocate(state: _Evaluator, limit: float):
 def _swap(state: _Evaluator, limit: float):
     """Yield (score, move) for every exchange of two customers on
     different chains, both chains within range."""
-    ev, groups = state.ev, state.work.groups
-    cap = ev.range + EPSILON
+    groups, length = state.work.groups, state.tables.length
+    cap = state.ev.range + EPSILON
     spots = _located(state.work)
     for i, (o, k, r, pos) in enumerate(spots):
         for p, k2, r2, pos2 in spots[i + 1 :]:
@@ -345,10 +380,7 @@ def _swap(state: _Evaluator, limit: float):
                 continue
             move = (k, r, pos, k2, r2, pos2)
             _apply(state.work, "swap", move)
-            fits = (
-                ev.group_length(k, groups[k][r]) <= cap
-                and ev.group_length(k2, groups[k2][r2]) <= cap
-            )
+            fits = length(k, groups[k][r]) <= cap and length(k2, groups[k2][r2]) <= cap
             score = state.score(k, k2) if fits else None
             _apply(state.work, "swap", move)
             if fits:
@@ -372,8 +404,8 @@ def _reorder(state: _Evaluator, limit: float):
 def _reassign(state: _Evaluator, limit: float):
     """Yield (score, move) for every move of a whole chain to the first
     idle robot of another station, within range there."""
-    ev, work = state.ev, state.work
-    cap = ev.range + EPSILON
+    work, length = state.work, state.tables.length
+    cap = state.ev.range + EPSILON
     for k in work.tour:
         for r, g in enumerate(work.groups[k]):
             if not g:
@@ -382,7 +414,7 @@ def _reassign(state: _Evaluator, limit: float):
                 if k2 == k:
                     continue
                 free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
-                if not free or ev.group_length(k2, g) > cap:
+                if not free or length(k2, g) > cap:
                     continue
                 move = (k, r, k2, free[0])
                 _apply(work, "reassign", move)

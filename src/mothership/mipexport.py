@@ -828,6 +828,15 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
                         raise SolutionImportError(
                             f"succession {name_w(r, k, o, p)} is set but belongs to no chain"
                         )
+    # the walk reads a return only at a chain's customers: check the rest
+    ends = {(s.robot, s.station, s.services[-1]) for s in sorties}
+    for r in robots:
+        for k in stations:
+            for o in customers:
+                if _binary(values, name_z(r, o, k)) and (r, k, o) not in ends:
+                    raise SolutionImportError(
+                        f"return {name_z(r, o, k)} is set but ends no chain"
+                    )
 
     order = {k: i for i, k in enumerate(tour)}
     sorties.sort(key=lambda s: (order[s.station], s.robot))

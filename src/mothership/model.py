@@ -355,15 +355,44 @@ def serialize_plan(plan: RoutePlan) -> str:
     Sortie order is preserved, so parse(serialize(p)) equals p.  This is
     also the string used for lexicographic tie-breaking among
     equal-objective plans in the solvers.
+
+    The text is `json.dumps(doc, indent=2, sort_keys=True)` plus a
+    newline.  For ids that are plain ints it is written out directly,
+    byte for byte the same: the standard library's indenting encoder is
+    built from mutually recursive closures, so every call through it
+    leaves cyclic garbage, and the solvers serialize every incumbent.
     """
-    doc = {
-        "tour": list(plan.tour),
-        "sorties": [
-            {"robot": s.robot, "station": s.station, "services": list(s.services)}
-            for s in plan.sorties
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    ids = list(plan.tour)
+    for s in plan.sorties:
+        ids.append(s.robot)
+        ids.append(s.station)
+        ids.extend(s.services)
+    if any(type(x) is not int for x in ids):
+        doc = {
+            "tour": list(plan.tour),
+            "sorties": [
+                {"robot": s.robot, "station": s.station, "services": list(s.services)}
+                for s in plan.sorties
+            ],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    sorties = ",\n".join(
+        f'    {{\n      "robot": {s.robot},\n'
+        f'      "services": {_int_list(s.services, "      ")},\n'
+        f'      "station": {s.station}\n    }}'
+        for s in plan.sorties
+    )
+    sorties = f"[\n{sorties}\n  ]" if sorties else "[]"
+    return f'{{\n  "sorties": {sorties},\n  "tour": {_int_list(plan.tour, "  ")}\n}}\n'
+
+
+def _int_list(values, pad: str) -> str:
+    """A list of ints as `json.dumps(indent=2)` lays it out when the
+    list's key sits at indentation `pad`."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + pad + "]"
 
 
 def parse_plan(text: str) -> RoutePlan:

@@ -495,6 +495,25 @@ class TestImportSolution:
         with pytest.raises(SolutionImportError, match="belongs to no chain"):
             import_solution(inst, solution_text(values))
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (1.0, "return z_0_6_2 is set but ends no chain"),
+            (0.5, "z_0_6_2 = 0.5 is fractional; expected 0 or 1"),
+        ],
+    )
+    def test_stray_return_rejected(self, value, message):
+        # customer 6 is on robot 1's chain at station 2, and robot 0's
+        # chain there ends at customer 1: no walked chain reads z_0_6_2
+        inst, plan = builtin_fixture("small")
+        assert Sortie(robot=1, station=2, services=(6,)) in plan.sorties
+        assert Sortie(robot=0, station=2, services=(4, 2, 1)) in plan.sorties
+        values = plan_assignment(inst, plan)
+        values[name_z(0, 6, 2)] = value
+        with pytest.raises(SolutionImportError) as err:
+            import_solution(inst, solution_text(values))
+        assert str(err.value) == message
+
     def test_infeasible_plan_rejected(self):
         inst, _ = builtin_fixture("small")
         lines = self._base_tour_lines() + [

@@ -1,5 +1,6 @@
 """Domain types, their invariants, and JSON round-trips."""
 
+import json
 import math
 
 import pytest
@@ -238,3 +239,44 @@ def test_instance_serialization_round_trip(inst):
     for a, b in zip(inst.customers, again.customers):
         assert math.copysign(1.0, a.location.x) == math.copysign(1.0, b.location.x)
         assert a.location.x == b.location.x
+
+
+def json_plan_text(plan):
+    """The canonical plan text as the json module writes it."""
+    doc = {
+        "tour": list(plan.tour),
+        "sorties": [
+            {"robot": s.robot, "station": s.station, "services": list(s.services)}
+            for s in plan.sorties
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+ids = st.integers(min_value=1, max_value=10**20)
+sorties = st.builds(
+    Sortie,
+    robot=st.integers(min_value=0, max_value=10**6),
+    station=ids,
+    services=st.lists(st.integers(min_value=-5, max_value=10**20), min_size=1, max_size=6, unique=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ids, max_size=6), st.lists(sorties, max_size=5))
+def test_plan_text_is_json_dumps(tour, sorties):
+    # serialize_plan writes the text itself; it must be the json
+    # module's bytes, since solvers break ties on it
+    plan = RoutePlan(tuple(tour), tuple(sorties))
+    assert serialize_plan(plan) == json_plan_text(plan)
+    assert parse_plan(serialize_plan(plan)) == plan
+
+
+def test_plan_text_of_other_id_types_is_json_dumps():
+    # ids that are not plain ints (bool passes the int checks, services
+    # are not type-checked) go through the json module
+    plan = RoutePlan((1, True), (Sortie(True, 2, (1.5, "a, b", None)),))
+    assert serialize_plan(plan) == json_plan_text(plan)
+    for name in ("small", "medium"):
+        plan = builtin_fixture(name)[1]
+        assert serialize_plan(plan) == json_plan_text(plan)
