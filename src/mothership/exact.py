@@ -722,13 +722,12 @@ def solve_bnb(
             return
         o = urgency[idx]
         limit = best.objective
-        probe = kernel.probe
+        probe, length = kernel.probe, tables.length
         w, due = ev.weight[o], ev.deadline[o]
         candidates = []
         probed = dropped = rejected = 0
         for ki, k in enumerate(tour):
             lists = groups[k]
-            doubled = tables.doubled[k]
             # the customer completes no earlier than a direct first
             # service: past the limit there, it is past it in every slot
             late = sched.arrive[ki] + tables.first[k][o] - due
@@ -736,7 +735,7 @@ def solve_bnb(
             used = n_r - lists.count([])
             for r in range(min(used + 1, n_r)):
                 g = lists[r]
-                if math.fsum([doubled[x] for x in g] + [doubled[o]]) > cap:
+                if length(k, g + [o]) > cap:
                     rejected += 1
                     continue
                 probed += len(g) + 1

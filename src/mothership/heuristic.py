@@ -256,10 +256,9 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
         candidates = []
         for ki, k in enumerate(tour):
             lists = groups[k]
-            doubled = tables.doubled[k]
             for r in range(min(n_r - lists.count([]) + 1, n_r)):
                 g = lists[r]
-                if math.fsum([doubled[x] for x in g] + [doubled[o]]) > cap:
+                if tables.length(k, g + [o]) > cap:
                     continue
                 for pos in range(len(g) + 1):
                     candidates.append(kernel.probe(sched, ki, r, pos, o, math.inf)[:4])

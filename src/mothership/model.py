@@ -357,42 +357,37 @@ def serialize_plan(plan: RoutePlan) -> str:
     equal-objective plans in the solvers.
 
     The text is `json.dumps(doc, indent=2, sort_keys=True)` plus a
-    newline.  For ids that are plain ints it is written out directly,
-    byte for byte the same: the standard library's indenting encoder is
-    built from mutually recursive closures, so every call through it
-    leaves cyclic garbage, and the solvers serialize every incumbent.
+    newline, written out directly, byte for byte the same: the standard
+    library's indenting encoder is built from mutually recursive
+    closures, so every call through it leaves cyclic garbage, and the
+    solvers serialize every incumbent.
     """
-    ids = list(plan.tour)
-    for s in plan.sorties:
-        ids.append(s.robot)
-        ids.append(s.station)
-        ids.extend(s.services)
-    if any(type(x) is not int for x in ids):
-        doc = {
-            "tour": list(plan.tour),
-            "sorties": [
-                {"robot": s.robot, "station": s.station, "services": list(s.services)}
-                for s in plan.sorties
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    pad = "      "
     sorties = ",\n".join(
-        f'    {{\n      "robot": {s.robot},\n'
-        f'      "services": {_int_list(s.services, "      ")},\n'
-        f'      "station": {s.station}\n    }}'
+        f'    {{\n{pad}"robot": {_json(s.robot, pad)},\n'
+        f'{pad}"services": {_json(s.services, pad)},\n'
+        f'{pad}"station": {_json(s.station, pad)}\n    }}'
         for s in plan.sorties
     )
     sorties = f"[\n{sorties}\n  ]" if sorties else "[]"
-    return f'{{\n  "sorties": {sorties},\n  "tour": {_int_list(plan.tour, "  ")}\n}}\n'
+    return f'{{\n  "sorties": {sorties},\n  "tour": {_json(plan.tour, "  ")}\n}}\n'
 
 
-def _int_list(values, pad: str) -> str:
-    """A list of ints as `json.dumps(indent=2)` lays it out when the
-    list's key sits at indentation `pad`."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(str, values)) + "\n" + pad + "]"
+def _json(value, pad: str) -> str:
+    """`value` as `json.dumps(indent=2)` lays it out when its key or list
+    item sits at indentation `pad`.  Ids and services are hashable, so
+    each is a JSON scalar or a tuple of such values.  `json.dumps` of a
+    lone scalar runs the acyclic C encoder and writes the indenting
+    encoder's bytes; a plain int is written as `str`, as both do."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = (",\n" + inner).join([_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{pad}]"
+    return json.dumps(value)
 
 
 def parse_plan(text: str) -> RoutePlan:

@@ -273,9 +273,10 @@ def test_plan_text_is_json_dumps(tour, sorties):
 
 
 def test_plan_text_of_other_id_types_is_json_dumps():
-    # ids that are not plain ints (bool passes the int checks, services
-    # are not type-checked) go through the json module
+    # bool passes the int checks, and services are any hashable values
     plan = RoutePlan((1, True), (Sortie(True, 2, (1.5, "a, b", None)),))
+    assert serialize_plan(plan) == json_plan_text(plan)
+    plan = RoutePlan((1,), (Sortie(0, 1, ((2, (3.5, "é")), (), -0.0, 10**30)),))
     assert serialize_plan(plan) == json_plan_text(plan)
     for name in ("small", "medium"):
         plan = builtin_fixture(name)[1]
