@@ -4,11 +4,12 @@ Exact solvers: exhaustive oracle and branch-and-bound.
 `solve_oracle` enumerates every feasible plan of a tiny instance and is
 the ground truth the branch-and-bound is tested against; it scores
 plans with `PlanEvaluator.bound_of`, so it stays an independent check.
-`solve_bnb` explores the same space in two phases, first the station
-tour, then one customer at a time into a (station, robot, position)
-slot, pruning with the admissible bound of `lower_bound`.  Both report
-objectives computed with the arithmetic of `evaluation.propagate`, so
-their results compare bit-exactly.
+`solve_bnb` explores the same space as one search per station tour,
+each placing one customer at a time into a (station, robot, position)
+slot and pruning with the admissible bound of `lower_bound`; a greedy
+dive per tour ranks the tours, and their searches take turns.  Both
+report objectives computed with the arithmetic of
+`evaluation.propagate`, so their results compare bit-exactly.
 
 `lower_bound` and `PlanEvaluator.bound_of` define the bound.
 `solve_bnb` does not call them per candidate: each node carries its
@@ -24,16 +25,20 @@ range than the whole fleet has fails at once, not after a factorial
 search.
 
 Ties between equal-objective plans go to the lexicographically smallest
-plan serialization.  Robots at one station are interchangeable, so both
-solvers assign robot indices in first-use order and never enumerate
-relabelings.  The search is deterministic and single-threaded; repeated
-runs return identical reports apart from wall time.
+plan serialization, with one exception in `solve_bnb`: when the optimum
+equals the root bound, the search stops at the first plan that meets
+it, in sorted tour order (docs/MODEL.md, "Search order and ties").
+Robots at one station are interchangeable, so both solvers assign robot
+indices in first-use order and never enumerate relabelings.  The search
+is deterministic and single-threaded; repeated runs return identical
+reports apart from wall time.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, islice, permutations
@@ -44,6 +49,12 @@ from .model import EPSILON, Instance, ModelError, RoutePlan, Schedule, Sortie, s
 
 # Plans kept safely enumerable by the oracle (upper bound on leaves).
 ORACLE_LEAF_LIMIT = 5_000_000
+
+# Nodes one tour's search expands per turn before `solve_bnb` moves on
+# to the next tour in rank order (interleaved depth-first search).
+TOUR_QUANTUM = 8192
+
+_DONE = object()  # what `next` returns once a tour's search has finished
 
 
 class EnumerationLimitError(ValueError):
@@ -72,10 +83,11 @@ class SolveBudget:
 class SearchNode:
     """A branch-and-bound node.
 
-    `tour_prefix` is the partial station tour; `assigned` maps customer
-    id to its (station, robot, position) slot, as a tuple of pairs
-    sorted by customer id; `bound` is the admissible lower bound of the
-    node as computed by `lower_bound`.
+    `tour_prefix` is the partial station tour (`solve_bnb` emits whole
+    tours only); `assigned` maps customer id to its (station, robot,
+    position) slot, as a tuple of pairs sorted by customer id; `bound`
+    is the admissible lower bound of the node as computed by
+    `lower_bound`.
     """
 
     tour_prefix: tuple[int, ...]
@@ -229,10 +241,11 @@ def _canonical_plan(tour, groups) -> RoutePlan:
 
 
 class _Best:
-    """Incumbent tracker with lexicographic tie-breaking."""
+    """Incumbent tracker with lexicographic tie-breaking.  `cutoff` is
+    the objective a plan must meet before it is taken."""
 
-    def __init__(self):
-        self.objective = math.inf
+    def __init__(self, cutoff: float = math.inf):
+        self.objective = cutoff
         self.plan: RoutePlan | None = None
         self.key: str | None = None
 
@@ -648,13 +661,26 @@ def solve_bnb(
 ) -> SolveReport:
     """Branch-and-bound over tours and customer slots.
 
-    Branches first on the next tour station, then assigns customers in
-    urgency order (deadline over importance) to (station, robot,
-    position) slots, children ordered by their lower bound.  A node is
-    pruned when its bound strictly exceeds the incumbent, so exact ties
-    survive and the returned objective matches `solve_oracle` on any
-    instance the oracle can enumerate.  `on_node`, when given, receives
-    every expanded node as a SearchNode (used by admissibility tests).
+    Every station tour is the root of its own search, which assigns
+    customers in urgency order (deadline over importance) to (station,
+    robot, position) slots, children ordered by their lower bound.  A
+    node is pruned when its bound strictly exceeds the incumbent, so
+    exact ties survive and the returned objective matches
+    `solve_oracle` on any instance the oracle can enumerate.  `on_node`,
+    when given, receives every expanded node as a SearchNode (used by
+    admissibility tests).
+
+    Search order: first one greedy dive per tour (each customer at its
+    lowest-bound slot, no backtracking) offers its plan to the
+    incumbent; then the tours' searches run interleaved, in order of
+    (dive objective, tour), `TOUR_QUANTUM` nodes per turn, so a good
+    incumbent comes early.  The plan returned is the one with the
+    smallest (objective, serialization) among the optimal plans, which
+    every order visits.  Only when the incumbent meets the root bound
+    does the search stop early, and then it searches again in plain
+    sorted tour order, cut off at that bound, and returns the first
+    plan it meets, as a search in that order alone would
+    (docs/MODEL.md, "Search order and ties").
 
     Candidate bounds are computed incrementally from the parent's
     schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
@@ -662,11 +688,16 @@ def solve_bnb(
     dropped before its bound is finished: it would be pruned on entry,
     and the incumbent only decreases.
 
-    With no budget the report status is always "optimal"; with caps the
-    search returns the incumbent and the gap to the best open bound.
-    `stats` counts expanded nodes (tour nodes included), bounded
-    candidates, candidates pruned by the bound (dropped early or cut off
-    after sorting) and (station, robot) chains rejected by range.
+    With no budget the report status is always "optimal".  A node cap
+    counts search nodes only, not the dives; with caps the search
+    returns the incumbent and the gap to the best open bound, a tour
+    not yet started counting as open at the root bound.  `stats` counts
+    expanded nodes (one root per tour), bounded candidates, candidates
+    pruned by the bound (dropped early or cut off after sorting),
+    (station, robot) chains rejected by range, `dives` (tours dived),
+    `incumbents` (offers accepted, dives included) and `optimum_node`,
+    the node count at which the returned objective was first reached
+    (0 when a dive reached it).
     """
     started = time.perf_counter()
     budget = budget or SolveBudget()
@@ -684,20 +715,25 @@ def solve_bnb(
     )
 
     best = _Best()
-    state = {"nodes": 0, "aborted": False, "frontier": math.inf, "proved": False}
-    stats = {"nodes": 0, "candidates": 0, "pruned_by_bound": 0, "rejected_by_range": 0}
+    state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False}
+    stats = {
+        "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "rejected_by_range": 0,
+        "dives": 0, "incumbents": 0, "optimum_node": 0,
+    }
+
+    def out_of_time() -> bool:
+        return budget.max_seconds is not None and time.perf_counter() - started > budget.max_seconds
 
     def over_budget() -> bool:
         if state["aborted"]:
             return True
         if budget.max_nodes is not None and state["nodes"] >= budget.max_nodes:
             state["aborted"] = True
-        elif budget.max_seconds is not None and state["nodes"] % 64 == 0:
-            if time.perf_counter() - started > budget.max_seconds:
-                state["aborted"] = True
+        elif state["nodes"] % 64 == 0 and out_of_time():
+            state["aborted"] = True
         return state["aborted"]
 
-    def emit(tour_prefix, groups, bound):
+    def emit(tour, groups, bound):
         if on_node is None:
             return
         assigned = []
@@ -706,22 +742,21 @@ def solve_bnb(
                 for pos, o in enumerate(g):
                     assigned.append((o, (k, r, pos)))
         assigned.sort()
-        on_node(SearchNode(tuple(tour_prefix), tuple(assigned), bound))
+        on_node(SearchNode(tuple(tour), tuple(assigned), bound))
 
-    def assign(tour, idx, groups, node_bound, kernel, sched):
-        state["nodes"] += 1
-        if over_budget():
-            state["frontier"] = min(state["frontier"], node_bound)
-            return
-        emit(tour, groups, node_bound)
-        if idx == n_c:
-            # fully assigned: the node bound is the exact objective
-            if node_bound <= best.objective and best.offer(node_bound, tour, groups):
-                if best.objective <= root_bound:
-                    state["proved"] = True
-            return
-        o = urgency[idx]
-        limit = best.objective
+    def offer(objective, tour, groups):
+        before = best.objective
+        if best.offer(objective, tour, groups):
+            stats["incumbents"] += 1
+            if objective < before:
+                stats["optimum_node"] = state["nodes"]
+            if objective <= root_bound:
+                state["proved"] = True
+
+    def branch(tour, groups, kernel, sched, o, limit):
+        """The candidates `(bound, ki, r, pos, change)` for customer `o`,
+        unsorted, with the counts of slots probed, slots dropped past
+        `limit` and chains rejected by range."""
         probe, length = kernel.probe, tables.length
         w, due = ev.weight[o], ev.deadline[o]
         candidates = []
@@ -748,6 +783,46 @@ def solve_bnb(
                         dropped += 1
                     else:
                         candidates.append(found)
+        return candidates, probed, dropped, rejected
+
+    def root(tour):
+        groups = {k: [[] for _ in range(n_r)] for k in station_ids}
+        kernel = _IncrementalBound(ev, tables, tour, groups)
+        return groups, kernel, kernel.schedule(relax)
+
+    def dive(tour) -> float:
+        """Objective of the plan that places each customer, by urgency,
+        at its lowest-bound slot, offered to the incumbent; inf when a
+        customer finds no slot within range."""
+        groups, kernel, sched = root(tour)
+        for o in urgency:
+            found = min(branch(tour, groups, kernel, sched, o, math.inf)[0], default=None)
+            if found is None:
+                return math.inf
+            _, ki, r, pos, change = found
+            groups[tour[ki]][r].insert(pos, o)
+            sched = kernel.child(sched, ki, r, pos, change)
+        offer(sched.prefix[-1], tour, groups)
+        return sched.prefix[-1]
+
+    def assign(tour, idx, groups, node_bound, kernel, sched):
+        if not state["quota"]:
+            yield  # the tour's turn is over; the scheduler resumes it here
+        state["quota"] -= 1
+        state["nodes"] += 1
+        if over_budget():
+            state["frontier"] = min(state["frontier"], node_bound)
+            return
+        emit(tour, groups, node_bound)
+        if idx == n_c:
+            # fully assigned: the node bound is the exact objective
+            if node_bound <= best.objective:
+                offer(node_bound, tour, groups)
+            return
+        o = urgency[idx]
+        candidates, probed, dropped, rejected = branch(
+            tour, groups, kernel, sched, o, best.objective
+        )
         stats["candidates"] += probed
         stats["rejected_by_range"] += rejected
         stats["pruned_by_bound"] += dropped
@@ -761,34 +836,52 @@ def solve_bnb(
                 break
             g = groups[tour[ki]][r]
             g.insert(pos, o)
-            assign(tour, idx + 1, groups, bound, kernel, kernel.child(sched, ki, r, pos, change))
+            yield from assign(
+                tour, idx + 1, groups, bound, kernel, kernel.child(sched, ki, r, pos, change)
+            )
             g.pop(pos)
 
-    def extend_tour(prefix, remaining):
-        if not remaining:
-            tour = tuple(prefix)
-            groups = {k: [[] for _ in range(n_r)] for k in station_ids}
-            kernel = _IncrementalBound(ev, tables, tour, groups)
-            assign(tour, 0, groups, root_bound, kernel, kernel.schedule(relax))
-            return
-        state["nodes"] += 1
-        if state["proved"]:
-            return
-        if over_budget():
-            state["frontier"] = min(state["frontier"], root_bound)
-            return
-        emit(prefix, {}, root_bound)
-        for k in sorted(remaining):
-            prefix.append(k)
-            extend_tour(prefix, remaining - {k})
-            prefix.pop()
+    def search(tour):
+        groups, kernel, sched = root(tour)
+        yield from assign(tour, 0, groups, root_bound, kernel, sched)
 
+    def interleave(tours, quantum):
+        """Run the tours' searches in turn, `quantum` nodes each, until
+        all are done or the incumbent meets the root bound.  After a
+        cap every search still runs, each node only entering its bound
+        into the frontier."""
+        turns = deque(search(tour) for tour in tours)
+        while turns and not state["proved"]:
+            gen = turns.popleft()
+            state["quota"] = quantum
+            if next(gen, _DONE) is not _DONE:
+                turns.append(gen)
+
+    tours = list(permutations(station_ids))
     try:
-        extend_tour([], frozenset(station_ids))
+        rank = {}
+        for tour in tours:
+            if state["proved"]:
+                break
+            if out_of_time():
+                state["aborted"] = True
+                break
+            rank[tour] = dive(tour)
+            stats["dives"] += 1
+        if not state["proved"]:
+            interleave(sorted(tours, key=lambda t: (rank.get(t, math.inf), t)), TOUR_QUANTUM)
+        if state["proved"]:
+            # a plain search in sorted tour order stops at the first plan
+            # that meets the root bound: find that one
+            proved, best = best, _Best(root_bound)
+            state["proved"] = False
+            interleave(tours, math.inf)
+            if best.plan is None:  # a cap cut the re-run short
+                best = proved
     finally:
-        # recursive closures are reference cycles; emptying their cells
+        # a recursive closure is a reference cycle; emptying its cell
         # frees the search state without waiting for the cycle collector
-        del assign, extend_tour
+        del assign
     stats["nodes"] = state["nodes"]
 
     wall = time.perf_counter() - started

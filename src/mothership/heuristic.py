@@ -204,6 +204,14 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     """
     ev = PlanEvaluator(instance)
     check_capacity(ev)
+    return _construct(ev, _StepTables(ev), seed)
+
+
+def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
+    """`construct` on the caller's evaluator and step tables, with the
+    capacity check left to the caller (`improve`'s restarts reuse its
+    own)."""
+    instance = ev.instance
     ids = sorted(s.id for s in instance.stations)
     rnd = random.Random(seed)
 
@@ -240,7 +248,6 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     n_r = instance.fleet_size
     cap = instance.robot_range + EPSILON
     groups = {k: [[] for _ in range(n_r)] for k in ids}
-    tables = _StepTables(ev)
     kernel = _IncrementalBound(ev, tables, tour, groups)
     failed = set()  # chains, as sets, from which no placement completes (pure seeds)
 
@@ -543,7 +550,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
             if time.perf_counter() - started > params.max_seconds:
                 break
             try:
-                seeded = construct(instance, params.seed + r)
+                seeded = _construct(ev, tables, params.seed + r)
             except InfeasibleInstanceError:  # pragma: no cover - input plan proves feasibility
                 break
             if not run(seeded):

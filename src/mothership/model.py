@@ -95,9 +95,10 @@ class Instance:
     not a station, so the tour representation cannot violate the depot
     degree constraints (1)-(2).  Stations are numbered 1..n_s and
     customers 0..n_c-1, both contiguous; stations and customers are
-    stored sorted by id.  Every customer must be reachable out-and-back
-    from at least one station within the robot range, otherwise no
-    feasible plan exists and the instance is rejected here.
+    stored sorted by id.  No two stations share a location.  Every
+    customer must be reachable out-and-back from at least one station
+    within the robot range, otherwise no feasible plan exists and the
+    instance is rejected here.
     """
 
     depot: Point
@@ -130,6 +131,16 @@ class Instance:
             raise ModelError(f"customer ids must be 0..{len(self.customers) - 1} without gaps, got {cids}")
         object.__setattr__(self, "stations", tuple(sorted(self.stations, key=lambda s: s.id)))
         object.__setattr__(self, "customers", tuple(sorted(self.customers, key=lambda c: c.id)))
+        # a zero-length leg between two stations lets the LP time rows
+        # pass a vehicle cycle through them (a subtour)
+        seen: dict[tuple[float, float], int] = {}
+        for s in self.stations:
+            other = seen.setdefault((s.location.x, s.location.y), s.id)
+            if other != s.id:
+                raise ModelError(
+                    f"stations {other} and {s.id} share the location "
+                    f"({s.location.x:g}, {s.location.y:g})"
+                )
         for c in self.customers:
             best = min(
                 math.hypot(s.location.x - c.location.x, s.location.y - c.location.y)

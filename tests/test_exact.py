@@ -38,6 +38,7 @@ from mothership import (
     solve_oracle,
     validate,
 )
+from mothership import exact
 from mothership.exact import (
     _canonical_plan,
     _chain_tail,
@@ -177,9 +178,27 @@ class TestBranchAndBound:
         with pytest.raises(InfeasibleInstanceError):
             solve_bnb(unpackable_instance())
 
+    def test_budget_before_any_leaf_returns_the_best_dive(self):
+        # 5 nodes reach no leaf of the 8 customers; the dives, which the
+        # cap does not count, have already offered their plans
+        inst = generate(0, 3, 2, 8)
+        report = solve_bnb(inst, SolveBudget(max_nodes=5))
+        assert report.status == "budget-exhausted"
+        assert report.stats["dives"] == 6
+        objective, key = min(reference_dives(inst))
+        assert report.objective == objective > solve_bnb(inst).objective
+        assert serialize_plan(report.plan) == key
+        assert validate(inst, report.plan) == []
+        # the tours not started yet are open at the root bound
+        root_bound = math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
+        assert report.bound_gap == report.objective - root_bound > 0.0
+
     def test_budget_before_any_plan(self):
+        # the range is tight: each tour's dive leaves a customer that
+        # fits no chain, so no plan is known before the search finds one
         inst, _ = builtin_fixture("small")
-        with pytest.raises(RuntimeError):
+        assert reference_dives(inst) == [(math.inf, None)] * 2
+        with pytest.raises(RuntimeError, match="before any feasible plan"):
             solve_bnb(inst, SolveBudget(max_nodes=5))
 
     def test_budget_mid_search_returns_feasible_incumbent(self):
@@ -215,57 +234,61 @@ class TestBranchAndBound:
             assert lower_bound(inst, node) == node.bound
 
 
-def reference_search(instance):
-    """The branch-and-bound search of `solve_bnb`, written plainly: every
-    candidate slot is inserted into the groups and bounded from scratch
-    with `PlanEvaluator.bound_of`.  Returns the expanded nodes in order,
-    the node count and the best objective."""
-    ev = PlanEvaluator(instance)
-    n_c, n_r = instance.n_customers, instance.fleet_size
-    relax = _relaxed_contributions(instance, ev)
-    root_bound = math.fsum(relax)
-    station_ids = sorted(s.id for s in instance.stations)
-    urgency = sorted(
-        range(n_c),
-        key=lambda o: (instance.customers[o].deadline / instance.customers[o].importance, o),
-    )
-    emitted = []
-    state = {"nodes": 0, "proved": False, "best": math.inf, "key": None}
+class _Plain:
+    """What the plain searches below share: the instance's tables, the
+    urgency order, and candidates bounded from scratch with
+    `PlanEvaluator.bound_of`."""
 
-    def emit(tour, groups, bound):
-        assigned = sorted(
-            (o, (k, r, pos))
-            for k, lists in groups.items()
-            for r, g in enumerate(lists)
-            for pos, o in enumerate(g)
+    def __init__(self, instance):
+        self.ev = PlanEvaluator(instance)
+        self.n_c, self.n_r = instance.n_customers, instance.fleet_size
+        self.range = instance.robot_range
+        self.relax = _relaxed_contributions(instance, self.ev)
+        self.root_bound = math.fsum(self.relax)
+        self.station_ids = sorted(s.id for s in instance.stations)
+        self.urgency = sorted(
+            range(self.n_c),
+            key=lambda o: (instance.customers[o].deadline / instance.customers[o].importance, o),
         )
-        emitted.append(SearchNode(tuple(tour), tuple(assigned), bound))
 
-    def assign(tour, idx, groups, node_bound):
-        state["nodes"] += 1
-        emit(tour, groups, node_bound)
-        if idx == n_c:
-            key = serialize_plan(_canonical_plan(tour, groups))
-            if node_bound < state["best"] or (node_bound == state["best"] and key < state["key"]):
-                state["best"], state["key"] = node_bound, key
-                if node_bound <= root_bound:
-                    state["proved"] = True
-            return
-        o = urgency[idx]
-        candidates = []
+    def empty(self):
+        return {k: [[] for _ in range(self.n_r)] for k in self.station_ids}
+
+    def candidates(self, tour, groups, o):
+        """(bound, ki, r, pos, station) of every slot for `o`, sorted."""
+        out = []
         for ki, k in enumerate(tour):
             lists = groups[k]
             used = sum(1 for g in lists if g)
-            for r in range(min(used + 1, n_r)):
+            for r in range(min(used + 1, self.n_r)):
                 g = lists[r]
-                if ev.group_length(k, g + [o]) > instance.robot_range + 1e-9:
+                if self.ev.group_length(k, g + [o]) > self.range + 1e-9:
                     continue
                 for pos in range(len(g) + 1):
                     g.insert(pos, o)
-                    candidates.append((ev.bound_of(tour, groups, relax), ki, r, pos, k))
+                    out.append((self.ev.bound_of(tour, groups, self.relax), ki, r, pos, k))
                     g.pop(pos)
-        candidates.sort()
-        for bound, ki, r, pos, k in candidates:
+        return sorted(out)
+
+
+def sorted_order_search(instance):
+    """The branch-and-bound search as it was before tours were ranked by
+    a dive: tours in sorted order, each searched to the end, and a stop
+    at the first plan that meets the root bound.  Returns (objective,
+    serialize_plan text) of the plan it finds."""
+    p = _Plain(instance)
+    state = {"proved": False, "best": math.inf, "key": None}
+
+    def assign(tour, idx, groups, node_bound):
+        if idx == p.n_c:
+            key = serialize_plan(_canonical_plan(tour, groups))
+            if node_bound < state["best"] or (node_bound == state["best"] and key < state["key"]):
+                state["best"], state["key"] = node_bound, key
+                if node_bound <= p.root_bound:
+                    state["proved"] = True
+            return
+        o = p.urgency[idx]
+        for bound, ki, r, pos, k in p.candidates(tour, groups, o):
             if state["proved"]:
                 return
             if bound > state["best"]:
@@ -274,22 +297,113 @@ def reference_search(instance):
             assign(tour, idx + 1, groups, bound)
             groups[k][r].pop(pos)
 
-    def extend_tour(prefix, remaining):
-        if not remaining:
-            groups = {k: [[] for _ in range(n_r)] for k in station_ids}
-            assign(tuple(prefix), 0, groups, root_bound)
-            return
-        state["nodes"] += 1
+    for tour in itertools.permutations(p.station_ids):
         if state["proved"]:
-            return
-        emit(prefix, {}, root_bound)
-        for k in sorted(remaining):
-            prefix.append(k)
-            extend_tour(prefix, remaining - {k})
-            prefix.pop()
+            break
+        assign(tour, 0, p.empty(), p.root_bound)
+    return state["best"], state["key"]
 
-    extend_tour([], frozenset(station_ids))
-    return emitted, state["nodes"], state["best"]
+
+def reference_dives(instance):
+    """(objective, serialize_plan text) of each tour's dive, in sorted
+    tour order: every customer, by urgency, at its lowest-bound slot;
+    (inf, None) when one finds no slot."""
+    p = _Plain(instance)
+    out = []
+    for tour in itertools.permutations(p.station_ids):
+        groups = p.empty()
+        objective = p.root_bound
+        for o in p.urgency:
+            found = p.candidates(tour, groups, o)
+            if not found:
+                out.append((math.inf, None))
+                break
+            objective, _, r, pos, k = found[0]
+            groups[k][r].insert(pos, o)
+        else:
+            out.append((objective, serialize_plan(_canonical_plan(tour, groups))))
+    return out
+
+
+def reference_search(instance, quantum):
+    """The branch-and-bound search of `solve_bnb`, written plainly: every
+    candidate slot is inserted into the groups and bounded from scratch
+    with `PlanEvaluator.bound_of`.  The dives are offered first; then
+    the tours' searches, one generator each, take turns of `quantum`
+    nodes in order of (dive objective, tour); a plan at the root bound
+    sends the search back to sorted tour order with the root bound as
+    cut-off.  Returns the expanded nodes in order, the node count, the
+    best objective and the node count at which it was first reached."""
+    p = _Plain(instance)
+    emitted = []
+    state = {"nodes": 0, "quota": 0, "proved": False, "best": math.inf, "key": None, "at": 0}
+
+    def offer(objective, key):
+        if objective < state["best"]:
+            state["at"] = state["nodes"]
+        elif objective > state["best"] or (state["key"] is not None and key >= state["key"]):
+            return
+        state["best"], state["key"] = objective, key
+        if objective <= p.root_bound:
+            state["proved"] = True
+
+    def assign(tour, idx, groups, node_bound):
+        if not state["quota"]:
+            yield
+        state["quota"] -= 1
+        state["nodes"] += 1
+        emitted.append(
+            SearchNode(
+                tour,
+                tuple(
+                    sorted(
+                        (o, (k, r, pos))
+                        for k, lists in groups.items()
+                        for r, g in enumerate(lists)
+                        for pos, o in enumerate(g)
+                    )
+                ),
+                node_bound,
+            )
+        )
+        if idx == p.n_c:
+            offer(node_bound, serialize_plan(_canonical_plan(tour, groups)))
+            return
+        o = p.urgency[idx]
+        for bound, ki, r, pos, k in p.candidates(tour, groups, o):
+            if state["proved"]:
+                return
+            if bound > state["best"]:
+                break
+            groups[k][r].insert(pos, o)
+            yield from assign(tour, idx + 1, groups, bound)
+            groups[k][r].pop(pos)
+
+    def interleave(tours, quantum):
+        turns = [assign(tour, 0, p.empty(), p.root_bound) for tour in tours]
+        while turns and not state["proved"]:
+            gen = turns.pop(0)
+            state["quota"] = quantum
+            try:
+                next(gen)
+            except StopIteration:
+                continue
+            turns.append(gen)
+
+    tours = list(itertools.permutations(p.station_ids))
+    rank = {}
+    for tour, (objective, key) in zip(tours, reference_dives(instance)):
+        rank[tour] = objective
+        if key is not None:
+            offer(objective, key)
+        if state["proved"]:
+            break
+    if not state["proved"]:
+        interleave(sorted(tours, key=lambda t: (rank[t], t)), quantum)
+    if state["proved"]:
+        state.update(proved=False, best=p.root_bound, key=None)
+        interleave(tours, math.inf)
+    return emitted, state["nodes"], state["best"], state["at"]
 
 
 def customers_on_stations(seed):
@@ -331,25 +445,37 @@ SEARCH_CASES = (
 )
 
 
+def assert_same_search(instance):
+    """`solve_bnb` expands the nodes `reference_search` does, in the same
+    order and with the same bounds, and reports its counts."""
+    expected, nodes, best, at = reference_search(instance, exact.TOUR_QUANTUM)
+    seen = []
+    report = solve_bnb(instance, on_node=seen.append)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert got.tour_prefix == want.tour_prefix
+        assert got.assigned == want.assigned
+        assert got.bound == want.bound
+    assert report.nodes == nodes
+    assert report.objective == best
+    assert report.stats["optimum_node"] == at
+
+
 class TestIncrementalBound:
     """`solve_bnb` bounds candidates incrementally; the search it makes
     must be the one `bound_of` defines, bound for bound."""
 
     @pytest.mark.parametrize("name", SEARCH_CASES)
     def test_same_nodes_as_reference_search(self, name):
-        instance = search_case(name)
-        expected, nodes, best = reference_search(instance)
-        seen = []
-        report = solve_bnb(instance, on_node=seen.append)
-        assert len(seen) == len(expected)
-        for got, want in zip(seen, expected):
-            assert got.tour_prefix == want.tour_prefix
-            assert got.assigned == want.assigned
-            assert got.bound == want.bound
-        assert report.nodes == nodes
-        assert report.objective == best
+        assert_same_search(search_case(name))
 
-    @pytest.mark.parametrize("seed,nodes", [(0, 20089), (1, 3843), (2, 8270), (3, 52223)])
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_same_nodes_in_short_turns(self, name, monkeypatch):
+        # 3-node turns make every case switch tours many times
+        monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
+        assert_same_search(search_case(name))
+
+    @pytest.mark.parametrize("seed,nodes", [(0, 10601), (1, 2798), (2, 6717), (3, 32178)])
     def test_node_counts_pinned(self, seed, nodes):
         report = solve_bnb(generate(seed, 3, 2, 10))
         assert report.nodes == nodes
@@ -380,19 +506,55 @@ class TestIncrementalBound:
         inst, _ = builtin_fixture("small")
         report = solve_bnb(inst)
         stats = report.stats
-        assert set(stats) == {"nodes", "candidates", "pruned_by_bound", "rejected_by_range"}
+        assert set(stats) == {
+            "nodes", "candidates", "pruned_by_bound", "rejected_by_range",
+            "dives", "incumbents", "optimum_node",
+        }
         assert stats["nodes"] == report.nodes
-        # two stations: 3 tour-prefix nodes and 2 full tours as roots;
-        # every other node is a candidate that was entered, and every
-        # candidate not entered was pruned by the bound
-        entered = report.nodes - 3 - 2
+        # two stations: 2 full tours as roots; every other node is a
+        # candidate that was entered, and every candidate not entered
+        # was pruned by the bound
+        entered = report.nodes - 2
         assert stats["candidates"] == stats["pruned_by_bound"] + entered
         assert stats["rejected_by_range"] > 0
+        assert stats["dives"] == 2
+        assert stats["incumbents"] >= 1
+        assert 0 < stats["optimum_node"] <= report.nodes
 
     def test_oracle_leaves_stats_empty(self):
         # improve fills its own counters (tests/test_heuristic.py)
         inst = generate(3, 2, 1, 3, robot_range=200.0)
         assert solve_oracle(inst).stats == {}
+
+
+class TestSearchOrder:
+    """Ranking and interleaving the tours changes which nodes the search
+    visits, not the plan it returns: that is the plan of the search in
+    sorted tour order, ties at the root bound included."""
+
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_same_plan_as_sorted_order_search(self, name):
+        instance = search_case(name)
+        report = solve_bnb(instance)
+        assert (report.objective, serialize_plan(report.plan)) == sorted_order_search(instance)
+
+    def test_same_plans_on_tiny_corpus(self, tiny_corpus):
+        for inst, _ in tiny_corpus:
+            report = solve_bnb(inst)
+            assert (report.objective, serialize_plan(report.plan)) == sorted_order_search(inst)
+
+    @pytest.mark.parametrize("shape,seed", [((2, 2, 5), 26), ((3, 2, 5), 6), ((3, 2, 8), 19)])
+    def test_root_bound_ties_go_to_sorted_order(self, shape, seed):
+        # the optimum 0 equals the root bound and a dive reaches it, but
+        # the plan a search over sorted tours stops at is another one
+        instance = generate(seed, *shape)
+        report = solve_bnb(instance)
+        root_bound = math.fsum(_relaxed_contributions(instance, PlanEvaluator(instance)))
+        assert report.objective == 0.0 == root_bound
+        assert report.stats["optimum_node"] == 0
+        dive = next(key for objective, key in reference_dives(instance) if objective == 0.0)
+        assert serialize_plan(report.plan) != dive
+        assert (report.objective, serialize_plan(report.plan)) == sorted_order_search(instance)
 
 
 def identical_customers(n, fits):

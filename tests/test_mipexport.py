@@ -68,18 +68,19 @@ EXPORT_SHA256 = {
     ("4-3-20", "miqcp", "robot"): "a650f96622b85a7eb4da34cdf4f5ef5f4a50a1aa33ec2bbaa0c04c661851be5d",
     ("4-3-20", "bigm", "vehicle"): "ca3f948cd3a665382456a43034531569c529f1c98d02119d469c70da003eadab",
     ("4-3-20", "bigm", "robot"): "4b9c32b2895ea6f563d2298ad90b3cac840e41a11e4cc903992523fe301f344f",
-    ("colocated", "miqcp", "vehicle"): "cfae0559a98b7bb356a6719b0fcbc971b202c95995e20a1e843fc077072b65fc",
-    ("colocated", "miqcp", "robot"): "04a9462bc7202242b895905f08a10ea1cb6b0a3347284d20c9f297085658b2a0",
-    ("colocated", "bigm", "vehicle"): "96aab9ab85c3ae333dc9d864de89c842e4da1c85f6968431cba4f9d09ecff104",
-    ("colocated", "bigm", "robot"): "4f718d5b4e058fd2e5025baba5d2c48079c28333483978c3075e74c3afe83a25",
+    ("colocated", "miqcp", "vehicle"): "8aca93ce75994cc8415a0d98b8b399ebf6c39ed0511cdc9e89ea8a2284e7fd08",
+    ("colocated", "miqcp", "robot"): "dead90ff5ff17621522df205c5126530956c14663681f68bf7b1c83a46b35a1b",
+    ("colocated", "bigm", "vehicle"): "002b6997d709af4c8d3ee2ce3b6073b2db4d07f3571fc8b22b0875442435e4c5",
+    ("colocated", "bigm", "robot"): "3a82255dc542a0b32cda83f25114f7c6f7d59f0d83474f70dcb9ab8484ec5595",
 }
 
 
 def colocated_instance(customers):
-    """Both stations on the depot, so some coefficients are 0 and left out."""
+    """Station 1 on the depot and each customer on a station, so some
+    coefficients are 0 and left out."""
     return Instance(
         depot=Point(0.0, 0.0),
-        stations=(Station(1, Point(0.0, 0.0)), Station(2, Point(0.0, 0.0))),
+        stations=(Station(1, Point(0.0, 0.0)), Station(2, Point(3.0, 4.0))),
         customers=customers,
         fleet_size=2,
         robot_range=20.0,
@@ -215,21 +216,25 @@ class TestExportBytes:
         # every customer sits on a station, so that station's range rows
         # (9) have only zero coefficients and read 0 <= TR: they are left
         # out.  With `far`, station 2 lies away from the depot and the
-        # plan is late; without it every place and time coincides.
+        # plan is late; without it the one station is on the depot, and
+        # every place and time coincides (stations may not share a place).
         at = Point(3.0, 4.0) if far else Point(0.0, 0.0)
         inst = Instance(
             depot=Point(0.0, 0.0),
-            stations=(Station(1, Point(0.0, 0.0)), Station(2, at)),
+            stations=(Station(1, Point(0.0, 0.0)), Station(2, at)) if far else (Station(1, at),),
             customers=(Customer(0, at, 1.0, 0.0), Customer(1, at, 2.5, 1.0)),
             fleet_size=2,
             robot_range=20.0,
             vehicle_speed=1.0,
             robot_speed=1.0,
         )
-        plan = RoutePlan(tour=(1, 2), sorties=(Sortie(robot=0, station=2, services=(0, 1)),))
+        k = inst.n_stations
+        plan = RoutePlan(
+            tour=tuple(range(1, k + 1)), sorties=(Sortie(robot=0, station=k, services=(0, 1)),)
+        )
         model = parse_lp(form(inst))
         names = {row.name for row in model.rows}
-        assert not {"c9_r0_k2", "c9_r1_k2"} & names
+        assert not {f"c9_r0_k{k}", f"c9_r1_k{k}"} & names
         if far:
             assert {"c9_r0_k1", "c9_r1_k1"} <= names
         else:

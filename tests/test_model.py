@@ -117,6 +117,28 @@ class TestInstance:
         with pytest.raises(ModelError):
             tiny_instance(customers=(Customer(0, Point(12.0, 0.0), 1.0, -0.5),))
 
+    def test_colocated_stations_rejected(self):
+        # the big-M export of this instance admitted the vehicle subtour
+        # 2 -> 3 -> 2: the zero-length leg between the two stations lets
+        # their arrival times coincide
+        with pytest.raises(ModelError, match="stations 2 and 3 share the location"):
+            Instance(
+                depot=Point(0.0, 0.0),
+                stations=(
+                    Station(1, Point(10.0, 0.0)),
+                    Station(2, Point(0.0, 50.0)),
+                    Station(3, Point(0.0, 50.0)),
+                ),
+                customers=(Customer(0, Point(11.0, 0.0), 1.0, 0.0),),
+                fleet_size=1,
+                robot_range=100.0,
+                vehicle_speed=50.0,
+                robot_speed=5.0,
+            )
+        # -0.0 == 0.0: the same place
+        with pytest.raises(ModelError, match="share the location"):
+            tiny_instance(stations=(Station(1, Point(0.0, 10.0)), Station(2, Point(-0.0, 10.0))))
+
     def test_at_least_one_station(self):
         with pytest.raises(ModelError):
             tiny_instance(stations=(), customers=())
@@ -204,9 +226,11 @@ coordinate = st.floats(
 def instances(draw):
     n_s = draw(st.integers(min_value=1, max_value=4))
     n_c = draw(st.integers(min_value=0, max_value=6))
-    stations = tuple(
-        Station(i + 1, Point(draw(coordinate), draw(coordinate))) for i in range(n_s)
+    # stations may not share a location
+    places = draw(
+        st.lists(st.tuples(coordinate, coordinate), min_size=n_s, max_size=n_s, unique=True)
     )
+    stations = tuple(Station(i + 1, Point(x, y)) for i, (x, y) in enumerate(places))
     customers = []
     for cid in range(n_c):
         # keep every customer on top of some station so reachability holds
