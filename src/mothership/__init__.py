@@ -10,7 +10,6 @@ ones heuristically, and exports the exact mixed-integer model.
 """
 
 from .evaluation import (
-    DistanceTable,
     PlanEvaluator,
     distance,
     objective,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Customer",
-    "DistanceTable",
     "EnumerationLimitError",
     "EPSILON",
     "InfeasibleInstanceError",

@@ -246,12 +246,16 @@ def cmd_solve(instance_path, fixture, method, budget_nodes, budget_seconds,
     click.echo(f"wall_time  {report.wall_time:.3f}s")
     if report.stats:
         click.echo("stats      " + " ".join(f"{k}={v}" for k, v in report.stats.items()))
-    click.echo(f"tour       {' -> '.join(str(k) for k in report.plan.tour)}")
-    for s in report.plan.sorties:
-        chain = ", ".join(f"C{o}" for o in s.services)
-        click.echo(f"sortie     robot {s.robot} at S{s.station}: {chain}")
+    _echo_plan(report.plan)
     if output:
         Path(output).write_text(serialize_plan(report.plan))
+
+
+def _echo_plan(plan: RoutePlan):
+    click.echo(f"tour       {' -> '.join(str(k) for k in plan.tour)}")
+    for s in plan.sorties:
+        chain = ", ".join(f"C{o}" for o in s.services)
+        click.echo(f"sortie     robot {s.robot} at S{s.station}: {chain}")
 
 
 def _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts) -> SolveReport:
@@ -260,11 +264,9 @@ def _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts) 
     if method == "exact":
         budget = SolveBudget(max_nodes=budget_nodes, max_seconds=budget_seconds)
         return solve_bnb(instance, budget=budget)
-    start = construct(instance, seed=seed)
-    params = SearchParams(seed=seed, restarts=restarts)
-    if budget_seconds is not None:
-        params = SearchParams(seed=seed, restarts=restarts, max_seconds=budget_seconds)
-    return improve(instance, start, params)
+    caps = {} if budget_seconds is None else {"max_seconds": budget_seconds}
+    params = SearchParams(seed=seed, restarts=restarts, **caps)
+    return improve(instance, construct(instance, seed=seed), params)
 
 
 @cli.command("export")
@@ -301,10 +303,7 @@ def cmd_import_solution(instance_path, fixture, solution, output):
     except _DOMAIN_ERRORS as e:
         _fail(str(e))
     click.echo(f"objective  {schedule.objective!r}")
-    click.echo(f"tour       {' -> '.join(str(k) for k in plan.tour)}")
-    for s in plan.sorties:
-        chain = ", ".join(f"C{o}" for o in s.services)
-        click.echo(f"sortie     robot {s.robot} at S{s.station}: {chain}")
+    _echo_plan(plan)
     if output:
         Path(output).write_text(serialize_plan(plan))
 

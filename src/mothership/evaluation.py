@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .model import (
     EPSILON,
@@ -41,42 +40,6 @@ from .model import (
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """All pairwise lengths of one instance, precomputed.
-
-    Keys: `depot_station[k]`, `station_station[(k, l)]`,
-    `station_customer[(k, o)]`, `customer_customer[(o, p)]`.  The
-    customer-customer block is carried for export completeness; no
-    constraint of the model uses it.
-    """
-
-    depot_station: dict[int, float]
-    station_station: dict[tuple[int, int], float]
-    station_customer: dict[tuple[int, int], float]
-    customer_customer: dict[tuple[int, int], float]
-
-    @classmethod
-    def build(cls, instance: Instance) -> "DistanceTable":
-        ds = {s.id: distance(instance.depot, s.location) for s in instance.stations}
-        ss = {
-            (a.id, b.id): distance(a.location, b.location)
-            for a in instance.stations
-            for b in instance.stations
-        }
-        sc = {
-            (s.id, c.id): distance(s.location, c.location)
-            for s in instance.stations
-            for c in instance.customers
-        }
-        cc = {
-            (a.id, b.id): distance(a.location, b.location)
-            for a in instance.customers
-            for b in instance.customers
-        }
-        return cls(ds, ss, sc, cc)
 
 
 def sortie_length(instance: Instance, sortie: Sortie) -> float:
@@ -285,13 +248,16 @@ def violations_to_json(violations: list[Violation]) -> str:
 
 
 class PlanEvaluator:
-    """Precomputed-distance evaluator used by the solvers.
+    """Precomputed distances of one instance, and an evaluator over them.
 
-    Works on a light-weight plan representation: a station tour plus a
-    mapping from station id to service groups (one tuple of customer
-    ids per robot, possibly empty).  The arithmetic mirrors `propagate`
-    operation for operation, so objectives computed here are bit-equal
-    to `propagate(...).objective`; tests enforce that equality.
+    The tables are the package's one copy of the instance's distances:
+    `depot_leg[k]`, `ss[(k, l)]` and `sc[k][o]`, which the solvers and
+    the LP export read.  The evaluator works on a light-weight plan
+    representation: a station tour plus a mapping from station id to
+    service groups (one tuple of customer ids per robot, possibly
+    empty).  The arithmetic mirrors `propagate` operation for
+    operation, so objectives computed here are bit-equal to
+    `propagate(...).objective`; tests enforce that equality.
     """
 
     def __init__(self, instance: Instance):
@@ -347,22 +313,12 @@ class PlanEvaluator:
             prev = k
         return comp, arrive, depart
 
-    def objective_of(self, tour, groups) -> float:
-        """Objective of a complete plan in the light-weight representation."""
-        comp, _, _ = self.completions(tour, groups)
-        total = 0.0
-        for o in range(self.n):
-            late = comp[o] - self.deadline[o]
-            if late > 0.0:
-                total += self.weight[o] * late
-        return total
-
     def bound_of(self, tour, groups, relax) -> float:
         """Assigned weighted tardiness plus relaxed contributions.
 
         `relax[o]` is the admissible stand-in for customers not present
-        in any group.  With every customer assigned this equals
-        `objective_of` exactly.
+        in any group.  With every customer assigned this is the plan's
+        objective, bit-equal to `propagate(...).objective`.
         """
         comp, _, _ = self.completions(tour, groups)
         total = 0.0

@@ -17,12 +17,13 @@ partial schedule (`_NodeSchedule`), and a candidate's bound is
 recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
-the incumbent is dropped unfinished.  `heuristic.construct` scores its
-insertion slots and `heuristic.improve` its moves with the same
-kernel.  Both solvers, and `construct`,
-first run `check_capacity`, so an instance whose customers need more
-range than the whole fleet has fails at once, not after a factorial
-search.
+the incumbent is dropped unfinished.  `heuristic.construct` takes its
+insertion slots from the same enumerator (`_IncrementalBound.branch`)
+and `heuristic.improve` scores its moves with the same kernel; both
+check range with `_StepTables.fits` and keep plans with `_Best`.  Both
+solvers, and `construct`, first run `check_capacity`, so an instance
+whose customers need more range than the whole fleet has fails at
+once, not after a factorial search.
 
 Ties between equal-objective plans go to the lexicographically smallest
 plan serialization, with one exception in `solve_bnb`: when the optimum
@@ -75,7 +76,7 @@ class SolveBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ModelError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
             raise ModelError("max_seconds must be positive")
 
 
@@ -144,9 +145,10 @@ def check_capacity(ev: PlanEvaluator) -> None:
         )
 
 
-def _relaxed_completions(instance: Instance, ev: PlanEvaluator) -> list[float]:
-    """Earliest conceivable completion per customer: a direct depot ride
-    to the best station plus the single service leg."""
+def _relaxed_contributions(instance: Instance, ev: PlanEvaluator) -> list[float]:
+    """Weighted tardiness per customer of its earliest conceivable
+    completion: a direct depot ride to the best station plus the single
+    service leg."""
     out = []
     for c in instance.customers:
         best = math.inf
@@ -154,15 +156,7 @@ def _relaxed_completions(instance: Instance, ev: PlanEvaluator) -> list[float]:
             t = ev.depot_leg[s.id] / ev.vv + ev.sc[s.id][c.id] / ev.vr
             if t < best:
                 best = t
-        out.append(best)
-    return out
-
-
-def _relaxed_contributions(instance: Instance, ev: PlanEvaluator) -> list[float]:
-    cbar = _relaxed_completions(instance, ev)
-    out = []
-    for c in instance.customers:
-        late = cbar[c.id] - c.deadline
+        late = best - c.deadline
         out.append(c.importance * late if late > 0.0 else 0.0)
     return out
 
@@ -231,18 +225,21 @@ def horizon(instance: Instance) -> float:
 
 def _canonical_plan(tour, groups) -> RoutePlan:
     """Materialize the light-weight solver state as a RoutePlan, sorties
-    listed in tour order with robots in first-use order."""
+    listed in tour order with robots relabeled to first-use order, so
+    plans that differ only in which idle robot a chain went to are one
+    plan.  The searches fill robots in that order already; the local
+    search can leave an idle robot before a busy one."""
     sorties = []
     for k in tour:
-        for r, g in enumerate(groups.get(k, ())):
-            if g:
-                sorties.append(Sortie(robot=r, station=k, services=tuple(g)))
+        busy = [g for g in groups.get(k, ()) if g]
+        sorties.extend(Sortie(robot=r, station=k, services=tuple(g)) for r, g in enumerate(busy))
     return RoutePlan(tour=tuple(tour), sorties=tuple(sorties))
 
 
 class _Best:
-    """Incumbent tracker with lexicographic tie-breaking.  `cutoff` is
-    the objective a plan must meet before it is taken."""
+    """Incumbent tracker with lexicographic tie-breaking, shared by every
+    solver.  `cutoff` is the objective a plan must meet before it is
+    taken."""
 
     def __init__(self, cutoff: float = math.inf):
         self.objective = cutoff
@@ -361,20 +358,21 @@ class _StepTables:
     """Per-station quotients of the chain recurrence, keyed by station id:
     `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
     `doubled[k][o]` = 2*L(k,o), the addend of `group_length`, for the
-    range check.  Built once per `solve_bnb`, `heuristic.construct` and
-    `heuristic.improve` call."""
+    range check against `cap` = TR + EPSILON.  Built once per
+    `solve_bnb`, `heuristic.construct` and `heuristic.improve` call."""
 
     def __init__(self, ev: PlanEvaluator):
         vr = ev.vr
         self.first = {k: [x / vr for x in d] for k, d in ev.sc.items()}
         self.step = {k: [[(a + b) / vr for b in d] for a in d] for k, d in ev.sc.items()}
         self.doubled = {k: [2.0 * x for x in d] for k, d in ev.sc.items()}
+        self.cap = ev.range + EPSILON
 
-    def length(self, k: int, chain) -> float:
-        """Sortie length of `chain` at station `k`, bit-equal to
-        `PlanEvaluator.group_length`."""
+    def fits(self, k: int, chain) -> bool:
+        """Whether `chain` at station `k` is within range: its length,
+        bit-equal to `PlanEvaluator.group_length`, is at most `cap`."""
         doubled = self.doubled[k]
-        return math.fsum([doubled[o] for o in chain])
+        return math.fsum([doubled[o] for o in chain]) <= self.cap
 
 
 class _NodeSchedule:
@@ -422,8 +420,8 @@ class _IncrementalBound:
     makes every insertion slot one `probe` of it; the other moves are
     scored with `rescore`.  `construct` walks down like the search:
     from the empty plan's `schedule` (0.0 for every customer not yet
-    placed) it probes each slot with no limit and enters the chosen
-    one with `child`.
+    placed) it takes every slot `branch` gives with no limit and enters
+    the chosen one with `child`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -431,6 +429,7 @@ class _IncrementalBound:
         self.groups = groups
         self.first = tables.first
         self.step = tables.step
+        self.fits = tables.fits
         self.deadline = ev.deadline
         self.weight = ev.weight
         rides = []
@@ -566,6 +565,45 @@ class _IncrementalBound:
         if total > limit:
             return None
         return total, ki, r, pos, (ret, new_dep, later, m, terms)
+
+    def branch(self, st: _NodeSchedule, o: int, limit: float):
+        """The candidates `(bound, ki, r, pos, change)` of customer `o`,
+        one per slot `probe` kept under `limit`, unsorted, with the
+        counts of slots probed, slots dropped past `limit` and chains
+        rejected by range.
+
+        The slots are every position of every chain within range after
+        `o` joins it, in (tour position, robot, position) order.  Robots
+        at one station are interchangeable, so of the idle robots only
+        the first is tried: the searches fill robots in first-use order.
+        """
+        probe, fits = self.probe, self.fits
+        w, due = self.weight[o], self.deadline[o]
+        candidates = []
+        probed = dropped = rejected = 0
+        for ki, k in enumerate(self.tour):
+            lists = self.groups[k]
+            # the customer completes no earlier than a direct first
+            # service: past the limit there, it is past it in every slot
+            late = st.arrive[ki] + self.first[k][o] - due
+            hopeless = late > 0.0 and w * late > limit
+            n_r = len(lists)
+            for r in range(min(n_r - lists.count([]) + 1, n_r)):
+                g = lists[r]
+                if not fits(k, g + [o]):
+                    rejected += 1
+                    continue
+                probed += len(g) + 1
+                if hopeless:
+                    dropped += len(g) + 1
+                    continue
+                for pos in range(len(g) + 1):
+                    found = probe(st, ki, r, pos, o, limit)
+                    if found is None:
+                        dropped += 1
+                    else:
+                        candidates.append(found)
+        return candidates, probed, dropped, rejected
 
     def rescore(self, st: _NodeSchedule, lo: int, hi: int) -> float:
         """Bound with the groups (and tour) as they stand, where they
@@ -705,7 +743,6 @@ def solve_bnb(
     check_capacity(ev)
     tables = _StepTables(ev)
     n_c, n_r = instance.n_customers, instance.fleet_size
-    cap = instance.robot_range + EPSILON
     relax = _relaxed_contributions(instance, ev)
     root_bound = math.fsum(relax)
     station_ids = sorted(s.id for s in instance.stations)
@@ -753,38 +790,6 @@ def solve_bnb(
             if objective <= root_bound:
                 state["proved"] = True
 
-    def branch(tour, groups, kernel, sched, o, limit):
-        """The candidates `(bound, ki, r, pos, change)` for customer `o`,
-        unsorted, with the counts of slots probed, slots dropped past
-        `limit` and chains rejected by range."""
-        probe, length = kernel.probe, tables.length
-        w, due = ev.weight[o], ev.deadline[o]
-        candidates = []
-        probed = dropped = rejected = 0
-        for ki, k in enumerate(tour):
-            lists = groups[k]
-            # the customer completes no earlier than a direct first
-            # service: past the limit there, it is past it in every slot
-            late = sched.arrive[ki] + tables.first[k][o] - due
-            hopeless = late > 0.0 and w * late > limit
-            used = n_r - lists.count([])
-            for r in range(min(used + 1, n_r)):
-                g = lists[r]
-                if length(k, g + [o]) > cap:
-                    rejected += 1
-                    continue
-                probed += len(g) + 1
-                if hopeless:
-                    dropped += len(g) + 1
-                    continue
-                for pos in range(len(g) + 1):
-                    found = probe(sched, ki, r, pos, o, limit)
-                    if found is None:
-                        dropped += 1
-                    else:
-                        candidates.append(found)
-        return candidates, probed, dropped, rejected
-
     def root(tour):
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
@@ -796,7 +801,7 @@ def solve_bnb(
         customer finds no slot within range."""
         groups, kernel, sched = root(tour)
         for o in urgency:
-            found = min(branch(tour, groups, kernel, sched, o, math.inf)[0], default=None)
+            found = min(kernel.branch(sched, o, math.inf)[0], default=None)
             if found is None:
                 return math.inf
             _, ki, r, pos, change = found
@@ -820,9 +825,7 @@ def solve_bnb(
                 offer(node_bound, tour, groups)
             return
         o = urgency[idx]
-        candidates, probed, dropped, rejected = branch(
-            tour, groups, kernel, sched, o, best.objective
-        )
+        candidates, probed, dropped, rejected = kernel.branch(sched, o, best.objective)
         stats["candidates"] += probed
         stats["rejected_by_range"] += rejected
         stats["pruned_by_bound"] += dropped

@@ -13,11 +13,14 @@ Restart r of a run seeded s constructs its starting plan with seed
 s + r; that fixed splitting rule makes multistart runs reproducible.
 
 Both score with the branch-and-bound's schedule kernel
-(`exact._IncrementalBound`) and check range on its step tables'
-doubled legs.  `construct` probes every insertion slot of the next
-customer from the slot on and enters the chosen one with `child`, so
-no slot costs a whole-schedule recomputation; tests check its plans
-against a plain construction that rescores the whole schedule per slot.
+(`exact._IncrementalBound`) and check range with its step tables'
+`fits`, and both keep their plans with the solvers' incumbent
+(`exact._Best`) and plan writer (`exact._canonical_plan`).
+`construct` takes the next customer's insertion slots from the
+kernel's `branch`, the enumerator `solve_bnb` uses, each probed from
+the slot on, and enters the chosen one with `child`, so no slot costs a
+whole-schedule recomputation; tests check its plans against a plain
+construction that rescores the whole schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
 change in place and undo.  A relocate takes its customer out of
@@ -42,12 +45,14 @@ from .evaluation import PlanEvaluator, propagate, validate
 from .exact import (
     InfeasibleInstanceError,
     SolveReport,
+    _Best,
+    _canonical_plan,
     _IncrementalBound,
     _NodeSchedule,
     _StepTables,
     check_capacity,
 )
-from .model import EPSILON, Instance, ModelError, RoutePlan, Sortie, serialize_plan
+from .model import EPSILON, Instance, ModelError, RoutePlan
 
 NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
 
@@ -66,7 +71,7 @@ class SearchParams:
         object.__setattr__(self, "neighborhoods", tuple(self.neighborhoods))
         if self.max_iterations < 1:
             raise ModelError("max_iterations must be positive")
-        if self.max_seconds <= 0:
+        if not self.max_seconds > 0:  # NaN too
             raise ModelError("max_seconds must be positive")
         if self.restarts < 1:
             raise ModelError("restarts must be positive")
@@ -93,17 +98,6 @@ class _Work:
 
     def clone(self) -> "_Work":
         return _Work(self.tour, self.groups)
-
-    def plan(self) -> RoutePlan:
-        """Materialize with robots relabeled to first-use order."""
-        sorties = []
-        for k in self.tour:
-            r_out = 0
-            for g in self.groups[k]:
-                if g:
-                    sorties.append(Sortie(robot=r_out, station=k, services=tuple(g)))
-                    r_out += 1
-        return RoutePlan(tour=tuple(self.tour), sorties=tuple(sorties))
 
 
 class _Evaluator:
@@ -245,9 +239,7 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         ),
     )
 
-    n_r = instance.fleet_size
-    cap = instance.robot_range + EPSILON
-    groups = {k: [[] for _ in range(n_r)] for k in ids}
+    groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
     kernel = _IncrementalBound(ev, tables, tour, groups)
     failed = set()  # chains, as sets, from which no placement completes (pure seeds)
 
@@ -260,15 +252,7 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         if failed and chains() in failed:
             return False
         o = order[idx]
-        candidates = []
-        for ki, k in enumerate(tour):
-            lists = groups[k]
-            for r in range(min(n_r - lists.count([]) + 1, n_r)):
-                g = lists[r]
-                if tables.length(k, g + [o]) > cap:
-                    continue
-                for pos in range(len(g) + 1):
-                    candidates.append(kernel.probe(sched, ki, r, pos, o, math.inf)[:4])
+        candidates = [found[:4] for found in kernel.branch(sched, o, math.inf)[0]]
         candidates.sort()
         if noisy and len(candidates) > 1:
             # semi-greedy: lead with one of the cheapest few slots
@@ -295,7 +279,7 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         raise InfeasibleInstanceError(
             "no feasible plan: customers cannot be packed into per-robot sorties within range"
         )
-    return _Work(tour, groups).plan()
+    return _canonical_plan(tour, groups)
 
 
 def _located(work: _Work):
@@ -347,12 +331,12 @@ def _relocate(state: _Evaluator, limit: float):
     A target chain never changes during the scan (only the moving
     customer's own chain does, and it is no target), so its doubled
     legs are listed once; fsum is correctly rounded, so the range
-    check gives `group_length`'s verdict.
+    check against the tables' `cap` gives `_StepTables.fits`'s verdict.
     """
-    ev, work = state.ev, state.work
+    work = state.work
     tour, groups = work.tour, work.groups
     probe = state.kernel.probe
-    cap = ev.range + EPSILON
+    cap = state.tables.cap
     doubled = state.tables.doubled
     legs = {k: [[doubled[k][x] for x in g] for g in groups[k]] for k in tour}
     for o, k, r, pos in _located(work):
@@ -377,8 +361,7 @@ def _relocate(state: _Evaluator, limit: float):
 def _swap(state: _Evaluator, limit: float):
     """Yield (score, move) for every exchange of two customers on
     different chains, both chains within range."""
-    groups, length = state.work.groups, state.tables.length
-    cap = state.ev.range + EPSILON
+    groups, fits = state.work.groups, state.tables.fits
     spots = _located(state.work)
     for i, (o, k, r, pos) in enumerate(spots):
         for p, k2, r2, pos2 in spots[i + 1 :]:
@@ -386,10 +369,10 @@ def _swap(state: _Evaluator, limit: float):
                 continue
             move = (k, r, pos, k2, r2, pos2)
             _apply(state.work, "swap", move)
-            fits = length(k, groups[k][r]) <= cap and length(k2, groups[k2][r2]) <= cap
-            score = state.score(k, k2) if fits else None
+            within = fits(k, groups[k][r]) and fits(k2, groups[k2][r2])
+            score = state.score(k, k2) if within else None
             _apply(state.work, "swap", move)
-            if fits:
+            if within:
                 yield score, move
 
 
@@ -410,8 +393,7 @@ def _reorder(state: _Evaluator, limit: float):
 def _reassign(state: _Evaluator, limit: float):
     """Yield (score, move) for every move of a whole chain to the first
     idle robot of another station, within range there."""
-    work, length = state.work, state.tables.length
-    cap = state.ev.range + EPSILON
+    work, fits = state.work, state.tables.fits
     for k in work.tour:
         for r, g in enumerate(work.groups[k]):
             if not g:
@@ -420,7 +402,7 @@ def _reassign(state: _Evaluator, limit: float):
                 if k2 == k:
                     continue
                 free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
-                if not free or length(k2, g) > cap:
+                if not free or not fits(k2, g):
                     continue
                 move = (k, r, k2, free[0])
                 _apply(work, "reassign", move)
@@ -522,16 +504,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     for prefix in ("evals_", "moves_"):
         stats.update((prefix + name, 0) for name in params.neighborhoods)
 
-    best_plan: RoutePlan | None = None
-    best_obj = float("inf")
-    best_key = ""
-
-    def offer(work: _Work, objective: float):
-        nonlocal best_plan, best_obj, best_key
-        built = work.plan()
-        key = serialize_plan(built)
-        if objective < best_obj or (objective == best_obj and key < best_key):
-            best_plan, best_obj, best_key = built, objective, key
+    best = _Best()
 
     def run(start: RoutePlan) -> bool:
         """Descend from `start` and offer the result; False when a cap
@@ -542,7 +515,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
             finished = True
         except _Stop:
             finished = False
-        offer(state.work, state.objective)
+        best.offer(state.objective, state.work.tour, state.work.groups)
         return finished
 
     if run(plan):
@@ -556,10 +529,10 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
             if not run(seeded):
                 break
 
-    schedule = propagate(instance, best_plan)
+    schedule = propagate(instance, best.plan)
     nodes = stats.pop("evals")
     return SolveReport(
-        plan=best_plan,
+        plan=best.plan,
         schedule=schedule,
         objective=schedule.objective,
         status="heuristic",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 
-from .evaluation import DistanceTable, _tight_schedule, propagate, validate
+from .evaluation import PlanEvaluator, _tight_schedule, distance, propagate, validate
 from .exact import horizon
 from .model import Instance, ModelError, RoutePlan, Schedule, Sortie
 
@@ -268,25 +268,23 @@ class _Model:
         return "\n".join(out)
 
 
-def _distance_comments(model: _Model, instance: Instance, table: DistanceTable):
+def _distance_comments(model: _Model, instance: Instance, ev: PlanEvaluator):
     model.note("distances (Euclidean):")
-    parts = [f"L_0,{k}={_num(v)}" for k, v in sorted(table.depot_station.items())]
+    parts = [f"L_0,{k}={_num(v)}" for k, v in sorted(ev.depot_leg.items())]
     for chunk in _chunks(parts, 6):
         model.note("  depot-station: " + "  ".join(chunk))
-    parts = [
-        f"L_{k},{l}={_num(v)}"
-        for (k, l), v in sorted(table.station_station.items())
-        if k < l
-    ]
+    parts = [f"L_{k},{l}={_num(v)}" for (k, l), v in sorted(ev.ss.items()) if k < l]
     for chunk in _chunks(parts, 6):
         model.note("  station-station: " + "  ".join(chunk))
-    parts = [f"L_{k},C{o}={_num(v)}" for (k, o), v in sorted(table.station_customer.items())]
+    parts = [f"L_{k},C{o}={_num(v)}" for k in sorted(ev.sc) for o, v in enumerate(ev.sc[k])]
     for chunk in _chunks(parts, 4):
         model.note("  station-customer: " + "  ".join(chunk))
+    # the solvers never need these, so no table holds them
+    customers = instance.customers  # indexed by id
     parts = [
-        f"L_C{o},C{p}={_num(v)}"
-        for (o, p), v in sorted(table.customer_customer.items())
-        if o < p
+        f"L_C{a.id},C{b.id}={_num(distance(a.location, b.location))}"
+        for i, a in enumerate(customers)
+        for b in customers[i + 1 :]
     ]
     model.note("  customer-customer (no constraint uses these; for reference):")
     for chunk in _chunks(parts, 4):
@@ -330,7 +328,7 @@ def _check_arrival_speed(arrival_speed: str) -> None:
         )
 
 
-def _emit_linear_core(model: _Model, instance: Instance, table: DistanceTable, names: _Names):
+def _emit_linear_core(model: _Model, instance: Instance, ev: PlanEvaluator, names: _Names):
     """Rows (1)-(11): pure-binary structure shared by both forms."""
     stations = [s.id for s in instance.stations]
     customers = range(instance.n_customers)
@@ -379,7 +377,7 @@ def _emit_linear_core(model: _Model, instance: Instance, table: DistanceTable, n
     # the coefficients depend on the station only
     lengths = {}
     for k in stations:
-        d = [table.station_customer[(k, o)] for o in customers]
+        d = ev.sc[k]
         coefs = [v for o in customers for v in (d[o], d[o])]
         coefs += [d[o] + d[p] for o in customers for p in customers if p != o]
         lengths[k] = coefs
@@ -460,7 +458,7 @@ def export_miqcp(instance: Instance, arrival_speed: str = "vehicle") -> str:
     enabled where required (for example Gurobi's NonConvex parameter).
     """
     _check_arrival_speed(arrival_speed)
-    table = DistanceTable.build(instance)
+    ev = PlanEvaluator(instance)
     names = _Names(instance)
     stations = [s.id for s in instance.stations]
     customers = range(instance.n_customers)
@@ -476,19 +474,19 @@ def export_miqcp(instance: Instance, arrival_speed: str = "vehicle") -> str:
         "quadratic equalities below are single rows; split each into <= and >="
         " for solvers that reject '=' on quadratic constraints"
     )
-    _distance_comments(model, instance, table)
+    _distance_comments(model, instance, ev)
     _emit_objective(model, instance, names)
-    _emit_linear_core(model, instance, table, names)
+    _emit_linear_core(model, instance, ev, names)
 
     model.comment("(13) arrival time = departure of the predecessor + ride time")
     for k in stations:
         lin = [(1.0, ta[k])]
-        lin.append((-table.depot_station[k] / vv, y[0][k]))
+        lin.append((-ev.depot_leg[k] / vv, y[0][k]))
         quad = []
         for l in stations:
             if l == k:
                 continue
-            lin.append((-table.station_station[(l, k)] / vv, y[l][k]))
+            lin.append((-ev.ss[(l, k)] / vv, y[l][k]))
             quad.append((-1.0, y[l][k], td[l]))
         model.row(f"c13_k{k}", lin, quad, "=", 0.0)
 
@@ -502,14 +500,12 @@ def export_miqcp(instance: Instance, arrival_speed: str = "vehicle") -> str:
         for r in robots:
             for k in stations:
                 xp = x[r][k][p]
-                lin.append((-table.station_customer[(k, p)] / vr, xp))
+                lin.append((-ev.sc[k][p] / vr, xp))
                 quad.append((-1.0, xp, ta[k]))
                 for o in customers:
                     if o == p:
                         continue
-                    ride = (
-                        table.station_customer[(k, o)] + table.station_customer[(k, p)]
-                    ) / vr
+                    ride = (ev.sc[k][o] + ev.sc[k][p]) / vr
                     wp = w[r][k][o][p]
                     lin.append((-ride, wp))
                     quad.append((-1.0, wp, tc[o]))
@@ -519,7 +515,7 @@ def export_miqcp(instance: Instance, arrival_speed: str = "vehicle") -> str:
     for k in stations:
         for r in robots:
             for o in customers:
-                lin = [(1.0, td[k]), (-table.station_customer[(k, o)] / vr, z[r][k][o])]
+                lin = [(1.0, td[k]), (-ev.sc[k][o] / vr, z[r][k][o])]
                 quad = [(-1.0, z[r][k][o], tc[o])]
                 model.row(f"c16_k{k}_r{r}_o{o}", lin, quad, ">=", 0.0)
 
@@ -539,7 +535,7 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
     waiting, never the tight optimum.
     """
     _check_arrival_speed(arrival_speed)
-    table = DistanceTable.build(instance)
+    ev = PlanEvaluator(instance)
     names = _Names(instance)
     stations = [s.id for s in instance.stations]
     customers = range(instance.n_customers)
@@ -551,15 +547,15 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
 
     h = horizon(instance)
     max_vehicle_leg = max(
-        [table.depot_station[k] / vv for k in stations]
+        [ev.depot_leg[k] / vv for k in stations]
         + [
-            table.station_station[(k, l)] / vv
+            ev.ss[(k, l)] / vv
             for k in stations
             for l in stations
             if k != l
         ]
     )
-    max_robot_leg = max(table.station_customer.values()) / vr if customers else 0.0
+    max_robot_leg = max(map(max, ev.sc.values())) / vr if customers else 0.0
     big_m = h + max_vehicle_leg + 2.0 * max_robot_leg
     parts = (
         f"horizon {_num(h)}",
@@ -578,19 +574,19 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
     _common_header(model, instance, "big-M MILP", arrival_speed)
     model.note(m_note)
     model.note("time variables are capped at the horizon in Bounds")
-    _distance_comments(model, instance, table)
+    _distance_comments(model, instance, ev)
     _emit_objective(model, instance, names)
-    _emit_linear_core(model, instance, table, names)
+    _emit_linear_core(model, instance, ev, names)
 
     model.comment("(13) arrival time propagation, as two implications per arc")
     for k in stations:
-        ride = table.depot_station[k] / vv
+        ride = ev.depot_leg[k] / vv
         model.row(f"c13a_l0_k{k}", [(1.0, ta[k]), (big_m, y[0][k])], [], "<=", ride + big_m)
         model.row(f"c13b_l0_k{k}", [(1.0, ta[k]), (-big_m, y[0][k])], [], ">=", ride - big_m)
         for l in stations:
             if l == k:
                 continue
-            ride = table.station_station[(l, k)] / vv
+            ride = ev.ss[(l, k)] / vv
             model.row(
                 f"c13a_l{l}_k{k}",
                 [(1.0, ta[k]), (-1.0, td[l]), (big_m, y[l][k])],
@@ -618,7 +614,7 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
 
     model.comment("(15) completion time propagation, two implications per")
     model.comment("     first-service and per succession variable")
-    d = {k: [table.station_customer[(k, o)] for o in customers] for k in stations}
+    d = ev.sc
     for p in customers:
         tcp = tc[p]
         # right-hand sides per (station, predecessor), shared by the robots
@@ -647,7 +643,7 @@ def export_bigm(instance: Instance, arrival_speed: str = "vehicle") -> str:
     for k in stations:
         for r in robots:
             for o in customers:
-                ride = table.station_customer[(k, o)] / vr
+                ride = ev.sc[k][o] / vr
                 add(
                     f" c16_k{k}_r{r}_o{o}: {one}{td[k]} {minus}{tc[o]} {minus_m}{z[r][k][o]}"
                     f" >= {_num(ride - big_m)}"
@@ -732,7 +728,8 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
     """Rebuild a plan and schedule from a solver solution file.
 
     Binaries may be absent (treated as 0) and may carry solver noise up
-    to 1e-4.  The schedule is recomputed by propagation; reported time
+    to 1e-4.  A diagonal succession `w_r_k_o_o`, which both exports fix
+    to 0, must read 0 too.  The schedule is recomputed by propagation; reported time
     values that disagree by more than 1e-4 are logged as warnings, not
     errors, since solvers may return non-tight schedules.
     """
@@ -822,11 +819,17 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
         for k in stations:
             for o in customers:
                 for p in customers:
+                    name = name_w(r, k, o, p)
                     if o == p:
-                        continue
-                    if _binary(values, name_w(r, k, o, p)) and (r, k, o, p) not in used_w:
+                        # both exports fix these to 0 in Bounds
+                        v = values.get(name, 0.0)
+                        if abs(v) > BINARY_TOLERANCE:
+                            raise SolutionImportError(
+                                f"diagonal succession {name} = {v}; a customer cannot succeed itself"
+                            )
+                    elif _binary(values, name) and (r, k, o, p) not in used_w:
                         raise SolutionImportError(
-                            f"succession {name_w(r, k, o, p)} is set but belongs to no chain"
+                            f"succession {name} is set but belongs to no chain"
                         )
     # the walk reads a return only at a chain's customers: check the rest
     ends = {(s.robot, s.station, s.services[-1]) for s in sorties}

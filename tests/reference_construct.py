@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 
 from mothership import InfeasibleInstanceError, Instance, PlanEvaluator, RoutePlan
-from mothership.exact import check_capacity
-from mothership.heuristic import _tour_2opt, _Work
+from mothership.exact import _canonical_plan, check_capacity
+from mothership.heuristic import _tour_2opt
 from mothership.model import EPSILON
 
 
@@ -100,4 +100,4 @@ def reference_construct(instance: Instance, seed: int = 0) -> RoutePlan:
         raise InfeasibleInstanceError(
             "no feasible plan: customers cannot be packed into per-robot sorties within range"
         )
-    return _Work(tour, groups).plan()
+    return _canonical_plan(tour, groups)

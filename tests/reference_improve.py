@@ -20,6 +20,7 @@ from mothership import (
     construct,
     serialize_plan,
 )
+from mothership.exact import _canonical_plan
 from mothership.heuristic import _Work
 from mothership.model import EPSILON
 
@@ -211,7 +212,7 @@ def reference_improve(instance, plan, params: SearchParams = SearchParams()):
 
     def offer(work: _Work, objective: float):
         nonlocal best
-        best = min(best, (objective, serialize_plan(work.plan())))
+        best = min(best, (objective, serialize_plan(_canonical_plan(work.tour, work.groups))))
 
     state = Evaluator(ev, _Work.from_plan(instance, plan))
     descend(ev, state, params, started, counters)

@@ -307,7 +307,7 @@ class TestPlanEvaluator:
             ev = PlanEvaluator(inst)
             groups = _groups_of(inst, plan)
             full = propagate(inst, plan)
-            assert ev.objective_of(list(plan.tour), groups) == full.objective
+            assert ev.bound_of(list(plan.tour), groups, [0.0] * ev.n) == full.objective
             comp, arrive, depart = ev.completions(list(plan.tour), groups)
             assert comp == full.complete
             assert arrive == full.arrive

@@ -36,6 +36,7 @@ from mothership import (
     serialize_plan,
     solve_bnb,
     solve_oracle,
+    sortie_length,
     validate,
 )
 from mothership import exact
@@ -214,6 +215,8 @@ class TestBranchAndBound:
             SolveBudget(max_nodes=0)
         with pytest.raises(ModelError):
             SolveBudget(max_seconds=0.0)
+        with pytest.raises(ModelError):
+            SolveBudget(max_seconds=math.nan)
 
     def test_deterministic(self):
         inst, _ = builtin_fixture("small")
@@ -525,6 +528,50 @@ class TestIncrementalBound:
         # improve fills its own counters (tests/test_heuristic.py)
         inst = generate(3, 2, 1, 3, robot_range=200.0)
         assert solve_oracle(inst).stats == {}
+
+
+def range_verdict(instance, k, chain):
+    """Whether `validate` finds `chain` at station `k` within range."""
+    plan = RoutePlan(tuple(s.id for s in instance.stations), (Sortie(0, k, tuple(chain)),))
+    return not any(v.kind == "range(9)" for v in validate(instance, plan))
+
+
+class TestRangeCheck:
+    def test_fits_agrees_with_validate_on_tiny_corpus(self, tiny_corpus):
+        rnd = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        for inst, _ in tiny_corpus:
+            tables = _StepTables(PlanEvaluator(inst))
+            for _ in range(5):
+                k = rnd.choice(inst.stations).id
+                chain = rnd.sample(range(inst.n_customers), rnd.randint(1, inst.n_customers))
+                fits = tables.fits(k, chain)
+                assert fits == range_verdict(inst, k, chain), (inst, k, chain)
+                verdicts[fits] += 1
+        assert verdicts[True] and verdicts[False], verdicts
+
+    @pytest.mark.parametrize(
+        "robot_range,fits", [(20.0, True), (20.0 - 5e-10, True), (20.0 - 2e-9, False)]
+    )
+    def test_chain_on_the_range_limit(self, robot_range, fits):
+        # two customers 5 away: the sortie is 20 long, exactly on TR,
+        # past TR but within TR + EPSILON, and past TR + EPSILON
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(0.0, 0.0)),),
+            customers=(
+                Customer(0, Point(3.0, 4.0), 1.0, 1.0),
+                Customer(1, Point(-4.0, 3.0), 1.0, 1.0),
+            ),
+            fleet_size=1,
+            robot_range=robot_range,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        assert sortie_length(inst, Sortie(0, 1, (0, 1))) == 20.0
+        tables = _StepTables(PlanEvaluator(inst))
+        assert tables.fits(1, [0, 1]) is fits
+        assert range_verdict(inst, 1, [0, 1]) is fits
 
 
 class TestSearchOrder:

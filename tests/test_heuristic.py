@@ -33,7 +33,7 @@ from mothership import (
     solve_oracle,
     validate,
 )
-from mothership.exact import _StepTables
+from mothership.exact import _canonical_plan, _StepTables
 from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply
 
 SMALL_OPTIMUM = 36.37122987569251
@@ -51,6 +51,7 @@ class TestSearchParams:
         [
             {"max_iterations": 0},
             {"max_seconds": 0.0},
+            {"max_seconds": math.nan},
             {"restarts": 0},
             {"neighborhoods": ()},
             {"neighborhoods": ("relocate", "tunnel")},
@@ -330,7 +331,7 @@ class TestIncrementalEvaluator:
             ev = PlanEvaluator(inst)
             state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, plan))
             assert state.objective == propagate(inst, plan).objective
-            before = serialize_plan(state.work.plan())
+            before = serialize_plan(_canonical_plan(state.work.tour, state.work.groups))
             for name in NEIGHBORHOODS:
                 scored = list(_MOVES[name](state, math.inf))
                 limited = list(_MOVES[name](state, state.objective))
@@ -338,7 +339,8 @@ class TestIncrementalEvaluator:
                 for (score, move), (bounded, _) in zip(scored, limited):
                     candidate = state.work.clone()
                     _apply(candidate, name, move)
-                    exact = propagate(inst, candidate.plan()).objective
+                    built = _canonical_plan(candidate.tour, candidate.groups)
+                    exact = propagate(inst, built).objective
                     assert score == exact
                     if bounded is None:
                         assert name == "relocate"
@@ -347,7 +349,7 @@ class TestIncrementalEvaluator:
                     else:
                         assert bounded == exact
                     moves[name] += 1
-                assert serialize_plan(state.work.plan()) == before
+                assert serialize_plan(_canonical_plan(state.work.tour, state.work.groups)) == before
         assert all(moves.values()), moves
         assert dropped
 

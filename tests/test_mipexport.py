@@ -519,6 +519,22 @@ class TestImportSolution:
             import_solution(inst, solution_text(values))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("value", [1.0, 0.5])
+    def test_diagonal_succession_rejected(self, value):
+        # both exports fix w_r_k_o_o to 0 in Bounds; the chain walk
+        # never reads it, so it must be checked on its own
+        inst, plan = builtin_fixture("small")
+        values = plan_assignment(inst, plan)
+        values[name_w(0, 2, 4, 4)] = value
+        with pytest.raises(SolutionImportError) as err:
+            import_solution(inst, solution_text(values))
+        assert str(err.value) == (
+            f"diagonal succession w_0_2_4_4 = {value}; a customer cannot succeed itself"
+        )
+        values[name_w(0, 2, 4, 4)] = 5e-5  # solver noise within BINARY_TOLERANCE
+        back, _ = import_solution(inst, solution_text(values))
+        assert serialize_plan(back) == serialize_plan(plan)
+
     def test_infeasible_plan_rejected(self):
         inst, _ = builtin_fixture("small")
         lines = self._base_tour_lines() + [
