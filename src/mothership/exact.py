@@ -74,7 +74,7 @@ class SolveBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 1:
+        if self.max_nodes is not None and not self.max_nodes >= 1:  # NaN too
             raise ModelError("max_nodes must be positive")
         if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
             raise ModelError("max_seconds must be positive")

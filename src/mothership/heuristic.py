@@ -69,11 +69,11 @@ class SearchParams:
 
     def __post_init__(self):
         object.__setattr__(self, "neighborhoods", tuple(self.neighborhoods))
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:  # NaN too
             raise ModelError("max_iterations must be positive")
         if not self.max_seconds > 0:  # NaN too
             raise ModelError("max_seconds must be positive")
-        if self.restarts < 1:
+        if not self.restarts >= 1:  # NaN too
             raise ModelError("restarts must be positive")
         if not self.neighborhoods:
             raise ModelError("at least one neighborhood is required")

@@ -8,7 +8,7 @@ CPLEX/Gurobi LP format.  Row names carry the constraint numbers used
 throughout this package, which are defined in docs/MODEL.md.
 
 `import_solution` reads a solver solution file ("name value" lines,
-"#"-comments ignored), rebuilds the plan from the binary variables and
+"#"-comments ignored), rebuilds the plan from the set binaries and
 cross-checks the reported times against recomputed ones.
 """
 
@@ -698,10 +698,9 @@ def plan_assignment(instance: Instance, plan: RoutePlan) -> dict[str, float]:
 def _parse_solution_values(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("\\"):
+        parts = raw.split()
+        if not parts or parts[0][0] in "#\\":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise SolutionImportError(f"line {ln}: expected 'name value', got {raw!r}")
         name, val = parts
@@ -715,56 +714,70 @@ def _parse_solution_values(text: str) -> dict[str, float]:
     return values
 
 
-def _binary(values: dict[str, float], name: str) -> int:
-    v = values.get(name, 0.0)
-    if abs(v) <= BINARY_TOLERANCE:
-        return 0
-    if abs(v - 1.0) <= BINARY_TOLERANCE:
-        return 1
-    raise SolutionImportError(f"{name} = {v} is fractional; expected 0 or 1")
-
-
 def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]:
     """Rebuild a plan and schedule from a solver solution file.
 
     Binaries may be absent (treated as 0) and may carry solver noise up
-    to 1e-4.  A diagonal succession `w_r_k_o_o`, which both exports fix
-    to 0, must read 0 too.  The schedule is recomputed by propagation; reported time
-    values that disagree by more than 1e-4 are logged as warnings, not
-    errors, since solvers may return non-tight schedules.
+    to 1e-4, so a file may list only its nonzero values.  A diagonal
+    succession `w_r_k_o_o`, which both exports fix to 0, must read 0 too.
+    Only the set binaries are dispatched, so past the name check the
+    cost is linear in the file.  The schedule is recomputed by
+    propagation; reported time values that disagree by more than 1e-4
+    are logged as warnings, not errors, since solvers may return
+    non-tight schedules.
     """
     values = _parse_solution_values(text)
-    known = _variable_names(instance)
-    for name in values:
-        if name not in known:
-            raise SolutionImportError(f"unknown variable {name}")
+    known = _Names(instance).every()
+    # the model's names are distinct: all file names are known iff the
+    # file holds as many of them as it has names
+    if sum(map(values.__contains__, known)) != len(values):
+        known = set(known)
+        first = next(name for name in values if name not in known)
+        raise SolutionImportError(f"unknown variable {first}")
 
     stations = [s.id for s in instance.stations]
     customers = [c.id for c in instance.customers]
     robots = range(instance.fleet_size)
-    nodes = [0] + stations
 
-    succ: dict[int, int] = {}
-    n_arcs = 0
-    for k in nodes:
-        for l in nodes:
-            if k == l:
-                continue
-            if _binary(values, name_y(k, l)):
-                if k in succ:
-                    raise SolutionImportError(f"node {k} has two outgoing vehicle arcs")
-                succ[k] = l
-                n_arcs += 1
-    if n_arcs != len(stations) + 1:
+    arcs: dict[int, list[int]] = {}  # node -> heads of its set arcs
+    firsts: dict[tuple[int, int], list[int]] = {}  # (r, k) -> first services
+    nexts: dict[tuple[int, int, int], list[int]] = {}  # (r, k, o) -> successors
+    returns: set[tuple[int, int, int]] = set()  # (r, k, o) of each set z_r_o_k
+    for name, v in values.items():
+        if abs(v) <= BINARY_TOLERANCE:
+            continue
+        kind, idx = parse_variable(name)
+        if kind[0] == "t":  # a time; checked against propagation below
+            continue
+        if kind == "w" and idx[2] == idx[3]:
+            # both exports fix these to 0 in Bounds
+            raise SolutionImportError(
+                f"diagonal succession {name} = {v}; a customer cannot succeed itself"
+            )
+        if not abs(v - 1.0) <= BINARY_TOLERANCE:  # NaN too
+            raise SolutionImportError(f"{name} = {v} is fractional; expected 0 or 1")
+        if kind == "y":
+            arcs.setdefault(idx[0], []).append(idx[1])
+        elif kind == "x":
+            firsts.setdefault(idx[:2], []).append(idx[2])
+        elif kind == "z":
+            returns.add((idx[0], idx[2], idx[1]))
+        else:
+            nexts.setdefault(idx[:3], []).append(idx[3])
+
+    forks = [k for k, heads in arcs.items() if len(heads) > 1]
+    if forks:
+        raise SolutionImportError(f"node {min(forks)} has two outgoing vehicle arcs")
+    if len(arcs) != len(stations) + 1:
         raise SolutionImportError(
-            f"expected {len(stations) + 1} vehicle arcs, found {n_arcs}"
+            f"expected {len(stations) + 1} vehicle arcs, found {len(arcs)}"
         )
     tour = []
     at = 0
     while True:
-        if at not in succ:
+        if at not in arcs:
             raise SolutionImportError(f"vehicle route dangles at node {at}")
-        at = succ[at]
+        at = arcs[at][0]
         if at == 0:
             break
         if at in tour:
@@ -775,71 +788,55 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
             "vehicle arcs form a subtour that skips some stations"
         )
 
+    # the walk takes each succession and return it reads out of
+    # `nexts` and `returns`; whatever is left belongs to no chain
     sorties = []
-    used_w = set()
     for k in stations:
         for r in robots:
-            firsts = [o for o in customers if _binary(values, name_x(r, k, o))]
-            if len(firsts) > 1:
+            starts = firsts.get((r, k), ())
+            if len(starts) > 1:
                 raise SolutionImportError(
-                    f"robot {r} at station {k} has {len(firsts)} first services"
+                    f"robot {r} at station {k} has {len(starts)} first services"
                 )
-            if not firsts:
+            if not starts:
                 continue
-            chain = [firsts[0]]
+            chain = [starts[0]]
             while True:
                 o = chain[-1]
-                ends = _binary(values, name_z(r, o, k))
-                nexts = [
-                    p for p in customers if p != o and _binary(values, name_w(r, k, o, p))
-                ]
-                if ends and nexts:
+                ends = (r, k, o) in returns
+                after = nexts.pop((r, k, o), ())
+                if ends and after:
                     raise SolutionImportError(
                         f"service chain at (r{r}, S{k}) both ends and continues at C{o}"
                     )
                 if ends:
+                    returns.remove((r, k, o))
                     break
-                if not nexts:
+                if not after:
                     raise SolutionImportError(
                         f"service chain at (r{r}, S{k}) dangles after C{o}"
                     )
-                if len(nexts) > 1:
+                if len(after) > 1:
                     raise SolutionImportError(
                         f"service chain at (r{r}, S{k}) branches after C{o}"
                     )
-                if nexts[0] in chain:
+                if after[0] in chain:
                     raise SolutionImportError(
-                        f"service chain at (r{r}, S{k}) cycles at C{nexts[0]}"
+                        f"service chain at (r{r}, S{k}) cycles at C{after[0]}"
                     )
-                used_w.add((r, k, o, nexts[0]))
-                chain.append(nexts[0])
+                chain.append(after[0])
             sorties.append(Sortie(robot=r, station=k, services=tuple(chain)))
 
-    for r in robots:
-        for k in stations:
-            for o in customers:
-                for p in customers:
-                    name = name_w(r, k, o, p)
-                    if o == p:
-                        # both exports fix these to 0 in Bounds
-                        v = values.get(name, 0.0)
-                        if abs(v) > BINARY_TOLERANCE:
-                            raise SolutionImportError(
-                                f"diagonal succession {name} = {v}; a customer cannot succeed itself"
-                            )
-                    elif _binary(values, name) and (r, k, o, p) not in used_w:
-                        raise SolutionImportError(
-                            f"succession {name} is set but belongs to no chain"
-                        )
-    # the walk reads a return only at a chain's customers: check the rest
-    ends = {(s.robot, s.station, s.services[-1]) for s in sorties}
-    for r in robots:
-        for k in stations:
-            for o in customers:
-                if _binary(values, name_z(r, o, k)) and (r, k, o) not in ends:
-                    raise SolutionImportError(
-                        f"return {name_z(r, o, k)} is set but ends no chain"
-                    )
+    # ids are sorted: the smallest leftover is the first in (robot,
+    # station, customer) order
+    if nexts:
+        r, k, o = min(nexts)
+        raise SolutionImportError(
+            f"succession {name_w(r, k, o, min(nexts[r, k, o]))} is set but belongs to no chain"
+        )
+    if returns:
+        r, k, o = min(returns)
+        raise SolutionImportError(f"return {name_z(r, o, k)} is set but ends no chain")
 
     order = {k: i for i, k in enumerate(tour)}
     sorties.sort(key=lambda s: (order[s.station], s.robot))

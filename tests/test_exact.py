@@ -218,6 +218,11 @@ class TestBranchAndBound:
         with pytest.raises(ModelError):
             SolveBudget(max_seconds=math.nan)
 
+    def test_budget_rejects_nan_node_cap(self):
+        # nan < 1 is false: a plain comparison let the cap through unfired
+        with pytest.raises(ModelError, match="max_nodes"):
+            SolveBudget(max_nodes=math.nan)
+
     def test_deterministic(self):
         inst, _ = builtin_fixture("small")
         a = solve_bnb(inst)

@@ -50,9 +50,11 @@ class TestSearchParams:
         "kwargs",
         [
             {"max_iterations": 0},
+            {"max_iterations": math.nan},
             {"max_seconds": 0.0},
             {"max_seconds": math.nan},
             {"restarts": 0},
+            {"restarts": math.nan},
             {"neighborhoods": ()},
             {"neighborhoods": ("relocate", "tunnel")},
         ],

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from lp_eval import parse_lp, check_assignment
+from reference_import import reference_import
 
 from mothership import (
     Customer,
@@ -116,6 +117,50 @@ def model_sizes(n_s, n_r, n_c):
 
 def solution_text(values):
     return "\n".join(f"{k} {v}" for k, v in values.items() if v != 0.0)
+
+
+def dense_text(values):
+    """Every variable on its own line, zeros included."""
+    return "".join(f"{k} {v!r}\n" for k, v in values.items())
+
+
+def binaries_text(values):
+    """Only the set binaries: no zeros and no time lines."""
+    return "".join(f"{k} {v!r}\n" for k, v in values.items() if v != 0.0 and k[0] != "t")
+
+
+def import_outcome(importer, inst, text):
+    """The plan and schedule an importer returns, or its error text."""
+    try:
+        plan, sched = importer(inst, text)
+    except SolutionImportError as err:
+        return "error", str(err)
+    return serialize_plan(plan), sched
+
+
+def corruptions(inst, values):
+    """Single-defect copies of a plan's assignment: each set binary
+    cleared, one set and one unset binary at 0.5, one diagonal
+    succession at 1 and one unknown name.  Then three with many
+    leftovers, which fix the order they are reported in: every first
+    service cleared; every first service and succession cleared; and
+    every first service cleared with one customer succeeded by all."""
+    set_binaries = [n for n, v in values.items() if v == 1.0 and n[0] != "t"]
+    for name in set_binaries:
+        yield {**values, name: 0.0}
+    unset = next(n for n, v in values.items() if v == 0.0 and n[0] != "t")
+    for name in (set_binaries[0], unset):
+        yield {**values, name: 0.5}
+    yield {**values, name_w(0, inst.stations[0].id, 0, 0): 1.0}
+    yield {**values, "y_0_0": 1.0}
+    no_starts = {**values, **dict.fromkeys([n for n in set_binaries if n[0] == "x"], 0.0)}
+    yield no_starts
+    yield {**no_starts, **dict.fromkeys([n for n in set_binaries if n[0] == "w"], 0.0)}
+    succession = next((n for n in set_binaries if n[0] == "w"), None)
+    if succession:
+        _, (r, k, o, _) = parse_variable(succession)
+        fan = [name_w(r, k, o, p) for p in range(inst.n_customers) if p != o]
+        yield {**no_starts, **dict.fromkeys(fan, 1.0)}
 
 
 class TestExportStructure:
@@ -519,7 +564,7 @@ class TestImportSolution:
             import_solution(inst, solution_text(values))
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("value", [1.0, 0.5])
+    @pytest.mark.parametrize("value", [1.0, 0.5, math.nan])
     def test_diagonal_succession_rejected(self, value):
         # both exports fix w_r_k_o_o to 0 in Bounds; the chain walk
         # never reads it, so it must be checked on its own
@@ -577,6 +622,59 @@ class TestImportSolution:
         want = propagate(inst, back)
         assert sched == want
         assert sched.objective == propagate(inst, plan).objective
+
+
+class TestImportAgainstReference:
+    """`import_solution` reads only the set binaries; the enumeration in
+    tests/reference_import.py looks every binary up by name.  Both must
+    give the same plan and schedule or the same error."""
+
+    def assert_agree(self, inst, plan):
+        values = plan_assignment(inst, plan)
+        cases = [values, *corruptions(inst, values)]
+        for case in cases:
+            for text in (dense_text(case), binaries_text(case)):
+                want = import_outcome(reference_import, inst, text)
+                assert import_outcome(import_solution, inst, text) == want, text
+
+    def test_tiny_corpus(self, tiny_corpus):
+        for inst, report in tiny_corpus:
+            self.assert_agree(inst, report.plan)
+
+    @pytest.mark.parametrize("name", ["small", "medium"])
+    def test_fixtures(self, name):
+        self.assert_agree(*builtin_fixture(name))
+
+    def test_fixture_errors_cover_every_check(self):
+        # the corruptions reach the per-value, tour, chain and leftover checks
+        inst, plan = builtin_fixture("small")
+        values = plan_assignment(inst, plan)
+        messages = {
+            import_outcome(import_solution, inst, binaries_text(case))[1]
+            for case in corruptions(inst, values)
+        }
+        for fragment in (
+            "vehicle arcs",
+            "dangles after",
+            "belongs to no chain",
+            "ends no chain",
+            "fractional",
+            "diagonal succession",
+            "unknown variable",
+        ):
+            assert any(fragment in m for m in messages), fragment
+
+    @pytest.mark.parametrize("shape", [(4, 3, 20), (6, 4, 40)])
+    def test_binaries_only_file_matches_dense(self, shape, caplog):
+        inst = generate(0, *shape)
+        plan = construct(inst, seed=0)
+        values = plan_assignment(inst, plan)
+        dense = import_solution(inst, dense_text(values))
+        with caplog.at_level(logging.WARNING):
+            sparse = import_solution(inst, binaries_text(values))
+        assert serialize_plan(sparse[0]) == serialize_plan(dense[0]) == serialize_plan(plan)
+        assert sparse[1] == dense[1] == propagate(inst, plan)
+        assert not any("propagation gives" in r.getMessage() for r in caplog.records)
 
 
 @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
