@@ -17,13 +17,18 @@ partial schedule (`_NodeSchedule`), and a candidate's bound is
 recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
-the incumbent is dropped unfinished.  `heuristic.construct` takes its
-insertion slots from the same enumerator (`_IncrementalBound.branch`)
-and `heuristic.improve` scores its moves with the same kernel; both
-check range with `_StepTables.fits` and keep plans with `_Best`.  Both
-solvers, and `construct`, first run `check_capacity`, so an instance
-whose customers need more range than the whole fleet has fails at
-once, not after a factorial search.
+the incumbent is dropped unfinished, and so is a slot where the
+inserted customer's own term does.  The range verdict is
+`_StepTables.fits`'s: the node schedule carries each chain's length,
+and `branch` decides from that length plus the newcomer's leg when the
+sum is clear of the cap, with `fits` otherwise.
+`heuristic.construct` takes its insertion slots from the same
+enumerator (`_IncrementalBound.branch`) and `heuristic.improve` scores
+its moves with the same kernel and checks range with `fits`; both keep
+plans with `_Best`.  Both solvers, and `construct`, first run
+`check_capacity`, so an instance whose customers need more range, or
+more places in a sortie, than the whole fleet has fails at once, not
+after a factorial search.
 
 Ties between equal-objective plans go to the lexicographically smallest
 plan serialization, with one exception in `solve_bnb`: when the optimum
@@ -132,16 +137,32 @@ def check_capacity(ev: PlanEvaluator) -> None:
     fragmented across sorties), and then the search decides.  The
     relative 1e-12 covers the rounding of the per-sortie fsum and of
     the product.
+
+    It also counts customers: no sortie holds more than `most` of
+    them, the largest j for which the fsum of the j smallest least
+    doubled legs is at most TR + EPSILON, since any j customers need
+    at least those j legs and a correctly rounded sum is monotone.
+    More customers than sorties times `most` leave one over.
     """
     instance = ev.instance
     # zip gives each customer's legs from every station; doubling is
     # exact, so 2 * min is the least doubled leg
-    need = math.fsum(2.0 * min(legs) for legs in zip(*ev.sc.values()))
+    least = sorted(2.0 * min(legs) for legs in zip(*ev.sc.values()))
+    need = math.fsum(least)
     sorties = instance.n_stations * instance.fleet_size
-    if need > sorties * (instance.robot_range + EPSILON) * (1.0 + 1e-12):
+    cap = instance.robot_range + EPSILON
+    if need > sorties * cap * (1.0 + 1e-12):
         raise InfeasibleInstanceError(
             f"no feasible plan: the customers need {need:.6g} of robot range in total, "
             f"more than the {sorties} sortie(s) of range {instance.robot_range:g} offer"
+        )
+    most = 0
+    while most < len(least) and math.fsum(least[: most + 1]) <= cap:
+        most += 1
+    if len(least) > sorties * most:
+        raise InfeasibleInstanceError(
+            f"no feasible plan: customers cannot be packed into per-robot sorties within range: "
+            f"the {sorties} sortie(s) hold at most {most} each, not {len(least)} in all"
         )
 
 
@@ -359,14 +380,25 @@ class _StepTables:
     `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
     `doubled[k][o]` = 2*L(k,o), the addend of `group_length`, for the
     range check against `cap` = TR + EPSILON.  Built once per
-    `solve_bnb`, `heuristic.construct` and `heuristic.improve` call."""
+    `solve_bnb`, `heuristic.construct` and `heuristic.improve` call.
+
+    `fits` is the range verdict.  `branch` reaches the same verdict
+    from a chain's carried length plus the newcomer's addend when that
+    sum is below `clear_below` or above `clear_above`: the sum is
+    within a few units in the last place of the exact length, far
+    inside the relative 1e-12 margin, so the exactly rounded `fsum`
+    of `fits` falls on the same side of `cap`.  Between the two it
+    asks `fits`.
+    """
 
     def __init__(self, ev: PlanEvaluator):
         vr = ev.vr
         self.first = {k: [x / vr for x in d] for k, d in ev.sc.items()}
         self.step = {k: [[(a + b) / vr for b in d] for a in d] for k, d in ev.sc.items()}
         self.doubled = {k: [2.0 * x for x in d] for k, d in ev.sc.items()}
-        self.cap = ev.range + EPSILON
+        self.cap = ev.range + EPSILON  # finite and positive: `Instance` checks the range
+        self.clear_below = self.cap * (1.0 - 1e-12)
+        self.clear_above = self.cap * (1.0 + 1e-12)
 
     def fits(self, k: int, chain) -> bool:
         """Whether `chain` at station `k` is within range: its length,
@@ -386,13 +418,17 @@ class _NodeSchedule:
     tardiness once assigned, its relaxed contribution before.
     `prefix[o]` is the float sum of `terms[:o]` added in id order, as
     `bound_of` adds them, so `prefix[n]` is the bound `bound_of` gives
-    the node.  A schedule is never changed once built; children copy
-    what differs.
+    the node.
+    `used[i][r]` is the length of robot r's chain at tour position i,
+    bit-equal to `group_length`, for `branch`'s range verdict; only the
+    schedules `branch` starts from carry it (`_IncrementalBound.root`
+    and its children), else it is None.  A schedule is never changed
+    once built; children copy what differs.
     """
 
-    __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix")
+    __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix", "used")
 
-    def __init__(self, arrive, depart, chains, returns, low, terms, prefix):
+    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used=None):
         self.arrive = arrive
         self.depart = depart
         self.chains = chains
@@ -400,6 +436,7 @@ class _NodeSchedule:
         self.low = low
         self.terms = terms
         self.prefix = prefix
+        self.used = used
 
 
 class _IncrementalBound:
@@ -419,9 +456,9 @@ class _IncrementalBound:
     relocate takes its customer out, builds that plan's `schedule` and
     makes every insertion slot one `probe` of it; the other moves are
     scored with `rescore`.  `construct` walks down like the search:
-    from the empty plan's `schedule` (0.0 for every customer not yet
-    placed) it takes every slot `branch` gives with no limit and enters
-    the chosen one with `child`.
+    from the empty plan's `root` schedule (0.0 for every customer not
+    yet placed) it takes every slot `branch` gives with no limit and
+    enters the chosen one with `child`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -429,7 +466,9 @@ class _IncrementalBound:
         self.groups = groups
         self.first = tables.first
         self.step = tables.step
+        self.doubled = tables.doubled
         self.fits = tables.fits
+        self.clear = (tables.clear_below, tables.clear_above)
         self.deadline = ev.deadline
         self.weight = ev.weight
         rides = []
@@ -472,6 +511,17 @@ class _IncrementalBound:
         return _NodeSchedule(
             arrive, depart, chains, returns, low, terms, list(accumulate(terms, add, initial=0.0))
         )
+
+    def root(self, terms) -> _NodeSchedule:
+        """`schedule`, carrying the length of every chain for `branch`
+        and `child`: the schedule a search or `construct` starts from.
+        `improve` never branches, so its schedules skip the lengths."""
+        st = self.schedule(terms)
+        st.used = [
+            [math.fsum([self.doubled[k][o] for o in g]) for g in self.groups[k]]
+            for k in self.tour
+        ]
+        return st
 
     def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float):
         """Bound of the child that inserts customer `o` at `pos` of robot
@@ -576,13 +626,23 @@ class _IncrementalBound:
         `o` joins it, in (tour position, robot, position) order.  Robots
         at one station are interchangeable, so of the idle robots only
         the first is tried: the searches fill robots in first-use order.
+        The range verdict is `fits`'s: the carried length `st.used`
+        plus o's addend decides when it is clear of `cap` (see
+        `_StepTables`), `fits` otherwise.
+
+        A slot where o's own term already exceeds `limit` is dropped
+        without a `probe`, which would drop it at that first term: o's
+        completion is computed here with `probe`'s operations.
         """
         probe, fits = self.probe, self.fits
+        clear_below, clear_above = self.clear
         w, due = self.weight[o], self.deadline[o]
         candidates = []
         probed = dropped = rejected = 0
         for ki, k in enumerate(self.tour):
             lists = self.groups[k]
+            step, used, comps = self.step[k], st.used[ki], st.chains[ki]
+            d = self.doubled[k][o]
             # the customer completes no earlier than a direct first
             # service: past the limit there, it is past it in every slot
             late = st.arrive[ki] + self.first[k][o] - due
@@ -590,14 +650,21 @@ class _IncrementalBound:
             n_r = len(lists)
             for r in range(min(n_r - lists.count([]) + 1, n_r)):
                 g = lists[r]
-                if not fits(k, g + [o]):
+                length = used[r] + d
+                if length > clear_below and (length > clear_above or not fits(k, g + [o])):
                     rejected += 1
                     continue
                 probed += len(g) + 1
                 if hopeless:
                     dropped += len(g) + 1
                     continue
+                comp = comps[r]
                 for pos in range(len(g) + 1):
+                    if pos:  # o's completion after g[pos - 1], as `probe` computes it
+                        late = comp[pos - 1] + step[g[pos - 1]][o] - due
+                        if late > 0.0 and w * late > limit:
+                            dropped += 1
+                            continue
                     found = probe(st, ki, r, pos, o, limit)
                     if found is None:
                         dropped += 1
@@ -642,7 +709,8 @@ class _IncrementalBound:
 
     def child(self, st: _NodeSchedule, ki: int, r: int, pos: int, change) -> _NodeSchedule:
         """The schedule of a candidate `probe` returned, built from the
-        parent's once the customer is in the groups."""
+        parent's once the customer is in the groups; only the chain
+        that gained the customer gets a new length."""
         ret, new_dep, later, m, terms = change
         k = self.tour[ki]
         g = self.groups[k][r]
@@ -655,6 +723,10 @@ class _IncrementalBound:
         chains[ki][r] = head[:pos] + tail
         returns[ki] = returns[ki][:]
         returns[ki][r] = ret
+        used = st.used[:]
+        used[ki] = used[ki][:]
+        doubled = self.doubled[k]
+        used[ki][r] = math.fsum([doubled[b] for b in g])
         depart = st.depart[:]
         depart[ki] = new_dep
         low = st.low
@@ -672,7 +744,7 @@ class _IncrementalBound:
                 depart[i] = t
         prefix = st.prefix[:m]
         prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
-        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix)
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used)
 
     def _station(self, i: int, a: float):
         """Chains, returns and departure at tour position `i` for arrival `a`."""
@@ -793,7 +865,7 @@ def solve_bnb(
     def root(tour):
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
-        return groups, kernel, kernel.schedule(relax)
+        return groups, kernel, kernel.root(relax)
 
     def dive(tour) -> float:
         """Objective of the plan that places each customer, by urgency,

@@ -13,8 +13,9 @@ Restart r of a run seeded s constructs its starting plan with seed
 s + r; that fixed splitting rule makes multistart runs reproducible.
 
 Both score with the branch-and-bound's schedule kernel
-(`exact._IncrementalBound`) and check range with its step tables'
-`fits`, and both keep their plans with the solvers' incumbent
+(`exact._IncrementalBound`) and reach its step tables' `fits` verdict
+on range (`construct` through `branch`'s carried chain lengths), and
+both keep their plans with the solvers' incumbent
 (`exact._Best`) and plan writer (`exact._canonical_plan`).
 `construct` takes the next customer's insertion slots from the
 kernel's `branch`, the enumerator `solve_bnb` uses, each probed from
@@ -272,7 +273,7 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         return False
 
     try:
-        placed = place(0, kernel.schedule([0.0] * ev.n))
+        placed = place(0, kernel.root([0.0] * ev.n))
     finally:
         del place  # a recursive closure is a reference cycle; empty its cell
     if not placed:

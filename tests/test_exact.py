@@ -15,6 +15,7 @@ import time
 import pytest
 
 from mothership import (
+    EPSILON,
     Customer,
     EnumerationLimitError,
     InfeasibleInstanceError,
@@ -485,9 +486,21 @@ class TestIncrementalBound:
 
     @pytest.mark.parametrize("seed,nodes", [(0, 10601), (1, 2798), (2, 6717), (3, 32178)])
     def test_node_counts_pinned(self, seed, nodes):
+        # the whole search record: a change that keeps the search keeps
+        # every counter, so no decision moved
+        candidates, pruned, rejected, incumbents, optimum_node = {
+            0: (45719, 35124, 26411, 25, 6000),
+            1: (17452, 14660, 4266, 8, 897),
+            2: (45143, 38432, 8606, 8, 5626),
+            3: (159421, 127249, 58996, 9, 19158),
+        }[seed]
         report = solve_bnb(generate(seed, 3, 2, 10))
         assert report.nodes == nodes
-        assert report.stats["nodes"] == nodes
+        assert report.stats == {
+            "nodes": nodes, "candidates": candidates, "pruned_by_bound": pruned,
+            "rejected_by_range": rejected, "dives": 6, "incumbents": incumbents,
+            "optimum_node": optimum_node,
+        }
 
     def test_chain_tail_matches_completions(self):
         rnd = random.Random(5)
@@ -579,6 +592,108 @@ class TestRangeCheck:
         assert range_verdict(inst, 1, [0, 1]) is fits
 
 
+def chains_in_branch(kernel, st, o):
+    """The (tour position, robot) chains `branch` offers `o` a slot in,
+    with no limit, and the count of chains it rejected by range."""
+    candidates, _, dropped, rejected = kernel.branch(st, o, math.inf)
+    assert dropped == 0
+    return {(ki, r) for _, ki, r, _, _ in candidates}, rejected
+
+
+class TestCarriedRange:
+    """`branch` decides range from each chain's carried length; its
+    verdict must be `fits`'s, chain for chain."""
+
+    @pytest.mark.parametrize(
+        "instance",
+        [generate(seed, 3, 2, 8, robot_range=60.0) for seed in range(3)]
+        + [customers_on_stations(seed) for seed in (33, 532, 631)],
+    )
+    def test_carried_verdict_is_fits(self, instance):
+        # chains grown in random insertion order; at every step every
+        # unplaced customer is offered to every chain
+        ev = PlanEvaluator(instance)
+        tables = _StepTables(ev)
+        rnd = random.Random(3)
+        verdicts = {True: 0, False: 0}
+        tour = [s.id for s in instance.stations]
+        for _ in range(4):
+            rnd.shuffle(tour)
+            groups = {k: [[] for _ in range(instance.fleet_size)] for k in tour}
+            kernel = exact._IncrementalBound(ev, tables, tour, groups)
+            st = kernel.root([0.0] * instance.n_customers)
+            todo = list(range(instance.n_customers))
+            rnd.shuffle(todo)
+            while todo:
+                for ki, k in enumerate(tour):
+                    for r, g in enumerate(groups[k]):
+                        assert st.used[ki][r] == ev.group_length(k, g)
+                for o in todo:
+                    offered, rejected = chains_in_branch(kernel, st, o)
+                    expected = set()
+                    tried = 0
+                    for ki, k in enumerate(tour):
+                        lists = groups[k]
+                        for r in range(min(sum(1 for g in lists if g) + 1, len(lists))):
+                            tried += 1
+                            fits = tables.fits(k, lists[r] + [o])
+                            verdicts[fits] += 1
+                            if fits:
+                                expected.add((ki, r))
+                    assert offered == expected
+                    assert rejected == tried - len(expected)
+                o = todo.pop()
+                candidates = kernel.branch(st, o, math.inf)[0]
+                if not candidates:
+                    break
+                _, ki, r, pos, change = rnd.choice(candidates)
+                groups[tour[ki]][r].insert(pos, o)
+                st = kernel.child(st, ki, r, pos, change)
+        assert verdicts[True] and verdicts[False], verdicts
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_length_on_the_cap_asks_fits(self, ulps, monkeypatch):
+        # the `test_chain_on_the_range_limit` shape with TR + EPSILON
+        # moved to within a few units in the last place of the chain's
+        # length 20: the carried sum is not conclusive, so `fits` decides
+        target = 20.0
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+        robot_range = 20.0 - EPSILON
+        while robot_range + EPSILON != target:
+            up = robot_range + EPSILON < target
+            robot_range = math.nextafter(robot_range, math.inf if up else -math.inf)
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(0.0, 0.0)),),
+            customers=(
+                Customer(0, Point(3.0, 4.0), 1.0, 1.0),
+                Customer(1, Point(-4.0, 3.0), 1.0, 1.0),
+            ),
+            fleet_size=1,
+            robot_range=robot_range,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        tables = _StepTables(PlanEvaluator(inst))
+        assert tables.cap == target
+        asked = []
+        fits = tables.fits
+        monkeypatch.setattr(tables, "fits", lambda k, chain: asked.append(chain) or fits(k, chain))
+        groups = {1: [[]]}
+        kernel = exact._IncrementalBound(PlanEvaluator(inst), tables, [1], groups)
+        st = kernel.root([0.0, 0.0])
+        assert asked == []  # a lone customer's 10 is clear of the cap
+        ((_, ki, r, pos, change),) = kernel.branch(st, 0, math.inf)[0]
+        groups[1][0].insert(pos, 0)
+        st = kernel.child(st, ki, r, pos, change)
+        offered, rejected = chains_in_branch(kernel, st, 1)
+        assert asked == [[0, 1]]
+        assert rejected == (0 if ulps >= 0 else 1)
+        assert offered == ({(0, 0)} if ulps >= 0 else set())
+        assert range_verdict(inst, 1, [0, 1]) is (ulps >= 0)
+
+
 class TestSearchOrder:
     """Ranking and interleaving the tours changes which nodes the search
     visits, not the plan it returns: that is the plan of the search in
@@ -623,6 +738,19 @@ def identical_customers(n, fits):
     )
 
 
+def sorties_of_legs(legs, robot_range):
+    """One station and two robots; customer o is `legs[o]` away."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(0.0, 0.0)),),
+        customers=tuple(Customer(o, Point(leg, 0.0), 1.0, 1.0) for o, leg in enumerate(legs)),
+        fleet_size=2,
+        robot_range=robot_range,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
 class TestCapacityCheck:
     @pytest.mark.parametrize("solver", [construct, solve_bnb, solve_oracle])
     def test_infeasible_by_capacity_fails_fast(self, solver):
@@ -639,21 +767,37 @@ class TestCapacityCheck:
         inst = identical_customers(4, fits=4)
         assert validate(inst, construct(inst)) == []
         assert solve_bnb(inst).status == "optimal"
-        # three customers 3 away from the one station, two robots with
-        # range 9: the total need 18 fits the two sorties' 18, but each
-        # sortie holds one customer; the search finds that out
-        inst = Instance(
-            depot=Point(0.0, 0.0),
-            stations=(Station(1, Point(0.0, 0.0)),),
-            customers=tuple(Customer(o, Point(0.0, 3.0), 1.0, 1.0) for o in range(3)),
-            fleet_size=2,
-            robot_range=9.0,
-            vehicle_speed=1.0,
-            robot_speed=1.0,
-        )
+        # ten customers 1 away fill two sorties of range 10 to the
+        # limit: the count cut lets them through
+        inst = sorties_of_legs([1.0] * 10, 10.0)
+        assert validate(inst, construct(inst)) == []
+        # doubled legs 6, 6, 6, 4, 4, 4 in two sorties of range 15: the
+        # total need 30 fits the two sorties' 30 and three customers fit
+        # one sortie, but no sortie's even length can be 15, so neither
+        # reaches it; the search finds that out
+        inst = sorties_of_legs([3.0] * 3 + [2.0] * 3, 15.0)
+        exact.check_capacity(PlanEvaluator(inst))
         for solver in (construct, solve_bnb, solve_oracle):
             with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
                 solver(inst)
+
+    @pytest.mark.parametrize("solver", ["construct-0", "construct-7", "solve_bnb", "solve_oracle"])
+    def test_infeasible_by_count_fails_fast(self, solver):
+        # 11 customers 1 away, range 11: the total need 22 fits the two
+        # sorties' 22, but each sortie holds 5, so one is left over.
+        # Without the count cut the search retries every order of the
+        # same bins: about 30 s for construct's noisy seed 7
+        inst = sorties_of_legs([1.0] * 11, 11.0)
+        run = {
+            "construct-0": lambda: construct(inst, 0),
+            "construct-7": lambda: construct(inst, 7),
+            "solve_bnb": lambda: solve_bnb(inst),
+            "solve_oracle": lambda: solve_oracle(inst),
+        }[solver]
+        started = time.perf_counter()
+        with pytest.raises(InfeasibleInstanceError, match="cannot be packed.* at most 5 each"):
+            run()
+        assert time.perf_counter() - started < 1.0
 
 
 def optimal_path_nodes(plan):

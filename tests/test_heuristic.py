@@ -33,7 +33,7 @@ from mothership import (
     solve_oracle,
     validate,
 )
-from mothership.exact import _canonical_plan, _StepTables
+from mothership.exact import _canonical_plan, _StepTables, check_capacity
 from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply
 
 SMALL_OPTIMUM = 36.37122987569251
@@ -189,20 +189,25 @@ class TestReferenceConstruct:
                 assert validate(inst, construct(inst, seed)) == []
 
     def test_failed_bins_are_not_searched_again(self):
-        # 1 station, 2 robots, 11 customers 1 away with range 11: each
-        # sortie holds 5, so one customer is always left over, yet the
-        # total need 22 passes check_capacity.  Retrying every order of
-        # the same bins takes tens of seconds; the memo of failed bin
-        # states settles it in a few hundredths of a second
+        # 1 station, 2 robots, range 15; 7 customers 1 away and 4 at 2:
+        # every sortie length is even, so each sortie is at most 14 and
+        # the total need 30 is never met, yet it fits the two sorties'
+        # 30 and 7 customers fit one sortie, so check_capacity passes.
+        # Retrying every order of the same bins takes tens of seconds
+        # (the noisy seeds do); the memo of failed bin states settles it
+        # in a few hundredths of a second
         inst = Instance(
             depot=Point(0.0, 0.0),
             stations=(Station(1, Point(0.0, 0.0)),),
-            customers=tuple(Customer(o, Point(1.0, 0.0), 1.0, 1.0) for o in range(11)),
+            customers=tuple(
+                Customer(o, Point(1.0 if o < 7 else 2.0, 0.0), 1.0, 1.0) for o in range(11)
+            ),
             fleet_size=2,
-            robot_range=11.0,
+            robot_range=15.0,
             vehicle_speed=1.0,
             robot_speed=1.0,
         )
+        check_capacity(PlanEvaluator(inst))
         started = time.perf_counter()
         with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
             construct(inst)
