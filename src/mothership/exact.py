@@ -22,13 +22,14 @@ inserted customer's own term does.  The range verdict is
 `_StepTables.fits`'s: the node schedule carries each chain's length,
 and `branch` decides from that length plus the newcomer's leg when the
 sum is clear of the cap, with `fits` otherwise.
-`heuristic.construct` takes its insertion slots from the same
-enumerator (`_IncrementalBound.branch`) and `heuristic.improve` scores
-its moves with the same kernel and checks range with `fits`; both keep
-plans with `_Best`.  Both solvers, and `construct`, first run
-`check_capacity`, so an instance whose customers need more range, or
-more places in a sortie, than the whole fleet has fails at once, not
-after a factorial search.
+`_insert_all`, cheapest `branch` slot first with backtracking and a
+memo of failed bins, is the one greedy search: `solve_bnb`'s dives and
+`heuristic.construct` run it.  `heuristic.improve` scores its moves
+with the same kernel and checks range with `fits`.  Both solvers, and
+`construct`, first run `check_capacity`, so an instance whose
+customers need more range, or more places in a sortie, than the fleet
+has fails at once; one whose bins cannot be packed fails when the
+first dive, or `construct`, exhausts its search.
 
 Ties between equal-objective plans go to the lexicographically smallest
 plan serialization, with one exception in `solve_bnb`: when the optimum
@@ -61,6 +62,8 @@ ORACLE_LEAF_LIMIT = 5_000_000
 TOUR_QUANTUM = 8192
 
 _DONE = object()  # what `next` returns once a tour's search has finished
+
+_UNPACKABLE = "no feasible plan: customers cannot be packed into per-robot sorties within range"
 
 
 class EnumerationLimitError(ValueError):
@@ -280,6 +283,22 @@ class _Best:
         return True
 
 
+def _report(instance, plan, status, nodes, started, gap=None, stats=None) -> SolveReport:
+    """The report of a solver run that started at `started` and ends now
+    with `plan`, scored by `propagate`."""
+    schedule = propagate(instance, plan)
+    return SolveReport(plan, schedule, schedule.objective, status, gap, nodes,
+                       time.perf_counter() - started, {} if stats is None else stats)
+
+
+def _urgency(instance: Instance, jitter=None) -> list[int]:
+    """Customer ids by deadline over importance (times `jitter[o]` when
+    given), then by id: the order the searches place customers in."""
+    c = instance.customers
+    jitter = jitter or [1.0] * len(c)  # times 1.0 is exact
+    return sorted(range(len(c)), key=lambda o: (c[o].deadline / c[o].importance * jitter[o], o))
+
+
 def solve_oracle(instance: Instance) -> SolveReport:
     """Exhaustively enumerate every feasible plan of a tiny instance.
 
@@ -340,19 +359,8 @@ def solve_oracle(instance: Instance) -> SolveReport:
         del place  # a recursive closure is a reference cycle; empty its cell
 
     if best.plan is None:
-        raise InfeasibleInstanceError(
-            "no feasible plan: customers cannot be packed into per-robot sorties within range"
-        )
-    schedule = propagate(instance, best.plan)
-    return SolveReport(
-        plan=best.plan,
-        schedule=schedule,
-        objective=schedule.objective,
-        status="optimal",
-        bound_gap=None,
-        nodes=leaves,
-        wall_time=time.perf_counter() - started,
-    )
+        raise InfeasibleInstanceError(_UNPACKABLE)
+    return _report(instance, best.plan, "optimal", leaves, started)
 
 
 def _chain_tail(first, step, g, j, before, arrive):
@@ -455,10 +463,9 @@ class _IncrementalBound:
     them in place and score the result.  `improve` does that: a
     relocate takes its customer out, builds that plan's `schedule` and
     makes every insertion slot one `probe` of it; the other moves are
-    scored with `rescore`.  `construct` walks down like the search:
-    from the empty plan's `root` schedule (0.0 for every customer not
-    yet placed) it takes every slot `branch` gives with no limit and
-    enters the chosen one with `child`.
+    scored with `rescore`.  `_insert_all` walks down like the search:
+    from the empty plan's `root` schedule it takes every slot `branch`
+    gives with no limit and enters the chosen one with `child`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -764,6 +771,80 @@ class _IncrementalBound:
         return chains, returns, t
 
 
+class _Stop(Exception):
+    """A cap ended a search."""
+
+
+def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
+                rnd=None, stop=None) -> _NodeSchedule | None:
+    """Greedy insertion with backtracking, run by `heuristic.construct`
+    and by each of `solve_bnb`'s dives.
+
+    From `sched`, the `root` schedule of the kernel's empty groups, each
+    customer of `order` in turn tries the slots `branch` gives with no
+    limit in (bound, tour position, robot, position) order, first one
+    of its three cheapest drawn from `rnd` when given (the noisy seeds'
+    pick); a customer with no slot left undoes the last choice.
+    Returns the schedule of the first complete placement, whose plan
+    the groups then hold, or None when `stop()`, read before each
+    placement, turns true (the groups left part-filled).  Every slot of
+    every chain is tried, so when all fail no plan exists: that raises
+    InfeasibleInstanceError.
+
+    Whether the customers left fit depends only on which of them share
+    each (station, robot) chain (robots at a station are
+    interchangeable), not on the tour or the order.  So the chains, as
+    sets, of each state the search exhausts go into `failed`, and no
+    search sharing the set enters such a state again; a cut subtree
+    holds no plan, so the plan is the full search's.  With `failed`
+    None every state is searched: a noisy search that skipped a failed
+    subtree would skip its draws too.  A stopped search adds nothing.
+    """
+    groups, tour = kernel.groups, kernel.tour
+
+    def bins():
+        return frozenset(
+            (k, frozenset(frozenset(g) for g in lists if g)) for k, lists in groups.items()
+        )
+
+    def place(idx: int, sched: _NodeSchedule):
+        if idx == len(order):
+            return sched
+        if stop is not None and stop():
+            raise _Stop
+        if failed and bins() in failed:
+            return None
+        o = order[idx]
+        candidates = [found[:4] for found in kernel.branch(sched, o, math.inf)[0]]
+        candidates.sort()
+        if rnd is not None and len(candidates) > 1:
+            i = rnd.randrange(min(3, len(candidates)))
+            candidates.insert(0, candidates.pop(i))
+        for _, ki, r, pos in candidates:
+            # probed again on entry: kept for every slot of every level,
+            # the changes would hold a copy of the terms each
+            change = kernel.probe(sched, ki, r, pos, o, math.inf)[4]
+            g = groups[tour[ki]][r]
+            g.insert(pos, o)
+            leaf = place(idx + 1, kernel.child(sched, ki, r, pos, change))
+            if leaf is not None:
+                return leaf
+            g.pop(pos)
+        if failed is not None:
+            failed.add(bins())
+        return None
+
+    try:
+        leaf = place(0, sched)
+    except _Stop:
+        return None
+    finally:
+        del place  # a recursive closure is a reference cycle; empty its cell
+    if leaf is None:
+        raise InfeasibleInstanceError(_UNPACKABLE)
+    return leaf
+
+
 def solve_bnb(
     instance: Instance,
     budget: SolveBudget | None = None,
@@ -780,11 +861,14 @@ def solve_bnb(
     when given, receives every expanded node as a SearchNode (used by
     admissibility tests).
 
-    Search order: first one greedy dive per tour (each customer at its
-    lowest-bound slot, no backtracking) offers its plan to the
-    incumbent; then the tours' searches run interleaved, in order of
-    (dive objective, tour), `TOUR_QUANTUM` nodes per turn, so a good
-    incumbent comes early.  The plan returned is the one with the
+    Search order: first one greedy dive per tour (`_insert_all` from
+    the tour's root, each customer at its lowest-bound slot that still
+    lets the rest fit) offers its plan to the incumbent; then the
+    tours' searches run interleaved, in order of (dive objective,
+    tour), `TOUR_QUANTUM` nodes per turn, so a good incumbent comes
+    early.  The dives share one memo of failed bins, and the first
+    dive that exhausts its search raises InfeasibleInstanceError before
+    any search node.  The plan returned is the one with the
     smallest (objective, serialization) among the optimal plans, which
     every order visits.  Only when the incumbent meets the root bound
     does the search stop early, and then it searches again in plain
@@ -799,9 +883,11 @@ def solve_bnb(
     and the incumbent only decreases.
 
     With no budget the report status is always "optimal".  A node cap
-    counts search nodes only, not the dives; with caps the search
-    returns the incumbent and the gap to the best open bound, a tour
-    not yet started counting as open at the root bound.  `stats` counts
+    counts search nodes only, not the dives; the time cap is checked
+    between a dive's placements too, and raises RuntimeError when it
+    stops the first dive.  With caps the search returns the incumbent
+    and the gap to the best open bound, a tour not yet started counting
+    as open at the root bound.  `stats` counts
     expanded nodes (one root per tour), bounded candidates, candidates
     pruned by the bound (dropped early or cut off after sorting),
     (station, robot) chains rejected by range, `dives` (tours dived),
@@ -818,12 +904,10 @@ def solve_bnb(
     relax = _relaxed_contributions(instance, ev)
     root_bound = math.fsum(relax)
     station_ids = sorted(s.id for s in instance.stations)
-    urgency = sorted(
-        range(n_c),
-        key=lambda o: (instance.customers[o].deadline / instance.customers[o].importance, o),
-    )
+    urgency = _urgency(instance)
 
     best = _Best()
+    failed = set()  # bins no placement completes: the same for every tour
     state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "rejected_by_range": 0,
@@ -866,21 +950,6 @@ def solve_bnb(
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
         return groups, kernel, kernel.root(relax)
-
-    def dive(tour) -> float:
-        """Objective of the plan that places each customer, by urgency,
-        at its lowest-bound slot, offered to the incumbent; inf when a
-        customer finds no slot within range."""
-        groups, kernel, sched = root(tour)
-        for o in urgency:
-            found = min(kernel.branch(sched, o, math.inf)[0], default=None)
-            if found is None:
-                return math.inf
-            _, ki, r, pos, change = found
-            groups[tour[ki]][r].insert(pos, o)
-            sched = kernel.child(sched, ki, r, pos, change)
-        offer(sched.prefix[-1], tour, groups)
-        return sched.prefix[-1]
 
     def assign(tour, idx, groups, node_bound, kernel, sched):
         if not state["quota"]:
@@ -935,14 +1004,17 @@ def solve_bnb(
     tours = list(permutations(station_ids))
     try:
         rank = {}
-        for tour in tours:
+        for tour in tours:  # the dives
             if state["proved"]:
                 break
-            if out_of_time():
+            groups, kernel, sched = root(tour)
+            leaf = _insert_all(kernel, sched, urgency, failed, stop=out_of_time)
+            if leaf is None:
                 state["aborted"] = True
                 break
-            rank[tour] = dive(tour)
             stats["dives"] += 1
+            rank[tour] = leaf.prefix[-1]
+            offer(rank[tour], tour, groups)
         if not state["proved"]:
             interleave(sorted(tours, key=lambda t: (rank.get(t, math.inf), t)), TOUR_QUANTUM)
         if state["proved"]:
@@ -959,27 +1031,10 @@ def solve_bnb(
         del assign
     stats["nodes"] = state["nodes"]
 
-    wall = time.perf_counter() - started
-    if best.plan is None:
-        if state["aborted"]:
-            raise RuntimeError("budget exhausted before any feasible plan was found")
-        raise InfeasibleInstanceError(
-            "no feasible plan: customers cannot be packed into per-robot sorties within range"
-        )
-    schedule = propagate(instance, best.plan)
+    if best.plan is None:  # the clock stopped the first dive
+        raise RuntimeError("budget exhausted before any feasible plan was found")
     if state["aborted"] and state["frontier"] < best.objective:
-        status = "budget-exhausted"
-        gap = best.objective - state["frontier"]
+        status, gap = "budget-exhausted", best.objective - state["frontier"]
     else:
-        status = "optimal"
-        gap = None
-    return SolveReport(
-        plan=best.plan,
-        schedule=schedule,
-        objective=schedule.objective,
-        status=status,
-        bound_gap=gap,
-        nodes=state["nodes"],
-        wall_time=wall,
-        stats=stats,
-    )
+        status, gap = "optimal", None
+    return _report(instance, best.plan, status, state["nodes"], started, gap, stats)

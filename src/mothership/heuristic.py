@@ -13,15 +13,13 @@ Restart r of a run seeded s constructs its starting plan with seed
 s + r; that fixed splitting rule makes multistart runs reproducible.
 
 Both score with the branch-and-bound's schedule kernel
-(`exact._IncrementalBound`) and reach its step tables' `fits` verdict
-on range (`construct` through `branch`'s carried chain lengths), and
-both keep their plans with the solvers' incumbent
-(`exact._Best`) and plan writer (`exact._canonical_plan`).
-`construct` takes the next customer's insertion slots from the
-kernel's `branch`, the enumerator `solve_bnb` uses, each probed from
-the slot on, and enters the chosen one with `child`, so no slot costs a
-whole-schedule recomputation; tests check its plans against a plain
-construction that rescores the whole schedule per slot.
+(`exact._IncrementalBound`), reach its step tables' `fits` verdict on
+range, and write plans with `exact._canonical_plan`.  `construct` runs
+the package's one greedy search, `exact._insert_all`, which
+`solve_bnb`'s dives run too: slots come from the kernel's `branch` and
+are entered with `child`, so no slot costs a whole-schedule
+recomputation; tests check its plans against a plain construction
+that rescores the whole schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
 change in place and undo.  A relocate takes its customer out of
@@ -42,15 +40,18 @@ import random
 import time
 from dataclasses import dataclass
 
-from .evaluation import PlanEvaluator, propagate, validate
+from .evaluation import PlanEvaluator, validate
 from .exact import (
-    InfeasibleInstanceError,
     SolveReport,
     _Best,
     _canonical_plan,
     _IncrementalBound,
+    _insert_all,
     _NodeSchedule,
+    _report,
+    _Stop,
     _StepTables,
+    _urgency,
     check_capacity,
 )
 from .model import EPSILON, Instance, ModelError, RoutePlan
@@ -185,17 +186,14 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     station, one urgency jitter per customer, and one semi-greedy slot
     pick per insertion.
 
-    Whether the customers still to place fit depends only on which
-    customers share each (station, robot) chain, and robots at one
-    station are interchangeable, so on the pure seeds a state whose
-    chains as sets already failed once is not searched again; that cut
-    subtree draws nothing, so the plan is the one the full search
-    builds.  The noisy seeds search every state: skipping a failed
-    subtree would skip its draws too, and later picks would change on
-    any instance that backtracks (the small fixture does).
-
-    An instance that fails `check_capacity` raises
-    InfeasibleInstanceError before any backtracking starts.
+    The search is `exact._insert_all`, the one `solve_bnb`'s dives
+    run.  On the pure seeds it skips a state whose chains, as sets,
+    already failed once (its memo of failed bins); the noisy seeds
+    still search every state, since skipping a failed subtree would
+    skip its draws too, and later picks would change on any instance
+    that backtracks (the small fixture does).  An instance that fails
+    `check_capacity` raises InfeasibleInstanceError at once, one whose
+    search exhausts every placement after it.
     """
     ev = PlanEvaluator(instance)
     check_capacity(ev)
@@ -203,9 +201,9 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
 
 
 def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
-    """`construct` on the caller's evaluator and step tables, with the
-    capacity check left to the caller (`improve`'s restarts reuse its
-    own)."""
+    """`construct` on the caller's evaluator and step tables, with no
+    capacity check: `improve`'s restarts start from a feasible plan, so
+    every construction finds one."""
     instance = ev.instance
     ids = sorted(s.id for s in instance.stations)
     rnd = random.Random(seed)
@@ -229,57 +227,13 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         at = nxt
     tour = _tour_2opt(ev, tour)
 
-    jitter = {
-        c.id: (1.0 + 0.25 * rnd.random() if noisy else 1.0) for c in instance.customers
-    }
-    order = sorted(
-        (c.id for c in instance.customers),
-        key=lambda o: (
-            instance.customers[o].deadline / instance.customers[o].importance * jitter[o],
-            o,
-        ),
-    )
-
+    jitter = [1.0 + 0.25 * rnd.random() for _ in instance.customers] if noisy else None
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
     kernel = _IncrementalBound(ev, tables, tour, groups)
-    failed = set()  # chains, as sets, from which no placement completes (pure seeds)
-
-    def chains():
-        return frozenset((k, frozenset(frozenset(g) for g in groups[k] if g)) for k in ids)
-
-    def place(idx: int, sched: _NodeSchedule) -> bool:
-        if idx == len(order):
-            return True
-        if failed and chains() in failed:
-            return False
-        o = order[idx]
-        candidates = [found[:4] for found in kernel.branch(sched, o, math.inf)[0]]
-        candidates.sort()
-        if noisy and len(candidates) > 1:
-            # semi-greedy: lead with one of the cheapest few slots
-            i = rnd.randrange(min(3, len(candidates)))
-            candidates.insert(0, candidates.pop(i))
-        for _, ki, r, pos in candidates:
-            # probed again on entry: kept for every slot of every level,
-            # the changes would hold a copy of the terms each
-            change = kernel.probe(sched, ki, r, pos, o, math.inf)[4]
-            g = groups[tour[ki]][r]
-            g.insert(pos, o)
-            if place(idx + 1, kernel.child(sched, ki, r, pos, change)):
-                return True
-            g.pop(pos)
-        if not noisy:
-            failed.add(chains())
-        return False
-
-    try:
-        placed = place(0, kernel.root([0.0] * ev.n))
-    finally:
-        del place  # a recursive closure is a reference cycle; empty its cell
-    if not placed:
-        raise InfeasibleInstanceError(
-            "no feasible plan: customers cannot be packed into per-robot sorties within range"
-        )
+    _insert_all(
+        kernel, kernel.root([0.0] * ev.n), _urgency(instance, jitter),
+        None if noisy else set(), rnd if noisy else None,
+    )
     return _canonical_plan(tour, groups)
 
 
@@ -320,7 +274,9 @@ def _apply(work: _Work, name: str, move) -> None:
 def _relocate(state: _Evaluator, limit: float):
     """Yield (score, move) for every relocate move: each customer by id
     to every other (station, robot) chain whose range allows it, at
-    every position.
+    every position.  Robots at one station are interchangeable, so of
+    the robots idle once the customer is out only the first is tried,
+    as `branch` and `_reassign` do.
 
     The customer is taken out of its chain once, and every slot is one
     `_IncrementalBound.probe` of the schedule without it.  The score is
@@ -347,7 +303,12 @@ def _relocate(state: _Evaluator, limit: float):
             sched = state.schedule()
             for ki2, k2 in enumerate(tour):
                 extra = [doubled[k2][o]]
+                idle = False
                 for r2, target in enumerate(groups[k2]):
+                    if not target:
+                        if idle:
+                            continue
+                        idle = True
                     if r2 == r and k2 == k:
                         continue
                     if math.fsum(legs[k2][r2] + extra) > cap:
@@ -437,10 +398,6 @@ _MOVES = {
 }
 
 
-class _Stop(Exception):
-    """An evaluation or time cap ended the search."""
-
-
 def _first_improvement(
     state: _Evaluator, name: str, params: SearchParams, started: float, stats: dict
 ):
@@ -523,22 +480,8 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         for r in range(1, params.restarts):
             if time.perf_counter() - started > params.max_seconds:
                 break
-            try:
-                seeded = _construct(ev, tables, params.seed + r)
-            except InfeasibleInstanceError:  # pragma: no cover - input plan proves feasibility
-                break
-            if not run(seeded):
+            if not run(_construct(ev, tables, params.seed + r)):
                 break
 
-    schedule = propagate(instance, best.plan)
     nodes = stats.pop("evals")
-    return SolveReport(
-        plan=best.plan,
-        schedule=schedule,
-        objective=schedule.objective,
-        status="heuristic",
-        bound_gap=None,
-        nodes=nodes,
-        wall_time=time.perf_counter() - started,
-        stats=stats,
-    )
+    return _report(instance, best.plan, "heuristic", nodes, started, stats=stats)

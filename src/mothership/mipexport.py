@@ -772,11 +772,11 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
         raise SolutionImportError(
             f"expected {len(stations) + 1} vehicle arcs, found {len(arcs)}"
         )
+    # known names leave the depot and stations only, so every node now
+    # has one outgoing arc: the walk cannot dangle
     tour = []
     at = 0
     while True:
-        if at not in arcs:
-            raise SolutionImportError(f"vehicle route dangles at node {at}")
         at = arcs[at][0]
         if at == 0:
             break

@@ -3,9 +3,11 @@ Shared fixtures and the acceptance summary.
 
 `tiny_corpus` builds one session-wide batch of small random instances
 with their oracle solutions; the exact, heuristic, and acceptance
-tests all reuse it so the oracle runs once.  After the run, a summary
-line per acceptance criterion is printed, aggregated from the tests
-named test_criterion_<n>_* in test_acceptance.py.
+tests all reuse it so the oracle runs once.  `clock` replaces the
+solvers' wall clock, so time caps are tested without sleeping.  After
+the run, a summary line per acceptance criterion is printed,
+aggregated from the tests named test_criterion_<n>_* in
+test_acceptance.py.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 import pytest
 
 import mothership as m
+from mothership import exact, heuristic
 
 CORPUS_SHAPES = ((1, 1, 2), (1, 2, 3), (2, 1, 3), (2, 2, 4), (2, 2, 5))
 PER_SHAPE = 50
@@ -41,6 +44,29 @@ def tiny_corpus():
             out.append((instance, report))
             kept += 1
     return out
+
+
+class FakeClock:
+    """Stands in for `time` in the solver modules: `perf_counter` reads
+    `now`, which a test moves forward, after adding `step` to it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.step = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A FakeClock in place of the wall clock of `solve_bnb` and
+    `improve` (and of the CLI commands that call them)."""
+    fake = FakeClock()
+    for module in (exact, heuristic):
+        monkeypatch.setattr(module, "time", fake)
+    return fake
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::.*test_criterion_(\d+)")

@@ -112,8 +112,13 @@ def scan_moves(ev: PlanEvaluator, state: Evaluator, name: str):
     if name == "relocate":
         for o, k, r, pos in sorted(located()):
             for k2 in tour:
+                # robots idle once o is out; only the first is a target
+                idle = [
+                    r2 for r2, g in enumerate(work.groups[k2])
+                    if not g or (k2, r2) == (k, r) and len(g) == 1
+                ]
                 for r2 in range(n_r):
-                    if (k2, r2) == (k, r):
+                    if (k2, r2) == (k, r) or r2 in idle[1:]:
                         continue
                     target = work.groups[k2][r2]
                     if ev.group_length(k2, target + [o]) > ev.range + EPSILON:

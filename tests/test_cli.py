@@ -207,11 +207,13 @@ class TestSolve:
         assert result.exit_code == 0
         assert "status     optimal" in result.output
 
-    def test_exhausted_node_budget_exits_1(self, runner):
+    def test_budget_before_any_plan_exits_1(self, runner, clock):
+        # the clock passes the cap before the first dive has a plan
+        clock.step = 1.0
         result = runner.invoke(cli, ["solve", "--fixture", "small",
-                                     "--budget-nodes", "5"])
+                                     "--budget-seconds", "0.5"])
         assert result.exit_code == 1
-        assert "budget exhausted" in result.output
+        assert "budget exhausted before any feasible plan" in result.output
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -224,8 +226,9 @@ class TestSolve:
         assert message in result.output
 
     def test_partial_budget_reports_gap(self, runner):
+        # the dives give the plan; the proof takes 84 nodes
         result = runner.invoke(cli, ["solve", "--fixture", "small",
-                                     "--budget-nodes", "100"])
+                                     "--budget-nodes", "5"])
         assert result.exit_code == 0
         assert "status     budget-exhausted" in result.output
         assert "gap" in result.output
@@ -346,3 +349,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "small" in proc.stdout
+
+
+def test_audit_script_runs():
+    # the script imports the package the tests import, and nothing else
+    package_root = Path(mothership.__file__).resolve().parent.parent
+    script = Path(__file__).resolve().parent.parent / "scripts" / "audit_reference_tables.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "=== small ===" in proc.stdout and "=== medium ===" in proc.stdout

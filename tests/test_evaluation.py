@@ -176,6 +176,14 @@ class TestValidate:
         kinds2 = {v.kind for v in validate(inst, plan2)}
         assert "structural" in kinds2
 
+    def test_sortie_at_unknown_station_is_structural(self):
+        # the range check needs the station's location, so it is skipped
+        inst = tiny_instance()
+        plan = RoutePlan(tour=(1, 2), sorties=(Sortie(0, 7, (0, 1)),))
+        assert [(v.kind, v.detail) for v in validate(inst, plan)] == [
+            ("structural", "sortie (r0, S7) references unknown station")
+        ]
+
     def test_robot_index_beyond_fleet_is_structural(self):
         inst = tiny_instance()
         plan = RoutePlan(tour=(1, 2), sorties=(Sortie(5, 1, (0, 1)),))

@@ -195,17 +195,69 @@ class TestBranchAndBound:
         root_bound = math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
         assert report.bound_gap == report.objective - root_bound > 0.0
 
-    def test_budget_before_any_plan(self):
-        # the range is tight: each tour's dive leaves a customer that
-        # fits no chain, so no plan is known before the search finds one
+    def test_small_fixture_dives_return_plans(self):
+        # the range is tight: placing each customer at its cheapest slot
+        # strands one in both tours, and the dives backtrack to a plan
         inst, _ = builtin_fixture("small")
-        assert reference_dives(inst) == [(math.inf, None)] * 2
+        dives = reference_dives(inst)
+        assert len(dives) == 2 and all(objective is not None for objective, _ in dives)
+        report = solve_bnb(inst, SolveBudget(max_nodes=5))
+        assert report.status == "budget-exhausted"
+        assert (report.objective, serialize_plan(report.plan)) == min(dives)
+        assert report.stats["dives"] == 2
+
+    def test_budget_before_any_plan(self, clock):
+        # the clock passes the cap before the first dive has placed
+        # three customers (one reading starts the run, one precedes
+        # each placement): no plan is known, and no search node runs
+        inst, _ = builtin_fixture("small")
+        clock.step = 1.0
+        nodes = []
         with pytest.raises(RuntimeError, match="before any feasible plan"):
-            solve_bnb(inst, SolveBudget(max_nodes=5))
+            solve_bnb(inst, SolveBudget(max_seconds=2.5), on_node=nodes.append)
+        assert nodes == []
+
+    def test_time_cap_between_dives(self, clock, monkeypatch):
+        # the clock passes the cap once the first dive is done: the
+        # second stops before its first placement, and the first dive's
+        # plan comes back with both tours open at the root bound
+        inst, _ = builtin_fixture("small")
+        insert_all = exact._insert_all
+
+        def then_late(*args, **kwargs):
+            leaf = insert_all(*args, **kwargs)
+            clock.now = 10.0
+            return leaf
+
+        monkeypatch.setattr(exact, "_insert_all", then_late)
+        nodes = []
+        report = solve_bnb(inst, SolveBudget(max_seconds=1.0), on_node=nodes.append)
+        assert report.status == "budget-exhausted"
+        assert report.stats["dives"] == 1
+        assert (report.objective, serialize_plan(report.plan)) == reference_dives(inst)[0]
+        root_bound = math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
+        assert report.bound_gap == report.objective - root_bound
+        assert nodes == [] and report.nodes == 2
+
+    def test_time_cap_mid_search(self, clock):
+        # the clock passes the cap at the first search node; it is read
+        # every 64 nodes, so the search stops where a 64-node cap does
+        inst, _ = builtin_fixture("small")
+
+        def late(node):
+            clock.now = 10.0
+
+        timed = solve_bnb(inst, SolveBudget(max_seconds=1.0), on_node=late)
+        capped = solve_bnb(inst, SolveBudget(max_nodes=64))
+        assert timed.status == capped.status == "budget-exhausted"
+        assert timed.nodes == capped.nodes
+        assert timed.bound_gap == capped.bound_gap > 0.0
+        assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
 
     def test_budget_mid_search_returns_feasible_incumbent(self):
+        # the dives reach the optimum; the proof takes 84 nodes
         inst, _ = builtin_fixture("small")
-        report = solve_bnb(inst, SolveBudget(max_nodes=100))
+        report = solve_bnb(inst, SolveBudget(max_nodes=60))
         assert report.status == "budget-exhausted"
         assert report.bound_gap is not None and report.bound_gap > 0.0
         assert report.objective >= SMALL_OPTIMUM
@@ -315,22 +367,28 @@ def sorted_order_search(instance):
 
 def reference_dives(instance):
     """(objective, serialize_plan text) of each tour's dive, in sorted
-    tour order: every customer, by urgency, at its lowest-bound slot;
-    (inf, None) when one finds no slot."""
+    tour order: every customer, by urgency, at its lowest-bound slot,
+    and when a customer finds no slot, the last choice undone and the
+    next slot tried.  The instance must be feasible."""
     p = _Plain(instance)
     out = []
     for tour in itertools.permutations(p.station_ids):
         groups = p.empty()
-        objective = p.root_bound
-        for o in p.urgency:
-            found = p.candidates(tour, groups, o)
-            if not found:
-                out.append((math.inf, None))
-                break
-            objective, _, r, pos, k = found[0]
-            groups[k][r].insert(pos, o)
-        else:
-            out.append((objective, serialize_plan(_canonical_plan(tour, groups))))
+
+        def place(idx, objective):
+            if idx == p.n_c:
+                return objective
+            o = p.urgency[idx]
+            for bound, _, r, pos, k in p.candidates(tour, groups, o):
+                groups[k][r].insert(pos, o)
+                leaf = place(idx + 1, bound)
+                if leaf is not None:
+                    return leaf
+                groups[k][r].pop(pos)
+            return None
+
+        objective = place(0, p.root_bound)
+        out.append((objective, serialize_plan(_canonical_plan(tour, groups))))
     return out
 
 
@@ -403,8 +461,7 @@ def reference_search(instance, quantum):
     rank = {}
     for tour, (objective, key) in zip(tours, reference_dives(instance)):
         rank[tour] = objective
-        if key is not None:
-            offer(objective, key)
+        offer(objective, key)
         if state["proved"]:
             break
     if not state["proved"]:
@@ -540,7 +597,8 @@ class TestIncrementalBound:
         assert stats["rejected_by_range"] > 0
         assert stats["dives"] == 2
         assert stats["incumbents"] >= 1
-        assert 0 < stats["optimum_node"] <= report.nodes
+        # a dive reaches the optimum, so the search only proves it
+        assert stats["optimum_node"] == 0
 
     def test_oracle_leaves_stats_empty(self):
         # improve fills its own counters (tests/test_heuristic.py)
@@ -723,6 +781,16 @@ class TestSearchOrder:
         assert serialize_plan(report.plan) != dive
         assert (report.objective, serialize_plan(report.plan)) == sorted_order_search(instance)
 
+    def test_capped_rerun_keeps_the_dive_plan(self):
+        # a dive meets the root bound, and a 1-node cap cuts the re-run
+        # in sorted tour order short: the dive's plan is proved optimal
+        instance = generate(26, 2, 2, 5)
+        report = solve_bnb(instance, SolveBudget(max_nodes=1))
+        assert report.status == "optimal" and report.bound_gap is None
+        assert report.nodes == 2  # each tour's root, the second past the cap
+        dive = next(key for objective, key in reference_dives(instance) if objective == 0.0)
+        assert (report.objective, serialize_plan(report.plan)) == (0.0, dive)
+
 
 def identical_customers(n, fits):
     """One station and one robot; `n` customers 1.5 away, with a range
@@ -780,6 +848,24 @@ class TestCapacityCheck:
         for solver in (construct, solve_bnb, solve_oracle):
             with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
                 solver(inst)
+
+    def test_bin_packing_fails_in_the_first_dive(self):
+        # 7 customers 1 away and 4 at 2, range 15: every sortie length
+        # is even, so no sortie reaches 15 and the need of 30 is never
+        # met, yet both check_capacity cuts pass.  The first dive's
+        # memo of failed bins settles it, before any search node; a
+        # search that retries every order of the same bins takes tens
+        # of seconds
+        inst = sorties_of_legs([1.0] * 7 + [2.0] * 4, 15.0)
+        exact.check_capacity(PlanEvaluator(inst))
+        nodes = []
+        started = time.perf_counter()
+        with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
+            solve_bnb(inst, on_node=nodes.append)
+        assert nodes == []
+        with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
+            construct(inst)
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("solver", ["construct-0", "construct-7", "solve_bnb", "solve_oracle"])
     def test_infeasible_by_count_fails_fast(self, solver):
@@ -948,23 +1034,34 @@ class TestHorizon:
             assert max(sched.complete.values() or [0.0]) <= cap
 
     def test_dominates_random_plans(self):
-        rnd = random.Random(11)
         inst, _ = builtin_fixture("small")
-        ids = [s.id for s in inst.stations]
-        for _ in range(50):
-            tour = ids[:]
-            rnd.shuffle(tour)
-            slots = {}
-            for c in inst.customers:
-                slots.setdefault((rnd.choice(tour), rnd.randrange(inst.fleet_size)), []).append(
-                    c.id
-                )
-            plan = RoutePlan(
-                tour=tuple(tour),
-                sorties=tuple(
-                    Sortie(robot=r, station=k, services=tuple(v))
-                    for (k, r), v in sorted(slots.items())
-                ),
-            )
+        for plan in random_plans(inst, random.Random(11), 50):
             sched = propagate(inst, plan)
             assert max(sched.depart.values()) <= horizon(inst) + 1e-9
+
+    def test_beyond_eight_stations_dominates_random_plans(self):
+        # past 8 stations the ride is not the longest tour's but the
+        # fsum of the n + 1 longest depot and station legs
+        inst = generate(0, 9, 2, 6)
+        cap = horizon(inst) + 1e-9
+        for plan in random_plans(inst, random.Random(5), 200):
+            sched = propagate(inst, plan)
+            assert max(sched.depart.values()) <= cap
+
+
+def random_plans(inst, rnd, count):
+    """`count` plans of random tours with each customer on a random
+    (station, robot) chain, range ignored."""
+    ids = [s.id for s in inst.stations]
+    for _ in range(count):
+        tour = ids[:]
+        rnd.shuffle(tour)
+        slots = {}
+        for c in inst.customers:
+            slots.setdefault((rnd.choice(tour), rnd.randrange(inst.fleet_size)), []).append(c.id)
+        yield RoutePlan(
+            tour=tuple(tour),
+            sorties=tuple(
+                Sortie(robot=r, station=k, services=tuple(v)) for (k, r), v in sorted(slots.items())
+            ),
+        )

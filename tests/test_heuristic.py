@@ -33,6 +33,7 @@ from mothership import (
     solve_oracle,
     validate,
 )
+from mothership import heuristic
 from mothership.exact import _canonical_plan, _StepTables, check_capacity
 from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply
 
@@ -299,6 +300,36 @@ class TestImprove:
         improve(inst, construct(inst), SearchParams(max_seconds=0.5, restarts=2))
         assert time.perf_counter() - started < 5.0
 
+    def test_time_cap_inside_a_descent(self, clock):
+        # each reading moves the clock 1 s, past the 0.5 s cap; it is
+        # read every 64 evaluations, so the run stops where a 64
+        # evaluation cap does
+        inst, _ = builtin_fixture("medium")
+        clock.step = 1.0
+        timed = improve(inst, construct(inst), SearchParams(max_seconds=0.5))
+        capped = improve(inst, construct(inst), SearchParams(max_iterations=64))
+        assert timed.nodes == capped.nodes == 64
+        assert timed.stats["descents"] == 1
+        assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
+        assert validate(inst, timed.plan) == []
+
+    def test_time_cap_between_restarts(self, clock, monkeypatch):
+        # the clock passes the cap as the first descent ends: no
+        # restart runs, and the run is the one without restarts
+        inst, _ = builtin_fixture("medium")
+        descend = heuristic._descend
+
+        def then_late(*args):
+            descend(*args)
+            clock.now += 10.0
+
+        monkeypatch.setattr(heuristic, "_descend", then_late)
+        timed = improve(inst, construct(inst), SearchParams(max_seconds=1.0))
+        single = improve(inst, construct(inst), SearchParams(max_seconds=1.0, restarts=1))
+        assert timed.stats["descents"] == 1
+        assert timed.nodes == single.nodes
+        assert serialize_plan(timed.plan) == serialize_plan(single.plan)
+
     def test_single_neighborhood_runs(self):
         inst, _ = builtin_fixture("small")
         for name in NEIGHBORHOODS:
@@ -418,7 +449,7 @@ DESCENT_CASES = (
 
 # improve on (6,4,40) seeds 0-3 from construct at 52,000 evaluations
 # with the default restarts, as the plain dict-based descent gave them
-LARGE_OBJECTIVES = (647.0300426571624, 437.48001435445855, 412.54705848638116, 415.3863063016614)
+LARGE_OBJECTIVES = (647.0300426571624, 437.48001435445855, 412.54705848638116, 394.2891390799275)
 
 
 class TestReferenceDescent:
@@ -449,8 +480,8 @@ class TestReferenceDescent:
         + [("large-s1", cap) for cap in (1, 64, 5_000)],
     )
     def test_cap_stops_leave_a_whole_plan(self, which, cap):
-        # each cap lands inside a relocate scan (in the first, second
-        # and third descent on medium), while the customer is out of
+        # each cap lands inside a relocate scan (in the first, third
+        # and fourth descent on medium), while the customer is out of
         # the plan: the plan returned still serves everyone
         if which == "medium":
             inst = builtin_fixture("medium")[0]

@@ -290,6 +290,30 @@ class TestExportBytes:
         assert objective == (5.0 + 2.5 * 4.0 if far else 0.0)
         assert model.objective_value(values) == objective
 
+    @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
+    def test_zero_customers_exported(self, form):
+        # only the tour rows; the objective keeps one zero-weighted arc,
+        # as an LP objective needs a term
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(3.0, 4.0)), Station(2, Point(0.0, 5.0))),
+            customers=(),
+            fleet_size=1,
+            robot_range=10.0,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        model = parse_lp(form(inst))
+        assert {row.name.split("_")[0].rstrip("ab") for row in model.rows} == {
+            "c1", "c2", "c3", "c4", "c13", "c14"
+        }
+        plan = RoutePlan(tour=(2, 1), sorties=())
+        values = plan_assignment(inst, plan)
+        assert check_assignment(model, values) == []
+        assert model.objective_value(values) == 0.0
+        back, _ = import_solution(inst, solution_text(values))
+        assert back == plan
+
     def test_row_without_terms_rejected(self):
         with pytest.raises(ModelError, match="row c1 has no terms"):
             _Model().row("c1", [(0.0, "x"), (0.0, "y")], [], "<=", 1.0)
