@@ -48,7 +48,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, count, islice, permutations
 from operator import add
 
 from .evaluation import PlanEvaluator, propagate
@@ -277,9 +277,7 @@ class _Best:
         key = serialize_plan(plan)
         if objective == self.objective and self.key is not None and key >= self.key:
             return False
-        self.objective = objective
-        self.plan = plan
-        self.key = key
+        self.objective, self.plan, self.key = objective, plan, key
         return True
 
 
@@ -796,9 +794,10 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     interchangeable), not on the tour or the order.  So the chains, as
     sets, of each state the search exhausts go into `failed`, and no
     search sharing the set enters such a state again; a cut subtree
-    holds no plan, so the plan is the full search's.  With `failed`
-    None every state is searched: a noisy search that skipped a failed
-    subtree would skip its draws too.  A stopped search adds nothing.
+    holds no plan, so the plan is the full search's.  With `rnd` the
+    memo is unused and every state is searched: a noisy search that
+    skipped a failed subtree would skip its draws too.  A stopped
+    search adds nothing.
     """
     groups, tour = kernel.groups, kernel.tour
 
@@ -812,11 +811,10 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
             return sched
         if stop is not None and stop():
             raise _Stop
-        if failed and bins() in failed:
+        if rnd is None and failed and bins() in failed:
             return None
         o = order[idx]
-        candidates = [found[:4] for found in kernel.branch(sched, o, math.inf)[0]]
-        candidates.sort()
+        candidates = sorted(found[:4] for found in kernel.branch(sched, o, math.inf)[0])
         if rnd is not None and len(candidates) > 1:
             i = rnd.randrange(min(3, len(candidates)))
             candidates.insert(0, candidates.pop(i))
@@ -830,7 +828,7 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
             if leaf is not None:
                 return leaf
             g.pop(pos)
-        if failed is not None:
+        if rnd is None:
             failed.add(bins())
         return None
 
@@ -883,17 +881,18 @@ def solve_bnb(
     and the incumbent only decreases.
 
     With no budget the report status is always "optimal".  A node cap
-    counts search nodes only, not the dives; the time cap is checked
-    between a dive's placements too, and raises RuntimeError when it
-    stops the first dive.  With caps the search returns the incumbent
-    and the gap to the best open bound, a tour not yet started counting
-    as open at the root bound.  `stats` counts
-    expanded nodes (one root per tour), bounded candidates, candidates
-    pruned by the bound (dropped early or cut off after sorting),
-    (station, robot) chains rejected by range, `dives` (tours dived),
-    `incumbents` (offers accepted, dives included) and `optimum_node`,
-    the node count at which the returned objective was first reached
-    (0 when a dive reached it).
+    counts search nodes, and bounds each dive too: a dive makes at most
+    one placement per customer plus `max_nodes` more (one follows each
+    undo).  Both caps are read between a dive's placements; one that
+    stops a dive ends the solve, and raises RuntimeError when it stops
+    the first.  With caps the search returns the incumbent and the gap
+    to the best open bound, a tour not yet started counting as open at
+    the root bound.  `stats` counts expanded nodes (one root per tour),
+    bounded candidates, candidates pruned by the bound (dropped early
+    or cut off after sorting), (station, robot) chains rejected by
+    range, `dives` (tours dived), `incumbents` (offers accepted, dives
+    included) and `optimum_node`, the node count at which the returned
+    objective was first reached (0 when a dive reached it).
     """
     started = time.perf_counter()
     budget = budget or SolveBudget()
@@ -908,6 +907,7 @@ def solve_bnb(
 
     best = _Best()
     failed = set()  # bins no placement completes: the same for every tour
+    dive_cap = n_c + (budget.max_nodes or math.inf)  # placements in one dive
     state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "rejected_by_range": 0,
@@ -1008,7 +1008,9 @@ def solve_bnb(
             if state["proved"]:
                 break
             groups, kernel, sched = root(tour)
-            leaf = _insert_all(kernel, sched, urgency, failed, stop=out_of_time)
+            placed = count(1)
+            leaf = _insert_all(kernel, sched, urgency, failed,
+                               stop=lambda: out_of_time() or next(placed) > dive_cap)
             if leaf is None:
                 state["aborted"] = True
                 break
@@ -1031,7 +1033,7 @@ def solve_bnb(
         del assign
     stats["nodes"] = state["nodes"]
 
-    if best.plan is None:  # the clock stopped the first dive
+    if best.plan is None:  # a cap stopped the first dive
         raise RuntimeError("budget exhausted before any feasible plan was found")
     if state["aborted"] and state["frontier"] < best.objective:
         status, gap = "budget-exhausted", best.objective - state["frontier"]

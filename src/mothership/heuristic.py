@@ -231,8 +231,7 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
     kernel = _IncrementalBound(ev, tables, tour, groups)
     _insert_all(
-        kernel, kernel.root([0.0] * ev.n), _urgency(instance, jitter),
-        None if noisy else set(), rnd if noisy else None,
+        kernel, kernel.root([0.0] * ev.n), _urgency(instance, jitter), set(), rnd if noisy else None
     )
     return _canonical_plan(tour, groups)
 

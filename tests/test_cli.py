@@ -207,6 +207,13 @@ class TestSolve:
         assert result.exit_code == 0
         assert "status     optimal" in result.output
 
+    def test_exhausted_node_budget_exits_1(self, runner):
+        # the first dive needs 5 undos; a 4-node cap stops it
+        result = runner.invoke(cli, ["solve", "--fixture", "small",
+                                     "--budget-nodes", "4"])
+        assert result.exit_code == 1
+        assert "budget exhausted before any feasible plan" in result.output
+
     def test_budget_before_any_plan_exits_1(self, runner, clock):
         # the clock passes the cap before the first dive has a plan
         clock.step = 1.0

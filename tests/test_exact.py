@@ -206,6 +206,34 @@ class TestBranchAndBound:
         assert (report.objective, serialize_plan(report.plan)) == min(dives)
         assert report.stats["dives"] == 2
 
+    def test_node_cap_bounds_a_dive(self, monkeypatch):
+        # the small fixture's first dive places its 8 customers in 13
+        # placements (5 undos): a 4-node cap stops it before any plan
+        inst, _ = builtin_fixture("small")
+        nodes = []
+        with pytest.raises(RuntimeError, match="before any feasible plan"):
+            solve_bnb(inst, SolveBudget(max_nodes=4), on_node=nodes.append)
+        assert nodes == []
+        # the first dive on (6,5,2,30) backtracks through bin states that
+        # fail, exponential in number; a node cap alone stops it after a
+        # placement per customer plus the cap
+        inst = generate(6, 5, 2, 30)
+        insert_all = exact._insert_all
+        stops = []
+
+        def counted(*args, stop, **kwargs):
+            def read():
+                stops.append(stop())
+                return stops[-1]
+
+            return insert_all(*args, stop=read, **kwargs)
+
+        monkeypatch.setattr(exact, "_insert_all", counted)
+        with pytest.raises(RuntimeError, match="before any feasible plan"):
+            solve_bnb(inst, SolveBudget(max_nodes=1000), on_node=nodes.append)
+        assert len(stops) == 30 + 1000 + 1 and stops[-1] and not any(stops[:-1])
+        assert nodes == []
+
     def test_budget_before_any_plan(self, clock):
         # the clock passes the cap before the first dive has placed
         # three customers (one reading starts the run, one precedes
