@@ -34,7 +34,8 @@ first dive, or `construct`, exhausts its search.
 Ties between equal-objective plans go to the lexicographically smallest
 plan serialization, with one exception in `solve_bnb`: when the optimum
 equals the root bound, the search stops at the first plan that meets
-it, in sorted tour order (docs/MODEL.md, "Search order and ties").
+it, in its own order of dives and turns (docs/MODEL.md, "Search order
+and ties").
 Robots at one station are interchangeable, so both solvers assign robot
 indices in first-use order and never enumerate relabelings.  The search
 is deterministic and single-threaded; repeated runs return identical
@@ -262,11 +263,10 @@ def _canonical_plan(tour, groups) -> RoutePlan:
 
 class _Best:
     """Incumbent tracker with lexicographic tie-breaking, shared by every
-    solver.  `cutoff` is the objective a plan must meet before it is
-    taken."""
+    solver."""
 
-    def __init__(self, cutoff: float = math.inf):
-        self.objective = cutoff
+    def __init__(self):
+        self.objective = math.inf
         self.plan: RoutePlan | None = None
         self.key: str | None = None
 
@@ -774,15 +774,16 @@ class _Stop(Exception):
 
 
 def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
-                rnd=None, stop=None) -> _NodeSchedule | None:
+                picks=None, stop=None) -> _NodeSchedule | None:
     """Greedy insertion with backtracking, run by `heuristic.construct`
     and by each of `solve_bnb`'s dives.
 
     From `sched`, the `root` schedule of the kernel's empty groups, each
     customer of `order` in turn tries the slots `branch` gives with no
-    limit in (bound, tour position, robot, position) order, first one
-    of its three cheapest drawn from `rnd` when given (the noisy seeds'
-    pick); a customer with no slot left undoes the last choice.
+    limit in (bound, tour position, robot, position) order; with
+    `picks` (the noisy seeds'), the customer at depth `idx` first tries
+    slot `int(picks[idx] * min(3, n))` of its `n`, one of the three
+    cheapest.  A customer with no slot left undoes the last choice.
     Returns the schedule of the first complete placement, whose plan
     the groups then hold, or None when `stop()`, read before each
     placement, turns true (the groups left part-filled).  Every slot of
@@ -794,10 +795,8 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     interchangeable), not on the tour or the order.  So the chains, as
     sets, of each state the search exhausts go into `failed`, and no
     search sharing the set enters such a state again; a cut subtree
-    holds no plan, so the plan is the full search's.  With `rnd` the
-    memo is unused and every state is searched: a noisy search that
-    skipped a failed subtree would skip its draws too.  A stopped
-    search adds nothing.
+    holds no plan, and the picks depend on the depth alone, so the
+    plan is the full search's.  A stopped search adds nothing.
     """
     groups, tour = kernel.groups, kernel.tour
 
@@ -811,13 +810,12 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
             return sched
         if stop is not None and stop():
             raise _Stop
-        if rnd is None and failed and bins() in failed:
+        if failed and bins() in failed:
             return None
         o = order[idx]
         candidates = sorted(found[:4] for found in kernel.branch(sched, o, math.inf)[0])
-        if rnd is not None and len(candidates) > 1:
-            i = rnd.randrange(min(3, len(candidates)))
-            candidates.insert(0, candidates.pop(i))
+        if picks is not None and len(candidates) > 1:
+            candidates.insert(0, candidates.pop(int(picks[idx] * min(3, len(candidates)))))
         for _, ki, r, pos in candidates:
             # probed again on entry: kept for every slot of every level,
             # the changes would hold a copy of the terms each
@@ -828,8 +826,7 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
             if leaf is not None:
                 return leaf
             g.pop(pos)
-        if rnd is None:
-            failed.add(bins())
+        failed.add(bins())
         return None
 
     try:
@@ -869,9 +866,8 @@ def solve_bnb(
     any search node.  The plan returned is the one with the
     smallest (objective, serialization) among the optimal plans, which
     every order visits.  Only when the incumbent meets the root bound
-    does the search stop early, and then it searches again in plain
-    sorted tour order, cut off at that bound, and returns the first
-    plan it meets, as a search in that order alone would
+    does the search stop early, and then it returns that plan: the
+    first that meets the bound in this order, dives first
     (docs/MODEL.md, "Search order and ties").
 
     Candidate bounds are computed incrementally from the parent's
@@ -989,18 +985,6 @@ def solve_bnb(
         groups, kernel, sched = root(tour)
         yield from assign(tour, 0, groups, root_bound, kernel, sched)
 
-    def interleave(tours, quantum):
-        """Run the tours' searches in turn, `quantum` nodes each, until
-        all are done or the incumbent meets the root bound.  After a
-        cap every search still runs, each node only entering its bound
-        into the frontier."""
-        turns = deque(search(tour) for tour in tours)
-        while turns and not state["proved"]:
-            gen = turns.popleft()
-            state["quota"] = quantum
-            if next(gen, _DONE) is not _DONE:
-                turns.append(gen)
-
     tours = list(permutations(station_ids))
     try:
         rank = {}
@@ -1017,16 +1001,16 @@ def solve_bnb(
             stats["dives"] += 1
             rank[tour] = leaf.prefix[-1]
             offer(rank[tour], tour, groups)
-        if not state["proved"]:
-            interleave(sorted(tours, key=lambda t: (rank.get(t, math.inf), t)), TOUR_QUANTUM)
-        if state["proved"]:
-            # a plain search in sorted tour order stops at the first plan
-            # that meets the root bound: find that one
-            proved, best = best, _Best(root_bound)
-            state["proved"] = False
-            interleave(tours, math.inf)
-            if best.plan is None:  # a cap cut the re-run short
-                best = proved
+        # the tours' searches take turns in rank order until all are
+        # done or the incumbent meets the root bound; after a cap every
+        # search still runs, each node only entering its bound into the
+        # frontier
+        turns = deque(search(t) for t in sorted(tours, key=lambda t: (rank.get(t, math.inf), t)))
+        while turns and not state["proved"]:
+            gen = turns.popleft()
+            state["quota"] = TOUR_QUANTUM
+            if next(gen, _DONE) is not _DONE:
+                turns.append(gen)
     finally:
         # a recursive closure is a reference cycle; emptying its cell
         # frees the search state without waiting for the cycle collector

@@ -98,9 +98,6 @@ class _Work:
             groups[s.station][s.robot] = list(s.services)
         return cls(plan.tour, groups)
 
-    def clone(self) -> "_Work":
-        return _Work(self.tour, self.groups)
-
 
 class _Evaluator:
     """The plan under improvement, its schedule and its objective.
@@ -184,14 +181,12 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     tour at the seed-th station, so a small restart fan covers every
     start.  Larger seeds draw, in a fixed order, a random start
     station, one urgency jitter per customer, and one semi-greedy slot
-    pick per insertion.
+    pick per urgency position, which every insertion at that depth
+    uses.
 
     The search is `exact._insert_all`, the one `solve_bnb`'s dives
-    run.  On the pure seeds it skips a state whose chains, as sets,
-    already failed once (its memo of failed bins); the noisy seeds
-    still search every state, since skipping a failed subtree would
-    skip its draws too, and later picks would change on any instance
-    that backtracks (the small fixture does).  An instance that fails
+    run.  It skips a state whose chains, as sets, already failed once
+    (its memo of failed bins).  An instance that fails
     `check_capacity` raises InfeasibleInstanceError at once, one whose
     search exhausts every placement after it.
     """
@@ -227,12 +222,13 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         at = nxt
     tour = _tour_2opt(ev, tour)
 
-    jitter = [1.0 + 0.25 * rnd.random() for _ in instance.customers] if noisy else None
+    jitter = picks = None
+    if noisy:
+        jitter = [1.0 + 0.25 * rnd.random() for _ in instance.customers]
+        picks = [rnd.random() for _ in instance.customers]
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
     kernel = _IncrementalBound(ev, tables, tour, groups)
-    _insert_all(
-        kernel, kernel.root([0.0] * ev.n), _urgency(instance, jitter), set(), rnd if noisy else None
-    )
+    _insert_all(kernel, kernel.root([0.0] * ev.n), _urgency(instance, jitter), set(), picks)
     return _canonical_plan(tour, groups)
 
 

@@ -286,7 +286,8 @@ def _distance_comments(model: _Model, instance: Instance, ev: PlanEvaluator):
         for i, a in enumerate(customers)
         for b in customers[i + 1 :]
     ]
-    model.note("  customer-customer (no constraint uses these; for reference):")
+    if parts:
+        model.note("  customer-customer (no constraint uses these; for reference):")
     for chunk in _chunks(parts, 4):
         model.note("    " + "  ".join(chunk))
 
@@ -316,9 +317,10 @@ def _common_header(model: _Model, instance: Instance, form: str, arrival_speed: 
             "arrival rows (13) divide vehicle legs by the robot speed"
             " (arrival_speed='robot'); the default divides by the vehicle speed"
         )
-    model.note(
-        "w_r_k_o_o variables are declared for completeness and fixed to 0 in Bounds"
-    )
+    if nc:
+        model.note(
+            "w_r_k_o_o variables are declared for completeness and fixed to 0 in Bounds"
+        )
 
 
 def _check_arrival_speed(arrival_speed: str) -> None:

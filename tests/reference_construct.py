@@ -47,6 +47,8 @@ def reference_construct(instance: Instance, seed: int = 0) -> RoutePlan:
     jitter = {
         c.id: (1.0 + 0.25 * rnd.random() if noisy else 1.0) for c in instance.customers
     }
+    # one semi-greedy pick per urgency position, drawn after the jitter
+    picks = [rnd.random() for _ in instance.customers] if noisy else None
     order = sorted(
         (c.id for c in instance.customers),
         key=lambda o: (
@@ -87,7 +89,7 @@ def reference_construct(instance: Instance, seed: int = 0) -> RoutePlan:
         candidates.sort()
         if noisy and len(candidates) > 1:
             # semi-greedy: lead with one of the cheapest few slots
-            i = rnd.randrange(min(3, len(candidates)))
+            i = int(picks[idx] * min(3, len(candidates)))
             candidates.insert(0, candidates.pop(i))
         for cost, ki, r, pos, k in candidates:
             groups[k][r].insert(pos, o)

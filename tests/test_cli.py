@@ -370,3 +370,18 @@ def test_audit_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "=== small ===" in proc.stdout and "=== medium ===" in proc.stdout
+
+
+def test_benchmark_reference_check_runs():
+    # the check re-proves frozen benchmark optima and compares their
+    # plans bit-exactly, so a change to the search's tie rule that would
+    # move one fails here; the script imports the package from src/
+    script = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--check"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "reference ok" in proc.stdout

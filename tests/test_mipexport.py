@@ -90,6 +90,19 @@ def colocated_instance(customers):
     )
 
 
+def two_station_instance(customers):
+    """Two stations off the depot and one robot of range 10."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(3.0, 4.0)), Station(2, Point(0.0, 5.0))),
+        customers=customers,
+        fleet_size=1,
+        robot_range=10.0,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
 def pinned_instance(case):
     if case in ("small", "medium"):
         return builtin_fixture(case)[0]
@@ -293,24 +306,36 @@ class TestExportBytes:
     @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
     def test_zero_customers_exported(self, form):
         # only the tour rows; the objective keeps one zero-weighted arc,
-        # as an LP objective needs a term
-        inst = Instance(
-            depot=Point(0.0, 0.0),
-            stations=(Station(1, Point(3.0, 4.0)), Station(2, Point(0.0, 5.0))),
-            customers=(),
-            fleet_size=1,
-            robot_range=10.0,
-            vehicle_speed=1.0,
-            robot_speed=1.0,
-        )
-        model = parse_lp(form(inst))
+        # as an LP objective needs a term.  No header speaks of w
+        # variables or customer pairs, since there are none
+        inst = two_station_instance(())
+        text = form(inst)
+        model = parse_lp(text)
         assert {row.name.split("_")[0].rstrip("ab") for row in model.rows} == {
             "c1", "c2", "c3", "c4", "c13", "c14"
         }
+        assert "w_r_k_o_o" not in text
+        assert "customer-customer" not in text
         plan = RoutePlan(tour=(2, 1), sorties=())
         values = plan_assignment(inst, plan)
         assert check_assignment(model, values) == []
         assert model.objective_value(values) == 0.0
+        back, _ = import_solution(inst, solution_text(values))
+        assert back == plan
+
+    @pytest.mark.parametrize("form", [export_miqcp, export_bigm])
+    def test_one_customer_exported(self, form):
+        # its w_r_k_o_o variables are fixed to 0 in Bounds, so the
+        # header says so; one customer makes no customer pair
+        inst = two_station_instance((Customer(0, Point(1.0, 1.0), 1.0, 5.0),))
+        text = form(inst)
+        notes = [line for line in text.splitlines() if line.startswith("\\")]
+        assert sum("w_r_k_o_o" in line for line in notes) == 1
+        assert " w_0_1_0_0 = 0" in text.splitlines()
+        assert "customer-customer" not in text
+        plan = RoutePlan(tour=(1, 2), sorties=(Sortie(0, 1, (0,)),))
+        values = plan_assignment(inst, plan)
+        assert check_assignment(parse_lp(text), values) == []
         back, _ = import_solution(inst, solution_text(values))
         assert back == plan
 
