@@ -20,6 +20,7 @@ from .evaluation import (
     violations_to_json,
 )
 from .exact import (
+    BudgetExhaustedError,
     EnumerationLimitError,
     InfeasibleInstanceError,
     SearchNode,
@@ -68,6 +69,7 @@ from .plotting import plan_svg
 __version__ = "0.1.0"
 
 __all__ = [
+    "BudgetExhaustedError",
     "Customer",
     "EnumerationLimitError",
     "EPSILON",

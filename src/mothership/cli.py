@@ -19,9 +19,11 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .evaluation import propagate, schedule_to_json, validate, violations_to_json
 from .exact import (
+    BudgetExhaustedError,
     EnumerationLimitError,
     InfeasibleInstanceError,
     SolveBudget,
@@ -44,18 +46,10 @@ from .model import (
 )
 from .plotting import plan_svg
 
-_DOMAIN_ERRORS = (
-    ModelError,
-    SolutionImportError,
-    InfeasibleInstanceError,
-    EnumerationLimitError,
-)
+_DOMAIN_ERRORS = (ModelError, SolutionImportError, InfeasibleInstanceError,
+                  EnumerationLimitError, BudgetExhaustedError)
 
 FORMATS = ("table", "json", "csv")
-
-
-def _fail(message: str):
-    raise click.ClickException(message)
 
 
 def _load_instance(instance_path: str | None, fixture: str | None) -> Instance:
@@ -123,7 +117,19 @@ plan_option = click.option(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one place a domain error raised under a command becomes an
+    `Error:` line and exit status 1 (`bench` alone catches its own, one
+    table row per failed run)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _DOMAIN_ERRORS as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Commands)
 def cli():
     """Routing toolkit: a vehicle carries robots that serve customers."""
 
@@ -142,14 +148,11 @@ def cli():
 def cmd_generate(seed, n_stations, n_robots, n_customers, width, height,
                  robot_range, vehicle_speed, robot_speed, output):
     """Generate a seeded random instance (JSON)."""
-    try:
-        instance = generate_instance(
-            seed, n_stations, n_robots, n_customers,
-            width=width, height=height, robot_range=robot_range,
-            vehicle_speed=vehicle_speed, robot_speed=robot_speed,
-        )
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
+    instance = generate_instance(
+        seed, n_stations, n_robots, n_customers,
+        width=width, height=height, robot_range=robot_range,
+        vehicle_speed=vehicle_speed, robot_speed=robot_speed,
+    )
     _emit(serialize_instance(instance), output)
 
 
@@ -162,10 +165,7 @@ def cmd_validate(instance_path, fixture, plan_path, fmt):
     """Check a plan; exit 1 if violations are found."""
     instance = _load_instance(instance_path, fixture)
     plan = _load_plan(plan_path, fixture)
-    try:
-        violations = validate(instance, plan)
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
+    violations = validate(instance, plan)
     if fmt == "json":
         click.echo(violations_to_json(violations))
     else:
@@ -186,10 +186,7 @@ def cmd_evaluate(instance_path, fixture, plan_path, fmt):
     """Propagate a plan's schedule and print it."""
     instance = _load_instance(instance_path, fixture)
     plan = _load_plan(plan_path, fixture)
-    try:
-        schedule = propagate(instance, plan)
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
+    schedule = propagate(instance, plan)
     if fmt == "json":
         click.echo(schedule_to_json(schedule))
     else:
@@ -212,6 +209,11 @@ def cmd_evaluate(instance_path, fixture, plan_path, fmt):
                     click.echo(f"note: {note}")
 
 
+# the solve options each method has no use for
+_IGNORED_BY = {"exact": ("seed", "restarts"), "heuristic": ("budget_nodes",),
+               "oracle": ("budget_nodes", "budget_seconds", "seed", "restarts")}
+
+
 @cli.command("solve")
 @instance_option
 @fixture_option
@@ -227,17 +229,15 @@ def cmd_evaluate(instance_path, fixture, plan_path, fmt):
 @click.option("--restarts", type=int, default=4, show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False),
               help="Write the plan JSON here.")
-def cmd_solve(instance_path, fixture, method, budget_nodes, budget_seconds,
+@click.pass_context
+def cmd_solve(ctx, instance_path, fixture, method, budget_nodes, budget_seconds,
               seed, restarts, output):
     """Solve an instance and print the plan and its objective."""
+    for name in _IGNORED_BY[method]:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"--{name.replace('_', '-')} does not apply to --method {method}")
     instance = _load_instance(instance_path, fixture)
-    try:
-        report = _run_solver(instance, method, budget_nodes, budget_seconds,
-                             seed, restarts)
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
-    except RuntimeError as e:
-        _fail(str(e))
+    report = _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts)
     click.echo(f"status     {report.status}")
     click.echo(f"objective  {report.objective!r}")
     if report.bound_gap is not None:
@@ -281,12 +281,8 @@ def _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts) 
 def cmd_export(instance_path, fixture, form, arrival_speed, output):
     """Write the exact model as LP text."""
     instance = _load_instance(instance_path, fixture)
-    try:
-        exporter = export_miqcp if form == "miqcp" else export_bigm
-        text = exporter(instance, arrival_speed=arrival_speed)
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
-    _emit(text, output)
+    exporter = export_miqcp if form == "miqcp" else export_bigm
+    _emit(exporter(instance, arrival_speed=arrival_speed), output)
 
 
 @cli.command("import-solution")
@@ -298,10 +294,7 @@ def cmd_export(instance_path, fixture, form, arrival_speed, output):
 def cmd_import_solution(instance_path, fixture, solution, output):
     """Turn a solver solution file back into a plan."""
     instance = _load_instance(instance_path, fixture)
-    try:
-        plan, schedule = import_solution(instance, Path(solution).read_text())
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
+    plan, schedule = import_solution(instance, Path(solution).read_text())
     click.echo(f"objective  {schedule.objective!r}")
     _echo_plan(plan)
     if output:
@@ -348,11 +341,7 @@ def cmd_plot(instance_path, fixture, plan_path, output):
     """Render a plan as SVG."""
     instance = _load_instance(instance_path, fixture)
     plan = _load_plan(plan_path, fixture)
-    try:
-        svg = plan_svg(instance, plan)
-    except _DOMAIN_ERRORS as e:
-        _fail(str(e))
-    _emit(svg, output)
+    _emit(plan_svg(instance, plan), output)
 
 
 @cli.command("fixtures")

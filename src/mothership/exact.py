@@ -75,6 +75,10 @@ class InfeasibleInstanceError(ValueError):
     """No plan satisfies the range and multiplicity constraints."""
 
 
+class BudgetExhaustedError(RuntimeError):
+    """A cap stopped `solve_bnb` before it had any feasible plan."""
+
+
 @dataclass(frozen=True)
 class SolveBudget:
     """Node and wall-time caps for the branch-and-bound."""
@@ -880,15 +884,16 @@ def solve_bnb(
     counts search nodes, and bounds each dive too: a dive makes at most
     one placement per customer plus `max_nodes` more (one follows each
     undo).  Both caps are read between a dive's placements; one that
-    stops a dive ends the solve, and raises RuntimeError when it stops
-    the first.  With caps the search returns the incumbent and the gap
-    to the best open bound, a tour not yet started counting as open at
-    the root bound.  `stats` counts expanded nodes (one root per tour),
-    bounded candidates, candidates pruned by the bound (dropped early
-    or cut off after sorting), (station, robot) chains rejected by
-    range, `dives` (tours dived), `incumbents` (offers accepted, dives
-    included) and `optimum_node`, the node count at which the returned
-    objective was first reached (0 when a dive reached it).
+    stops a dive ends the solve, and raises BudgetExhaustedError when
+    it stops the first.  With caps the search returns the incumbent and
+    the gap to the best open bound, a tour not yet started counting as
+    open at the root bound.  `stats` counts expanded nodes (one root
+    per tour), bounded candidates, candidates pruned by the bound
+    (dropped early or cut off after sorting), (station, robot) chains
+    rejected by range, `dives` (tours dived), `incumbents` (offers
+    accepted, dives included) and `optimum_node`, the node count at
+    which the returned objective was first reached (0 when a dive
+    reached it).
     """
     started = time.perf_counter()
     budget = budget or SolveBudget()
@@ -1018,7 +1023,7 @@ def solve_bnb(
     stats["nodes"] = state["nodes"]
 
     if best.plan is None:  # a cap stopped the first dive
-        raise RuntimeError("budget exhausted before any feasible plan was found")
+        raise BudgetExhaustedError("budget exhausted before any feasible plan was found")
     if state["aborted"] and state["frontier"] < best.objective:
         status, gap = "budget-exhausted", best.objective - state["frontier"]
     else:

@@ -195,10 +195,11 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     return _construct(ev, _StepTables(ev), seed)
 
 
-def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
+def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int, stop=None) -> RoutePlan | None:
     """`construct` on the caller's evaluator and step tables, with no
     capacity check: `improve`'s restarts start from a feasible plan, so
-    every construction finds one."""
+    every construction finds one, unless `stop()`, read before each
+    placement, turns true: then None."""
     instance = ev.instance
     ids = sorted(s.id for s in instance.stations)
     rnd = random.Random(seed)
@@ -228,7 +229,9 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int) -> RoutePlan:
         picks = [rnd.random() for _ in instance.customers]
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
     kernel = _IncrementalBound(ev, tables, tour, groups)
-    _insert_all(kernel, kernel.root([0.0] * ev.n), _urgency(instance, jitter), set(), picks)
+    order = _urgency(instance, jitter)
+    if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), picks, stop) is None:
+        return None
     return _canonical_plan(tour, groups)
 
 
@@ -393,9 +396,7 @@ _MOVES = {
 }
 
 
-def _first_improvement(
-    state: _Evaluator, name: str, params: SearchParams, started: float, stats: dict
-):
+def _first_improvement(state: _Evaluator, name: str, params: SearchParams, late, stats: dict):
     """The first move of neighborhood `name` that lowers the objective,
     or None.  Every candidate counts one evaluation, and the caps are
     checked before it is judged; raises _Stop when one is reached, with
@@ -407,7 +408,7 @@ def _first_improvement(
             evals += 1
             if evals >= params.max_iterations:
                 raise _Stop
-            if evals % 64 == 0 and time.perf_counter() - started > params.max_seconds:
+            if evals % 64 == 0 and late():
                 raise _Stop
             if score is not None and score < state.objective:
                 return move
@@ -418,13 +419,13 @@ def _first_improvement(
         stats["evals"] = evals
 
 
-def _descend(state: _Evaluator, params: SearchParams, started: float, stats: dict) -> None:
+def _descend(state: _Evaluator, params: SearchParams, late, stats: dict) -> None:
     """First-improvement descent to a local optimum, in place; raises
     _Stop when a cap ends it."""
     stats["descents"] += 1
     while True:
         for name in params.neighborhoods:
-            move = _first_improvement(state, name, params, started, stats)
+            move = _first_improvement(state, name, params, late, stats)
             if move is not None:
                 _apply(state.work, name, move)
                 state.refresh()
@@ -439,10 +440,11 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
 
     Runs the descent on the given plan, then on `params.restarts - 1`
     fresh constructions (seeds `params.seed + r`), and returns the best
-    plan found; never worse than the input, always feasible.  The
-    report status is "heuristic": no optimality proof is implied.
-    `nodes` counts move evaluations; `stats` splits them by
-    neighborhood (`evals_<name>`), counts the moves kept
+    plan found; never worse than the input, always feasible.  The time
+    cap is read inside a construction too: one it stops offers nothing
+    and ends the run.  The report status is "heuristic": no optimality
+    proof is implied.  `nodes` counts move evaluations; `stats` splits
+    them by neighborhood (`evals_<name>`), counts the moves kept
     (`moves_<name>`) and the descents run (`descents`).
     """
     started = time.perf_counter()
@@ -459,12 +461,15 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
 
     best = _Best()
 
+    def late() -> bool:
+        return time.perf_counter() - started > params.max_seconds
+
     def run(start: RoutePlan) -> bool:
         """Descend from `start` and offer the result; False when a cap
         ended the descent."""
         state = _Evaluator(ev, tables, _Work.from_plan(instance, start))
         try:
-            _descend(state, params, started, stats)
+            _descend(state, params, late, stats)
             finished = True
         except _Stop:
             finished = False
@@ -473,9 +478,8 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
 
     if run(plan):
         for r in range(1, params.restarts):
-            if time.perf_counter() - started > params.max_seconds:
-                break
-            if not run(_construct(ev, tables, params.seed + r)):
+            start = _construct(ev, tables, params.seed + r, late)
+            if start is None or not run(start):
                 break
 
     nodes = stats.pop("evals")

@@ -25,7 +25,8 @@ def _fmt(v: float) -> str:
 
 
 def plan_svg(instance: Instance, plan: RoutePlan) -> str:
-    """Render a plan as a standalone SVG 1.1 document string."""
+    """Render a plan as a standalone SVG 1.1 document string; a plan
+    naming a station or customer the instance lacks raises ModelError."""
     pts = [instance.depot]
     pts += [s.location for s in instance.stations]
     pts += [c.location for c in instance.customers]
@@ -55,9 +56,6 @@ def plan_svg(instance: Instance, plan: RoutePlan) -> str:
     def xy(p: Point) -> str:
         return f"{_fmt(sx(p))},{_fmt(sy(p))}"
 
-    station_at = {s.id: s.location for s in instance.stations}
-    customer_at = {c.id: c.location for c in instance.customers}
-
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(_W)}" height="{_fmt(height)}" '
@@ -72,19 +70,18 @@ def plan_svg(instance: Instance, plan: RoutePlan) -> str:
             f'stroke="{stroke}" stroke-width="1.5"{d}/>'
         )
 
-    prev = instance.depot
-    for k in plan.tour:
-        parts.append(leg(prev, station_at[k], "#333333", None))
-        prev = station_at[k]
-    parts.append(leg(prev, instance.depot, "#333333", None))
+    stops = [instance.depot, *(instance.station(k).location for k in plan.tour), instance.depot]
+    for a, b in zip(stops, stops[1:]):
+        parts.append(leg(a, b, "#333333", None))
 
     for s in plan.sorties:
         color = ROBOT_COLORS[s.robot % len(ROBOT_COLORS)]
         dash = ROBOT_DASHES[s.robot % len(ROBOT_DASHES)]
-        base = station_at[s.station]
+        base = instance.station(s.station).location
         for o in s.services:
-            parts.append(leg(base, customer_at[o], color, dash))
-            parts.append(leg(customer_at[o], base, color, dash))
+            at = instance.customer(o).location
+            parts.append(leg(base, at, color, dash))
+            parts.append(leg(at, base, color, dash))
 
     d = instance.depot
     parts.append(

@@ -4,6 +4,7 @@ file round-trips.  Exit 0 is success, 1 a domain failure, 2 bad usage.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,23 @@ class TestSolve:
         assert result.exit_code == 1
         assert message in result.output
 
+    @pytest.mark.parametrize(
+        "method, args",
+        [("heuristic", ["--budget-nodes", "3"]),
+         ("oracle", ["--budget-nodes", "3"]),
+         ("oracle", ["--budget-seconds", "1"]),
+         ("oracle", ["--seed", "0"]),
+         ("oracle", ["--restarts", "4"]),
+         ("exact", ["--seed", "1"]),
+         ("exact", ["--restarts", "2"])],
+    )
+    def test_flag_the_method_ignores_is_usage_error(self, runner, method, args):
+        # given on the command line, even at its default value
+        result = runner.invoke(cli, ["solve", "--fixture", "small",
+                                     "--method", method, *args])
+        assert result.exit_code == 2
+        assert f"{args[0]} does not apply to --method {method}" in result.output
+
     def test_partial_budget_reports_gap(self, runner):
         # the dives give the plan; the proof takes 84 nodes
         result = runner.invoke(cli, ["solve", "--fixture", "small",
@@ -327,6 +345,63 @@ class TestPlot:
         assert "</svg>" in result.output
 
 
+BAD_INSTANCES = {
+    "malformed-json": ('{"customers": [', "invalid JSON"),
+    "gapped-customer-ids": (None, "customer ids must be 0..7 without gaps"),
+}
+
+
+@pytest.fixture(params=sorted(BAD_INSTANCES))
+def bad_instance(request, tmp_path):
+    """An instance file `parse_instance` rejects, and its error text."""
+    text, message = BAD_INSTANCES[request.param]
+    if text is None:
+        doc = json.loads(serialize_instance(builtin_fixture("small")[0]))
+        doc["customers"][3]["id"] = 30
+        text = json.dumps(doc)
+    path = tmp_path / "bad_instance.json"
+    path.write_text(text)
+    return path, message
+
+
+class TestErrorBoundary:
+    """Every command's domain errors, wherever raised, exit 1 with one
+    `Error:` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "evaluate", "solve", "export", "import-solution", "plot"]
+    )
+    def test_bad_instance_file_exits_1(self, runner, small_files, bad_instance, command):
+        ipath, message = bad_instance
+        _, ppath = small_files
+        extra = {"validate": ["-p", str(ppath)], "evaluate": ["-p", str(ppath)],
+                 "plot": ["-p", str(ppath)], "import-solution": [str(ppath)]}
+        result = runner.invoke(cli, [command, "-i", str(ipath), *extra.get(command, [])])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("validate", "sortie (r0, S9) references unknown station"),
+         ("evaluate", "Error: plan structure invalid: tour references unknown station 9"),
+         ("plot", "Error: unknown station id 9")],
+    )
+    def test_plan_naming_an_unknown_station_exits_1(self, runner, small_files, tmp_path,
+                                                    command, message):
+        # `validate` reports the plan's violations; the others cannot
+        # work on the plan at all
+        ipath, _ = small_files
+        plan = tmp_path / "plan9.json"
+        plan.write_text(serialize_plan(parse_plan(
+            '{"tour": [2, 9], "sorties": [{"robot": 0, "station": 9, "services": [0]}]}'
+        )))
+        result = runner.invoke(cli, [command, "-i", str(ipath), "-p", str(plan)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+
 class TestFixtures:
     def test_lists_bundled_instances(self, runner):
         result = runner.invoke(cli, ["fixtures"])
@@ -339,6 +414,20 @@ class TestFixtures:
         result = runner.invoke(cli, ["fixtures", "--format", "json"])
         names = {row["name"] for row in json.loads(result.output)}
         assert names == {"small", "medium"}
+
+
+def test_readme_solve_block_is_the_cli_output(runner):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    shown = re.search(r"`solve --fixture small` prints the proven optimum:\n\n```\n(.*?)```",
+                      readme, re.S)
+    assert shown is not None
+    result = runner.invoke(cli, ["solve", "--fixture", "small"])
+    assert result.exit_code == 0
+
+    def masked(text):
+        return re.sub(r"^wall_time  \S+$", "wall_time  -", text, flags=re.M)
+
+    assert masked(shown.group(1)) == masked(result.output)
 
 
 def test_module_entry_point_runs():

@@ -773,6 +773,83 @@ class TestCarriedRange:
         assert range_verdict(inst, 1, [0, 1]) is (ulps >= 0)
 
 
+def partial_states(instance, rnd, count):
+    """`count` (kernel, schedule, unplaced customers) search states of
+    `instance`: a shuffled tour and a random part of the customers
+    placed one by one in random slots `branch` offers, the unplaced
+    ones at their relaxed contribution, as in the B&B, or at 0.0, as
+    in `construct`."""
+    ev = PlanEvaluator(instance)
+    tables = _StepTables(ev)
+    relax = _relaxed_contributions(instance, ev)
+    for i in range(count):
+        tour = [s.id for s in instance.stations]
+        rnd.shuffle(tour)
+        groups = {k: [[] for _ in range(instance.fleet_size)] for k in tour}
+        kernel = exact._IncrementalBound(ev, tables, tour, groups)
+        st = kernel.root(relax if i % 2 else [0.0] * instance.n_customers)
+        todo = list(range(instance.n_customers))
+        rnd.shuffle(todo)
+        for _ in range(rnd.randrange(len(todo))):
+            candidates = kernel.branch(st, todo[-1], math.inf)[0]
+            if not candidates:
+                break
+            _, ki, r, pos, change = rnd.choice(candidates)
+            groups[tour[ki]][r].insert(pos, todo.pop())
+            st = kernel.child(st, ki, r, pos, change)
+        yield kernel, st, todo
+
+
+def limits_near(bound, rnd):
+    """The bound itself, the double just below it and two random limits
+    around it."""
+    return [bound, math.nextafter(bound, -math.inf),
+            bound * rnd.uniform(0.5, 1.5), rnd.uniform(0.0, 2.0 * bound)]
+
+
+class TestDropRule:
+    """`probe` and `branch` drop a slot as soon as its partial bound
+    passes the limit; what they keep and drop must be what the finished
+    bound with no limit says."""
+
+    @pytest.mark.parametrize("robot_range", [60.0, 200.0])
+    def test_probe_is_none_exactly_past_the_limit(self, robot_range):
+        rnd = random.Random(17)
+        seen = {True: 0, False: 0}
+        for seed in range(12):
+            inst = generate(seed, 3, 2, 8, robot_range=robot_range)
+            for kernel, st, todo in partial_states(inst, rnd, 2):
+                for o in todo:
+                    for full in kernel.branch(st, o, math.inf)[0]:
+                        bound, ki, r, pos, _ = full
+                        for limit in limits_near(bound, rnd):
+                            found = kernel.probe(st, ki, r, pos, o, limit)
+                            dropped = bound > limit
+                            assert found == (None if dropped else full)
+                            seen[dropped] += 1
+        assert seen[True] and seen[False], seen
+
+    @pytest.mark.parametrize("robot_range", [60.0, 200.0])
+    def test_branch_keeps_exactly_the_slots_within_the_limit(self, robot_range):
+        rnd = random.Random(19)
+        seen = {True: 0, False: 0}
+        for seed in range(12):
+            inst = generate(seed, 3, 2, 8, robot_range=robot_range)
+            for kernel, st, todo in partial_states(inst, rnd, 2):
+                for o in todo:
+                    every, probed, dropped, rejected = kernel.branch(st, o, math.inf)
+                    assert dropped == 0 and probed == len(every)
+                    for bound in {c[0] for c in every}:
+                        for limit in limits_near(bound, rnd):
+                            kept, probed_at, dropped_at, rejected_at = kernel.branch(st, o, limit)
+                            assert kept == [c for c in every if c[0] <= limit]
+                            assert (probed_at, rejected_at) == (probed, rejected)
+                            assert dropped_at == probed - len(kept)
+                            seen[True] += dropped_at
+                            seen[False] += len(kept)
+        assert seen[True] and seen[False], seen
+
+
 class TestSearchOrder:
     """Ranking and interleaving the tours changes which nodes the search
     visits, not the plan it returns: that is the plan of the search in

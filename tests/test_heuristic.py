@@ -333,6 +333,39 @@ class TestImprove:
         assert timed.nodes == single.nodes
         assert serialize_plan(timed.plan) == serialize_plan(single.plan)
 
+    def test_time_cap_inside_a_restart_construction(self, clock, monkeypatch):
+        # once the first descent ends, each reading moves the clock
+        # 0.4 s: the first restart's construction reads 0.4, 0.8, then
+        # 1.2 s before its third placement and stops there; it offers
+        # nothing and no second descent runs
+        inst, _ = builtin_fixture("medium")
+        start = construct(inst)
+        descend, build = heuristic._descend, heuristic._construct
+        built, reads = [], []
+
+        def then_slow(*args):
+            descend(*args)
+            clock.step = 0.4
+
+        def recorded(ev, tables, seed, stop):
+            def read():
+                reads.append(stop())
+                return reads[-1]
+
+            built.append(build(ev, tables, seed, read))
+            return built[-1]
+
+        monkeypatch.setattr(heuristic, "_descend", then_slow)
+        monkeypatch.setattr(heuristic, "_construct", recorded)
+        timed = improve(inst, start, SearchParams(max_seconds=1.0))
+        assert built == [None]
+        assert reads == [False, False, True]
+        clock.now = clock.step = 0.0
+        single = improve(inst, start, SearchParams(max_seconds=1.0, restarts=1))
+        assert timed.stats["descents"] == 1
+        assert timed.nodes == single.nodes
+        assert serialize_plan(timed.plan) == serialize_plan(single.plan)
+
     def test_single_neighborhood_runs(self):
         inst, _ = builtin_fixture("small")
         for name in NEIGHBORHOODS:

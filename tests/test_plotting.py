@@ -2,7 +2,9 @@
 SVG plan rendering: element counts and labels.
 """
 
-from mothership import builtin_fixture, plan_svg
+import pytest
+
+from mothership import ModelError, RoutePlan, Sortie, builtin_fixture, plan_svg
 from mothership.plotting import ROBOT_COLORS, ROBOT_DASHES
 
 
@@ -65,3 +67,14 @@ class TestPlanSvg:
     def test_deterministic(self):
         inst, plan = builtin_fixture("small")
         assert plan_svg(inst, plan) == plan_svg(inst, plan)
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [(RoutePlan((2, 9), ()), "unknown station id 9"),
+         (RoutePlan((2, 1), (Sortie(0, 9, (0,)),)), "unknown station id 9"),
+         (RoutePlan((2, 1), (Sortie(0, 1, (8,)),)), "unknown customer id 8")],
+    )
+    def test_unknown_id_is_a_model_error(self, plan, message):
+        inst, _ = builtin_fixture("small")
+        with pytest.raises(ModelError, match=message):
+            plan_svg(inst, plan)
