@@ -9,7 +9,9 @@ constraints (12)-(17) taken tight (earliest feasible departures) and is
 the single source of truth for objective values: every solver in this
 package reports objectives computed by this function, which keeps
 comparisons bit-exact.  It checks plan structure only; range is
-`validate`'s job.
+`validate`'s job.  Its recurrence, `_times`, is written once: the
+`PlanEvaluator` that the oracle and `lower_bound` score with runs it
+on partial plans too.
 
 Floating-point note: the propagation recurrence divides summed distances
 once per hop, e.g. (L_ok + L_kp) / robot_speed, rather than adding two
@@ -170,26 +172,43 @@ def propagate(instance: Instance, plan: RoutePlan) -> Schedule:
 def _tight_schedule(instance: Instance, plan: RoutePlan) -> Schedule:
     """`propagate` without its structure check, for callers that have
     just validated the plan."""
+    chains_at: dict[int, list[tuple[int, ...]]] = {}
+    for s in plan.sorties:
+        chains_at.setdefault(s.station, []).append(s.services)
+    complete, arrive, depart = _times(instance, plan.tour, chains_at)
+
+    tardiness: dict[int, float] = {}
+    total = 0.0
+    for c in instance.customers:  # id order, part of the float contract
+        late = complete[c.id] - c.deadline
+        tardiness[c.id] = late if late > 0.0 else 0.0
+        if late > 0.0:
+            total += c.importance * late
+    return Schedule(arrive, depart, complete, tardiness, total)
+
+
+def _times(instance: Instance, tour, chains_at) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
+    """Completion, arrival and departure times of recurrence (12)-(16)
+    along `tour`, a full tour or a prefix; `chains_at[k]` lists the
+    robot chains (customer id sequences) at station k.  Empty chains
+    are skipped, and no id is checked."""
     vv = instance.vehicle_speed
     vr = instance.robot_speed
-    customers = instance.customers  # indexed by id; the ids were just checked
+    customers = instance.customers  # indexed by id
     arrive: dict[int, float] = {}
     depart: dict[int, float] = {}
     complete: dict[int, float] = {}
 
-    at_station: dict[int, list[Sortie]] = {}
-    for s in plan.sorties:
-        at_station.setdefault(s.station, []).append(s)
-
     t = 0.0
     prev = instance.depot
-    for k in plan.tour:
+    for k in tour:
         loc = instance.station(k).location
         t_arr = t + distance(prev, loc) / vv
         arrive[k] = t_arr
         t_dep = t_arr
-        for s in at_station.get(k, ()):
-            services = s.services
+        for services in chains_at.get(k, ()):
+            if not services:
+                continue
             # one leg per customer: out and back are the same double
             legs = [distance(loc, customers[o].location) for o in services]
             c = t_arr + legs[0] / vr
@@ -203,15 +222,7 @@ def _tight_schedule(instance: Instance, plan: RoutePlan) -> Schedule:
         depart[k] = t_dep
         t = t_dep
         prev = loc
-
-    tardiness: dict[int, float] = {}
-    total = 0.0
-    for c in customers:  # id order, part of the float contract
-        late = complete[c.id] - c.deadline
-        tardiness[c.id] = late if late > 0.0 else 0.0
-        if late > 0.0:
-            total += c.importance * late
-    return Schedule(arrive, depart, complete, tardiness, total)
+    return complete, arrive, depart
 
 
 def objective(instance: Instance, schedule: Schedule) -> float:
@@ -255,9 +266,8 @@ class PlanEvaluator:
     the LP export read.  The evaluator works on a light-weight plan
     representation: a station tour plus a mapping from station id to
     service groups (one tuple of customer ids per robot, possibly
-    empty).  The arithmetic mirrors `propagate` operation for
-    operation, so objectives computed here are bit-equal to
-    `propagate(...).objective`; tests enforce that equality.
+    empty).  `completions` runs `propagate`'s own recurrence, so
+    objectives computed here are bit-equal to `propagate(...).objective`.
     """
 
     def __init__(self, instance: Instance):
@@ -286,32 +296,7 @@ class PlanEvaluator:
 
     def completions(self, tour, groups) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
         """Per-customer completion plus per-station arrive/depart times."""
-        arrive: dict[int, float] = {}
-        depart: dict[int, float] = {}
-        comp: dict[int, float] = {}
-        t = 0.0
-        prev = None
-        for k in tour:
-            leg = self.depot_leg[k] if prev is None else self.ss[(prev, k)]
-            a = t + leg / self.vv
-            arrive[k] = a
-            d = self.sc[k]
-            t_dep = a
-            for g in groups.get(k, ()):
-                if not g:
-                    continue
-                c = a + d[g[0]] / self.vr
-                comp[g[0]] = c
-                for i in range(1, len(g)):
-                    c = c + (d[g[i - 1]] + d[g[i]]) / self.vr
-                    comp[g[i]] = c
-                ret = c + d[g[-1]] / self.vr
-                if ret > t_dep:
-                    t_dep = ret
-            depart[k] = t_dep
-            t = t_dep
-            prev = k
-        return comp, arrive, depart
+        return _times(self.instance, tour, groups)
 
     def bound_of(self, tour, groups, relax) -> float:
         """Assigned weighted tardiness plus relaxed contributions.

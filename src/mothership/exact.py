@@ -3,7 +3,8 @@ Exact solvers: exhaustive oracle and branch-and-bound.
 
 `solve_oracle` enumerates every feasible plan of a tiny instance and is
 the ground truth the branch-and-bound is tested against; it scores
-plans with `PlanEvaluator.bound_of`, so it stays an independent check.
+plans with `PlanEvaluator.bound_of` (`propagate`'s recurrence, not the
+search kernel), so it stays an independent check.
 `solve_bnb` explores the same space as one search per station tour,
 each placing one customer at a time into a (station, robot, position)
 slot and pruning with the admissible bound of `lower_bound`; a greedy
@@ -371,8 +372,8 @@ def _chain_tail(first, step, g, j, before, arrive):
     `before` is the completion of `g[j - 1]`; at `j == 0` the chain
     starts from `arrive` instead.  `first[o]` is L(k,o)/VR and
     `step[a][b]` is (L(k,a)+L(k,b))/VR for the chain's station, the
-    quotients `PlanEvaluator.completions` divides per hop, so every
-    value is bit-equal to its counterpart there.
+    quotients `propagate`'s recurrence divides per hop, so every value
+    is bit-equal to its counterpart there.
     """
     o = g[j]
     c = before + step[g[j - 1]][o] if j else arrive + first[o]

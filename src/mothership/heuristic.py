@@ -61,27 +61,21 @@ NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs of one `improve` run; every cap must be positive."""
+    """Knobs of one `improve` run; every cap must be positive, and the
+    two counts integers."""
 
     seed: int = 0
     max_iterations: int = 200_000
     max_seconds: float = 10.0
-    neighborhoods: tuple[str, ...] = NEIGHBORHOODS
     restarts: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "neighborhoods", tuple(self.neighborhoods))
-        if not self.max_iterations >= 1:  # NaN too
-            raise ModelError("max_iterations must be positive")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ModelError(f"max_iterations must be a positive integer, got {self.max_iterations!r}")
         if not self.max_seconds > 0:  # NaN too
             raise ModelError("max_seconds must be positive")
-        if not self.restarts >= 1:  # NaN too
-            raise ModelError("restarts must be positive")
-        if not self.neighborhoods:
-            raise ModelError("at least one neighborhood is required")
-        unknown = set(self.neighborhoods) - set(NEIGHBORHOODS)
-        if unknown:
-            raise ModelError(f"unknown neighborhoods: {sorted(unknown)}")
+        if not isinstance(self.restarts, int) or self.restarts < 1:
+            raise ModelError(f"restarts must be a positive integer, got {self.restarts!r}")
 
 
 class _Work:
@@ -424,7 +418,7 @@ def _descend(state: _Evaluator, params: SearchParams, late, stats: dict) -> None
     _Stop when a cap ends it."""
     stats["descents"] += 1
     while True:
-        for name in params.neighborhoods:
+        for name in NEIGHBORHOODS:
             move = _first_improvement(state, name, params, late, stats)
             if move is not None:
                 _apply(state.work, name, move)
@@ -457,7 +451,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     tables = _StepTables(ev)
     stats = {"evals": 0, "descents": 0}
     for prefix in ("evals_", "moves_"):
-        stats.update((prefix + name, 0) for name in params.neighborhoods)
+        stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
 
     best = _Best()
 

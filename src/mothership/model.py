@@ -194,6 +194,9 @@ class Sortie:
             raise ModelError(f"sortie station must be a positive station id, got {self.station!r}")
         if not self.services:
             raise ModelError("sortie services must be nonempty")
+        for o in self.services:  # before the duplicate check hashes them
+            if not isinstance(o, int) or o < 0:
+                raise ModelError(f"service ids must be nonnegative integers, got {o!r}")
         if len(set(self.services)) != len(self.services):
             raise ModelError(f"sortie services contain a duplicate: {list(self.services)}")
 
@@ -303,6 +306,13 @@ def serialize_instance(instance: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _list(value, name: str) -> list:
+    """`value`, which must be a JSON list."""
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -330,12 +340,12 @@ def parse_instance(text: str) -> Instance:
     if missing:
         raise ParseError(f"instance document is missing keys: {sorted(missing)}")
     stations = []
-    for i, obj in enumerate(doc["stations"]):
+    for i, obj in enumerate(_list(doc["stations"], "stations")):
         if not isinstance(obj, dict) or "id" not in obj:
             raise ParseError(f"stations[{i}] must be an object with an id")
         stations.append(Station(obj["id"], Point(obj.get("x"), obj.get("y"))))
     customers = []
-    for i, obj in enumerate(doc["customers"]):
+    for i, obj in enumerate(_list(doc["customers"], "customers")):
         if not isinstance(obj, dict) or "id" not in obj:
             raise ParseError(f"customers[{i}] must be an object with an id")
         customers.append(
@@ -386,10 +396,11 @@ def serialize_plan(plan: RoutePlan) -> str:
 
 def _json(value, pad: str) -> str:
     """`value` as `json.dumps(indent=2)` lays it out when its key or list
-    item sits at indentation `pad`.  Ids and services are hashable, so
-    each is a JSON scalar or a tuple of such values.  `json.dumps` of a
-    lone scalar runs the acyclic C encoder and writes the indenting
-    encoder's bytes; a plain int is written as `str`, as both do."""
+    item sits at indentation `pad`.  Ids and service ids are ints (bool
+    passes the int checks), so each is a scalar or a tuple of scalars.
+    `json.dumps` of a lone scalar runs the acyclic C encoder and writes
+    the indenting encoder's bytes; a plain int is written as `str`, as
+    both do."""
     if type(value) is int:
         return str(value)
     if isinstance(value, (tuple, list)):
@@ -406,14 +417,16 @@ def parse_plan(text: str) -> RoutePlan:
     doc = _load_json(text)
     if set(doc) - {"tour", "sorties"} or "tour" not in doc or "sorties" not in doc:
         raise ParseError("plan document must have exactly the keys tour and sorties")
-    if not isinstance(doc["tour"], list):
-        raise ParseError("tour must be a list of station ids")
+    tour = _list(doc["tour"], "tour")
     sorties = []
-    for i, obj in enumerate(doc["sorties"]):
+    for i, obj in enumerate(_list(doc["sorties"], "sorties")):
         if not isinstance(obj, dict):
             raise ParseError(f"sorties[{i}] must be an object")
-        missing = {"robot", "station", "services"} - set(obj)
-        if missing:
+        if "robot" not in obj or "station" not in obj or "services" not in obj:
+            missing = {"robot", "station", "services"} - set(obj)
             raise ParseError(f"sorties[{i}] is missing keys: {sorted(missing)}")
-        sorties.append(Sortie(obj["robot"], obj["station"], tuple(obj["services"])))
-    return RoutePlan(tour=tuple(doc["tour"]), sorties=tuple(sorties))
+        services = obj["services"]
+        if not isinstance(services, list):
+            raise ParseError(f"sorties[{i}].services must be a list, got {services!r}")
+        sorties.append(Sortie(obj["robot"], obj["station"], tuple(services)))
+    return RoutePlan(tour=tuple(tour), sorties=tuple(sorties))

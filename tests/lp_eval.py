@@ -5,6 +5,7 @@ Parses the LP dialect the package emits (linear terms, one optional
 quadratic bracket per row, <=/>=/= senses, Bounds, Binaries) straight
 from the text and substitutes variable values, so the export is
 checked mechanically without trusting any exporter internals.
+`solve_milp` hands a parsed linear model to HiGHS through scipy.
 """
 
 from __future__ import annotations
@@ -194,3 +195,42 @@ def check_assignment(model: LPModel, values: dict, tol: float = 1e-6) -> list:
         if min(abs(v), abs(v - 1.0)) > tol:
             bad.append(f"binary {name}: {v} not in {{0, 1}}")
     return bad
+
+
+def solve_milp(model: LPModel) -> tuple[float, dict]:
+    """Optimal objective and variable values of a linear `model`, solved
+    to a zero relative gap with `scipy.optimize.milp` (HiGHS)."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    names = list(dict.fromkeys(
+        [var for _, var in model.objective]
+        + [var for row in model.rows for _, var in row.linear]
+        + list(model.bounds)
+        + sorted(model.binaries)
+    ))
+    col = {name: j for j, name in enumerate(names)}
+    cost = np.zeros(len(names))
+    for coef, var in model.objective:
+        cost[col[var]] += coef
+    entries, lhs_lo, lhs_hi = [], [], []
+    for i, row in enumerate(model.rows):
+        assert not row.quad, f"row {row.name} is not linear"
+        entries += [(i, col[var], coef) for coef, var in row.linear]
+        lhs_lo.append(-np.inf if row.sense == "<=" else row.rhs)
+        lhs_hi.append(np.inf if row.sense == ">=" else row.rhs)
+    i, j, coefs = zip(*entries)
+    matrix = coo_array((coefs, (i, j)), shape=(len(model.rows), len(names))).tocsr()
+    lo, hi = np.zeros(len(names)), np.full(len(names), np.inf)
+    integrality = np.zeros(len(names))
+    for name in model.binaries:
+        hi[col[name]] = 1.0
+        integrality[col[name]] = 1
+    for name, (a, b) in model.bounds.items():
+        lo[col[name]] = -np.inf if a is None else a
+        hi[col[name]] = hi[col[name]] if b is None else min(hi[col[name]], b)
+    result = milp(cost, constraints=LinearConstraint(matrix, lhs_lo, lhs_hi),
+                  integrality=integrality, bounds=Bounds(lo, hi), options={"mip_rel_gap": 0})
+    assert result.success, result.message
+    return float(result.fun), dict(zip(names, result.x.tolist()))

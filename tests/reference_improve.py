@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 
 from mothership import (
+    NEIGHBORHOODS,
     InfeasibleInstanceError,
     PlanEvaluator,
     SearchParams,
@@ -189,7 +190,7 @@ def descend(ev, state: Evaluator, params: SearchParams, started: float, counters
     improved = True
     while improved:
         improved = False
-        for name in params.neighborhoods:
+        for name in NEIGHBORHOODS:
             for from_idx, tour, groups in scan_moves(ev, state, name):
                 counters["evals"] += 1
                 if counters["evals"] >= params.max_iterations:

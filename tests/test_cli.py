@@ -345,9 +345,13 @@ class TestPlot:
         assert "</svg>" in result.output
 
 
+# Each entry is the file's text, or an edit of the small fixture's document.
 BAD_INSTANCES = {
     "malformed-json": ('{"customers": [', "invalid JSON"),
-    "gapped-customer-ids": (None, "customer ids must be 0..7 without gaps"),
+    "gapped-customer-ids": (lambda doc: doc["customers"][3].update(id=30),
+                            "customer ids must be 0..7 without gaps"),
+    "stations-not-a-list": (lambda doc: doc.update(stations=5), "stations must be a list, got 5"),
+    "customers-null": (lambda doc: doc.update(customers=None), "customers must be a list, got None"),
 }
 
 
@@ -355,9 +359,9 @@ BAD_INSTANCES = {
 def bad_instance(request, tmp_path):
     """An instance file `parse_instance` rejects, and its error text."""
     text, message = BAD_INSTANCES[request.param]
-    if text is None:
+    if callable(text):
         doc = json.loads(serialize_instance(builtin_fixture("small")[0]))
-        doc["customers"][3]["id"] = 30
+        text(doc)
         text = json.dumps(doc)
     path = tmp_path / "bad_instance.json"
     path.write_text(text)
@@ -377,6 +381,24 @@ class TestErrorBoundary:
         extra = {"validate": ["-p", str(ppath)], "evaluate": ["-p", str(ppath)],
                  "plot": ["-p", str(ppath)], "import-solution": [str(ppath)]}
         result = runner.invoke(cli, [command, "-i", str(ipath), *extra.get(command, [])])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate", "plot"])
+    @pytest.mark.parametrize(
+        "sorties, message",
+        [("5", "sorties must be a list, got 5"),
+         ('[{"robot": 0, "station": 1, "services": 5}]', "sorties[0].services must be a list"),
+         ('[{"robot": 0, "station": 1, "services": [[0]]}]', "service ids must be nonnegative"),
+         ('[{"robot": 0, "station": 1, "services": [0.0]}]', "service ids must be nonnegative")],
+        ids=["sorties-5", "services-5", "services-nested", "services-float"],
+    )
+    def test_bad_plan_file_exits_1(self, runner, small_files, tmp_path, command, sorties, message):
+        ipath, _ = small_files
+        plan = tmp_path / "bad_plan.json"
+        plan.write_text(f'{{"tour": [1, 2], "sorties": {sorties}}}')
+        result = runner.invoke(cli, [command, "-i", str(ipath), "-p", str(plan)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {message}" in result.output

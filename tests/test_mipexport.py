@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from lp_eval import parse_lp, check_assignment
+from lp_eval import check_assignment, parse_lp, solve_milp
 from reference_import import reference_import
 
 from mothership import (
@@ -38,6 +38,7 @@ from mothership import (
     plan_assignment,
     propagate,
     serialize_plan,
+    solve_bnb,
     solve_oracle,
     validate,
 )
@@ -724,6 +725,23 @@ class TestImportAgainstReference:
         assert serialize_plan(sparse[0]) == serialize_plan(dense[0]) == serialize_plan(plan)
         assert sparse[1] == dense[1] == propagate(inst, plan)
         assert not any("propagation gives" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2, 4), 0), ((2, 2, 4), 2), ((2, 2, 4), 5), ((3, 2, 5), 2)])
+def test_highs_optimum_of_bigm_export_is_the_bnb_optimum(shape, seed):
+    """A real MILP solve of the export: HiGHS, through scipy, to a zero gap.
+
+    Only objectives are compared: where a customer is on time, the big-M
+    rows leave its times free above the tight schedule."""
+    pytest.importorskip("scipy")
+    inst = generate(seed, *shape)
+    want = solve_bnb(inst).objective
+    assert want > 0.0  # the relative comparison needs a nonzero optimum
+    objective, values = solve_milp(parse_lp(export_bigm(inst)))
+    assert math.isclose(objective, want, rel_tol=1e-9)
+    text = "".join(f"{name} {value!r}\n" for name, value in values.items())
+    _, schedule = import_solution(inst, text)
+    assert math.isclose(schedule.objective, want, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("form", [export_miqcp, export_bigm])

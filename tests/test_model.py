@@ -155,6 +155,12 @@ class TestPlanTypes:
         with pytest.raises(ModelError):
             Sortie(robot=0, station=1, services=(0, 0))
 
+    @pytest.mark.parametrize("services", [(0.0,), (-1,), ("0",), ([0],), (1, [0], [0])])
+    def test_service_ids_are_nonnegative_integers(self, services):
+        # an unhashable id must fail this check, not the duplicate check
+        with pytest.raises(ModelError, match="service ids"):
+            Sortie(robot=0, station=1, services=services)
+
     def test_plan_normalizes_to_tuples(self):
         plan = RoutePlan(tour=[2, 1], sorties=[Sortie(0, 1, [1, 0])])
         assert plan.tour == (2, 1)
@@ -215,6 +221,30 @@ class TestSerialization:
     def test_parse_rejects_non_object(self):
         with pytest.raises(ParseError):
             parse_instance("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"tour": [1], "sorties": 5}, "sorties must be a list"),
+         ({"tour": 1, "sorties": []}, "tour must be a list"),
+         ({"tour": [1], "sorties": [{"robot": 0, "station": 1, "services": 5}]},
+          r"sorties\[0\].services must be a list")],
+    )
+    def test_parse_plan_rejects_non_lists(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            parse_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize("services", [[[0]], [0.0]])
+    def test_parse_plan_rejects_bad_service_ids(self, services):
+        doc = {"tour": [1], "sorties": [{"robot": 0, "station": 1, "services": services}]}
+        with pytest.raises(ModelError, match="service ids"):
+            parse_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [("stations", 5), ("customers", None)])
+    def test_parse_instance_rejects_non_lists(self, key, value):
+        doc = json.loads(serialize_instance(tiny_instance()))
+        doc[key] = value
+        with pytest.raises(ParseError, match=f"{key} must be a list"):
+            parse_instance(json.dumps(doc))
 
 
 coordinate = st.floats(
@@ -282,7 +312,7 @@ sorties = st.builds(
     Sortie,
     robot=st.integers(min_value=0, max_value=10**6),
     station=ids,
-    services=st.lists(st.integers(min_value=-5, max_value=10**20), min_size=1, max_size=6, unique=True),
+    services=st.lists(st.integers(min_value=0, max_value=10**20), min_size=1, max_size=6, unique=True),
 )
 
 
@@ -297,10 +327,10 @@ def test_plan_text_is_json_dumps(tour, sorties):
 
 
 def test_plan_text_of_other_id_types_is_json_dumps():
-    # bool passes the int checks, and services are any hashable values
-    plan = RoutePlan((1, True), (Sortie(True, 2, (1.5, "a, b", None)),))
+    # bool passes the int checks, service ids' too
+    plan = RoutePlan((1, True), (Sortie(True, 2, (False, 7)),))
     assert serialize_plan(plan) == json_plan_text(plan)
-    plan = RoutePlan((1,), (Sortie(0, 1, ((2, (3.5, "é")), (), -0.0, 10**30)),))
+    plan = RoutePlan((1,), (Sortie(0, 1, (True, 10**30)),))
     assert serialize_plan(plan) == json_plan_text(plan)
     for name in ("small", "medium"):
         plan = builtin_fixture(name)[1]
