@@ -19,7 +19,10 @@ recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
 the incumbent is dropped unfinished, and so is a slot where the
-inserted customer's own term does.  The range verdict is
+inserted customer's own term does.  Past the first `TOUR_QUANTUM`
+nodes, a node where some unplaced customer has no slot under the
+incumbent is dropped too (the look-ahead, `_IncrementalBound.reach`).
+The range verdict is
 `_StepTables.fits`'s: the node schedule carries each chain's length,
 and `branch` decides from that length plus the newcomer's leg when the
 sum is clear of the cap, with `fits` otherwise.
@@ -77,7 +80,8 @@ class InfeasibleInstanceError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """A cap stopped `solve_bnb` before it had any feasible plan."""
+    """A cap stopped `solve_bnb` or `heuristic.construct` before it had
+    any feasible plan."""
 
 
 @dataclass(frozen=True)
@@ -682,6 +686,80 @@ class _IncrementalBound:
                         candidates.append(found)
         return candidates, probed, dropped, rejected
 
+    def reach(self, st: _NodeSchedule, o: int, limit: float, hint):
+        """A slot `(ki, r, pos)` of customer `o` that `probe` keeps under
+        `limit`, or None when there is none: whether `branch` would
+        return any candidate, from the same slots and range verdict.
+
+        `hint`, a slot that passed before (or None), is tried first
+        while its position exists and its chain takes `o` within range;
+        a slot of an idle robot probes the same as the first idle
+        robot's, its relabeling.  Then the stations, last in the tour
+        first (a slot there moves no later station, so its `probe` is
+        the cheapest), with two floors (docs/MODEL.md, "Search order and
+        ties"), each trusted only beyond a margin of `1e-9 * (1 + limit)`
+        for rounding.  At a station, o completes no earlier than at a
+        chain's head, and no other term shrinks, so the node's bound less
+        o's relaxed term plus o's term there is a floor for every slot.
+        In a chain, inserting `o` anywhere adds, in real arithmetic, the
+        same 2*L(k,o)/VR to the return and delays no other chain, so the
+        end slot's bound, less o's term there plus o's term at the head,
+        is a floor for every slot: one `probe` at the end, its limit
+        raised by the difference, rules the chain out.
+        """
+        probe, fits, tour, groups = self.probe, self.fits, self.tour, self.groups
+        clear_below, clear_above = self.clear
+        w, due = self.weight[o], self.deadline[o]
+        if hint is not None:
+            ki, r, pos = hint
+            k = tour[ki]
+            g = groups[k][r]
+            length = st.used[ki][r] + self.doubled[k][o]
+            if (
+                pos <= len(g)
+                and (length <= clear_below or (length <= clear_above and fits(k, g + [o])))
+                and probe(st, ki, r, pos, o, limit) is not None
+            ):
+                return hint
+        margin = 1e-9 * (1.0 + limit)
+        base = st.prefix[-1] - st.terms[o] - limit - margin
+        for ki in range(len(tour) - 1, -1, -1):
+            k = tour[ki]
+            late = st.arrive[ki] + self.first[k][o] - due
+            head = w * late if late > 0.0 else 0.0
+            if head > limit or base + head > 0.0:
+                continue  # the station floor: no slot here is under the limit
+            lists = groups[k]
+            step, used, comps = self.step[k], st.used[ki], st.chains[ki]
+            d = self.doubled[k][o]
+            n_r = len(lists)
+            for r in range(min(n_r - lists.count([]) + 1, n_r)):
+                g = lists[r]
+                length = used[r] + d
+                if length > clear_below and (length > clear_above or not fits(k, g + [o])):
+                    continue
+                end = len(g)
+                if not end:
+                    if probe(st, ki, r, 0, o, limit) is not None:
+                        return ki, r, 0
+                    continue
+                comp = comps[r]
+                late = comp[-1] + step[g[-1]][o] - due
+                tail = w * late if late > 0.0 else 0.0
+                found = probe(st, ki, r, end, o, limit + (tail - head) + margin)
+                if found is None:
+                    continue
+                if found[0] <= limit:
+                    return ki, r, end
+                for pos in range(end):
+                    if pos:  # o's own term, as `branch` screens it
+                        late = comp[pos - 1] + step[g[pos - 1]][o] - due
+                        if late > 0.0 and w * late > limit:
+                            continue
+                    if probe(st, ki, r, pos, o, limit) is not None:
+                        return ki, r, pos
+        return None
+
     def rescore(self, st: _NodeSchedule, lo: int, hi: int) -> float:
         """Bound with the groups (and tour) as they stand, where they
         differ from `st`'s only at tour positions `lo` to `hi`, and no
@@ -879,7 +957,13 @@ def solve_bnb(
     schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
     candidate whose partial bound already exceeds the incumbent is
     dropped before its bound is finished: it would be pruned on entry,
-    and the incumbent only decreases.
+    and the incumbent only decreases.  Once the solve has expanded more
+    than `TOUR_QUANTUM` nodes, a look-ahead drops a node where some
+    customer after the one it branches on has no slot that `probe`
+    keeps under the incumbent (`_IncrementalBound.reach`): every slot
+    of a descendant has a bound at least that of a slot of the node,
+    so no completion of it is at or under the incumbent (docs/MODEL.md,
+    "Search order and ties").
 
     With no budget the report status is always "optimal".  A node cap
     counts search nodes, and bounds each dive too: a dive makes at most
@@ -890,7 +974,8 @@ def solve_bnb(
     the gap to the best open bound, a tour not yet started counting as
     open at the root bound.  `stats` counts expanded nodes (one root
     per tour), bounded candidates, candidates pruned by the bound
-    (dropped early or cut off after sorting), (station, robot) chains
+    (dropped early or cut off after sorting), expanded nodes dropped by
+    the look-ahead (`pruned_by_lookahead`), (station, robot) chains
     rejected by range, `dives` (tours dived), `incumbents` (offers
     accepted, dives included) and `optimum_node`, the node count at
     which the returned objective was first reached (0 when a dive
@@ -910,10 +995,11 @@ def solve_bnb(
     best = _Best()
     failed = set()  # bins no placement completes: the same for every tour
     dive_cap = n_c + (budget.max_nodes or math.inf)  # placements in one dive
-    state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False}
+    state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False,
+             "doomed": None}
     stats = {
-        "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "rejected_by_range": 0,
-        "dives": 0, "incumbents": 0, "optimum_node": 0,
+        "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "pruned_by_lookahead": 0,
+        "rejected_by_range": 0, "dives": 0, "incumbents": 0, "optimum_node": 0,
     }
 
     def out_of_time() -> bool:
@@ -953,7 +1039,25 @@ def solve_bnb(
         kernel = _IncrementalBound(ev, tables, tour, groups)
         return groups, kernel, kernel.root(relax)
 
-    def assign(tour, idx, groups, node_bound, kernel, sched):
+    def doomed(idx, kernel, sched, hints) -> bool:
+        """Whether a customer after `urgency[idx]` has no slot under the
+        incumbent, the one that failed last checked first; each slot
+        found is the customer's hint at the next check."""
+        limit = best.objective
+        rest = urgency[idx + 1 :]
+        last = state["doomed"]
+        if last in rest:
+            rest.remove(last)
+            rest.insert(0, last)
+        for o in rest:
+            slot = kernel.reach(sched, o, limit, hints[o])
+            if slot is None:
+                state["doomed"] = o
+                return True
+            hints[o] = slot
+        return False
+
+    def assign(tour, idx, groups, node_bound, kernel, sched, hints):
         if not state["quota"]:
             yield  # the tour's turn is over; the scheduler resumes it here
         state["quota"] -= 1
@@ -966,6 +1070,11 @@ def solve_bnb(
             # fully assigned: the node bound is the exact objective
             if node_bound <= best.objective:
                 offer(node_bound, tour, groups)
+            return
+        # the look-ahead pays only in long searches: one that ends within
+        # a turn's worth of nodes spends more on the checks than they save
+        if state["nodes"] > TOUR_QUANTUM and doomed(idx, kernel, sched, hints):
+            stats["pruned_by_lookahead"] += 1
             return
         o = urgency[idx]
         candidates, probed, dropped, rejected = kernel.branch(sched, o, best.objective)
@@ -983,13 +1092,13 @@ def solve_bnb(
             g = groups[tour[ki]][r]
             g.insert(pos, o)
             yield from assign(
-                tour, idx + 1, groups, bound, kernel, kernel.child(sched, ki, r, pos, change)
+                tour, idx + 1, groups, bound, kernel, kernel.child(sched, ki, r, pos, change), hints
             )
             g.pop(pos)
 
     def search(tour):
         groups, kernel, sched = root(tour)
-        yield from assign(tour, 0, groups, root_bound, kernel, sched)
+        yield from assign(tour, 0, groups, root_bound, kernel, sched, [None] * n_c)
 
     tours = list(permutations(station_ids))
     try:

@@ -39,9 +39,11 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import count
 
 from .evaluation import PlanEvaluator, validate
 from .exact import (
+    BudgetExhaustedError,
     SolveReport,
     _Best,
     _canonical_plan,
@@ -57,6 +59,11 @@ from .exact import (
 from .model import EPSILON, Instance, ModelError, RoutePlan
 
 NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
+
+# Placements one construction may make beyond one per customer (each
+# follows an undo): the bin states its backtracking walks can be
+# exponential in number, and the memo of failed bins does not bound them.
+CONSTRUCT_UNDOS = 10_000
 
 
 @dataclass(frozen=True)
@@ -182,18 +189,26 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     run.  It skips a state whose chains, as sets, already failed once
     (its memo of failed bins).  An instance that fails
     `check_capacity` raises InfeasibleInstanceError at once, one whose
-    search exhausts every placement after it.
+    search exhausts every placement after it.  The search makes at
+    most one placement per customer plus `CONSTRUCT_UNDOS` more, and
+    raises BudgetExhaustedError when that cap stops it.
     """
     ev = PlanEvaluator(instance)
     check_capacity(ev)
-    return _construct(ev, _StepTables(ev), seed)
+    plan = _construct(ev, _StepTables(ev), seed)
+    if plan is None:
+        raise BudgetExhaustedError(
+            f"construct gave up after {instance.n_customers + CONSTRUCT_UNDOS} placements "
+            "without a feasible plan"
+        )
+    return plan
 
 
 def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int, stop=None) -> RoutePlan | None:
     """`construct` on the caller's evaluator and step tables, with no
-    capacity check: `improve`'s restarts start from a feasible plan, so
-    every construction finds one, unless `stop()`, read before each
-    placement, turns true: then None."""
+    capacity check: `improve`'s restarts start from a feasible plan.
+    None when the placement cap stops the search, or `stop()`, read
+    before each placement, turns true."""
     instance = ev.instance
     ids = sorted(s.id for s in instance.stations)
     rnd = random.Random(seed)
@@ -224,7 +239,13 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int, stop=None) -> 
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
     kernel = _IncrementalBound(ev, tables, tour, groups)
     order = _urgency(instance, jitter)
-    if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), picks, stop) is None:
+    placed = count(1)
+    cap = len(order) + CONSTRUCT_UNDOS
+
+    def halt() -> bool:
+        return next(placed) > cap or (stop is not None and stop())
+
+    if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), picks, halt) is None:
         return None
     return _canonical_plan(tour, groups)
 
@@ -435,9 +456,10 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     Runs the descent on the given plan, then on `params.restarts - 1`
     fresh constructions (seeds `params.seed + r`), and returns the best
     plan found; never worse than the input, always feasible.  The time
-    cap is read inside a construction too: one it stops offers nothing
-    and ends the run.  The report status is "heuristic": no optimality
-    proof is implied.  `nodes` counts move evaluations; `stats` splits
+    cap is read inside a construction too: a construction that it, or
+    the construction's own placement cap, stops offers nothing and ends
+    the run.  The report status is "heuristic": no optimality proof is
+    implied.  `nodes` counts move evaluations; `stats` splits
     them by neighborhood (`evals_<name>`), counts the moves kept
     (`moves_<name>`) and the descents run (`descents`).
     """

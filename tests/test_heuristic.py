@@ -13,6 +13,7 @@ from reference_improve import reference_improve
 
 from mothership import (
     NEIGHBORHOODS,
+    BudgetExhaustedError,
     Customer,
     InfeasibleInstanceError,
     Instance,
@@ -118,6 +119,15 @@ class TestConstruct:
     def test_corpus_always_feasible(self, tiny_corpus):
         for inst, _ in tiny_corpus[::10]:
             assert validate(inst, construct(inst)) == []
+
+    def test_placement_cap_ends_a_search_with_no_end_in_sight(self):
+        # the bin states of this instance's search are too many to walk
+        # (without the cap it ran on past 30 s)
+        inst = generate(6, 5, 2, 30)
+        started = time.perf_counter()
+        with pytest.raises(BudgetExhaustedError, match="10030 placements"):
+            construct(inst)
+        assert time.perf_counter() - started < 2.0
 
 
 def backtracking_instance():

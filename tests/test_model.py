@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,27 @@ class TestPlanTypes:
 
 
 class TestSerialization:
+    def test_format_doc_examples_parse(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "FORMAT.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            if "tour" in json.loads(block):
+                plan = parse_plan(block)
+                assert plan.tour == (2, 1) and len(plan.sorties) == 2
+            else:
+                inst = parse_instance(block)
+                assert inst.n_stations == 2 and inst.n_customers == 1
+                assert parse_instance(serialize_instance(inst)) == inst
+
+    def test_unknown_instance_keys_are_ignored(self):
+        inst, _ = builtin_fixture("small")
+        doc = json.loads(serialize_instance(inst))
+        doc["bogus"] = 1
+        doc["stations"][0]["name"] = "S"
+        doc["customers"][0]["note"] = None
+        assert parse_instance(json.dumps(doc)) == inst
+
     def test_instance_round_trip_fixture(self):
         for name in ("small", "medium"):
             inst, plan = builtin_fixture(name)
