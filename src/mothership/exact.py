@@ -6,11 +6,12 @@ the ground truth the branch-and-bound is tested against; it scores
 plans with `PlanEvaluator.bound_of` (`propagate`'s recurrence, not the
 search kernel), so it stays an independent check.
 `solve_bnb` explores the same space as one search per station tour,
-each placing one customer at a time into a (station, robot, position)
-slot and pruning with the admissible bound of `lower_bound`; a greedy
-dive per tour ranks the tours, and their searches take turns.  Both
-report objectives computed with the arithmetic of
-`evaluation.propagate`, so their results compare bit-exactly.
+each placing one customer at a time, least slack first, into a
+(station, robot, position) slot and pruning with the admissible bound
+of `lower_bound`; a greedy dive per tour ranks the tours, and their
+searches take turns.  Both report objectives computed with the
+arithmetic of `evaluation.propagate`, so their results compare
+bit-exactly.
 
 `lower_bound` and `PlanEvaluator.bound_of` define the bound.
 `solve_bnb` does not call them per candidate: each node carries its
@@ -39,9 +40,13 @@ Ties between equal-objective plans go to the lexicographically smallest
 plan serialization, with one exception in `solve_bnb`: when the optimum
 equals the root bound, the search stops at the first plan that meets
 it, in its own order of dives and turns (docs/MODEL.md, "Search order
-and ties").
-Robots at one station are interchangeable, so both solvers assign robot
-indices in first-use order and never enumerate relabelings.  The search
+and ties").  `solve_bnb` prunes against the incumbent plus a relative
+margin of 1e-12, so no tie is lost to the rounding of zero-length legs.
+Robots at one station are interchangeable, so both solvers fill robots
+in first-use order and never enumerate relabelings.  In the plans they
+write, the oracle numbers a station's busy robots in that order, and
+`solve_bnb` by each robot's most urgent customer (`_urgency`), so its
+plan does not depend on the order it places customers in.  The search
 is deterministic and single-threaded; repeated runs return identical
 reports apart from wall time.
 """
@@ -65,6 +70,13 @@ ORACLE_LEAF_LIMIT = 5_000_000
 # Nodes one tour's search expands per turn before `solve_bnb` moves on
 # to the next tour in rank order (interleaved depth-first search).
 TOUR_QUANTUM = 8192
+
+# Placements one greedy search (`_insert_all`, in `heuristic.construct`
+# and in a `solve_bnb` dive with no node cap) may make beyond one per
+# customer (each follows an undo): the bin states its backtracking walks
+# can be exponential in number, and the memo of failed bins does not
+# bound them.
+CONSTRUCT_UNDOS = 10_000
 
 _DONE = object()  # what `next` returns once a tour's search has finished
 
@@ -179,10 +191,9 @@ def check_capacity(ev: PlanEvaluator) -> None:
         )
 
 
-def _relaxed_contributions(instance: Instance, ev: PlanEvaluator) -> list[float]:
-    """Weighted tardiness per customer of its earliest conceivable
-    completion: a direct depot ride to the best station plus the single
-    service leg."""
+def _earliest(instance: Instance, ev: PlanEvaluator) -> list[float]:
+    """Each customer's earliest conceivable completion: a direct depot
+    ride to the best station plus the single service leg."""
     out = []
     for c in instance.customers:
         best = math.inf
@@ -190,6 +201,15 @@ def _relaxed_contributions(instance: Instance, ev: PlanEvaluator) -> list[float]
             t = ev.depot_leg[s.id] / ev.vv + ev.sc[s.id][c.id] / ev.vr
             if t < best:
                 best = t
+        out.append(best)
+    return out
+
+
+def _relaxed_contributions(instance: Instance, ev: PlanEvaluator) -> list[float]:
+    """Weighted tardiness per customer of its earliest conceivable
+    completion (`_earliest`)."""
+    out = []
+    for c, best in zip(instance.customers, _earliest(instance, ev)):
         late = best - c.deadline
         out.append(c.importance * late if late > 0.0 else 0.0)
     return out
@@ -257,32 +277,38 @@ def horizon(instance: Instance) -> float:
     return ride / ev.vv + service / ev.vr
 
 
-def _canonical_plan(tour, groups) -> RoutePlan:
+def _canonical_plan(tour, groups, rank=None) -> RoutePlan:
     """Materialize the light-weight solver state as a RoutePlan, sorties
-    listed in tour order with robots relabeled to first-use order, so
-    plans that differ only in which idle robot a chain went to are one
-    plan.  The searches fill robots in that order already; the local
-    search can leave an idle robot before a busy one."""
+    listed in tour order with the busy robots of each station numbered
+    0, 1, ... in their order in `groups`, so plans that differ only in
+    which idle robot a chain went to are one plan.  With `rank` (a
+    position per customer id), a station's busy robots are numbered by
+    the least rank they serve instead.  The searches fill robots in
+    first-use order; the local search can leave an idle robot before a
+    busy one."""
     sorties = []
     for k in tour:
         busy = [g for g in groups.get(k, ()) if g]
+        if rank is not None:
+            busy.sort(key=lambda g: min(rank[o] for o in g))
         sorties.extend(Sortie(robot=r, station=k, services=tuple(g)) for r, g in enumerate(busy))
     return RoutePlan(tour=tuple(tour), sorties=tuple(sorties))
 
 
 class _Best:
     """Incumbent tracker with lexicographic tie-breaking, shared by every
-    solver."""
+    solver; `rank` is `_canonical_plan`'s robot numbering."""
 
-    def __init__(self):
+    def __init__(self, rank=None):
         self.objective = math.inf
         self.plan: RoutePlan | None = None
         self.key: str | None = None
+        self.rank = rank
 
     def offer(self, objective: float, tour, groups) -> bool:
         if objective > self.objective:
             return False
-        plan = _canonical_plan(tour, groups)
+        plan = _canonical_plan(tour, groups, self.rank)
         key = serialize_plan(plan)
         if objective == self.objective and self.key is not None and key >= self.key:
             return False
@@ -300,10 +326,21 @@ def _report(instance, plan, status, nodes, started, gap=None, stats=None) -> Sol
 
 def _urgency(instance: Instance, jitter=None) -> list[int]:
     """Customer ids by deadline over importance (times `jitter[o]` when
-    given), then by id: the order the searches place customers in."""
+    given), then by id: the order `construct` places customers in, and
+    the one `solve_bnb` numbers robots by."""
     c = instance.customers
     jitter = jitter or [1.0] * len(c)  # times 1.0 is exact
     return sorted(range(len(c)), key=lambda o: (c[o].deadline / c[o].importance * jitter[o], o))
+
+
+def _slack(instance: Instance, ev: PlanEvaluator) -> list[int]:
+    """Customer ids by slack over importance, then by id: the order
+    `solve_bnb` places customers in.  The slack is the deadline less the
+    earliest conceivable completion (`_earliest`), so a customer far
+    from every station comes before one with the same deadline nearby."""
+    c = instance.customers
+    early = _earliest(instance, ev)
+    return sorted(range(len(c)), key=lambda o: ((c[o].deadline - early[o]) / c[o].importance, o))
 
 
 def solve_oracle(instance: Instance) -> SolveReport:
@@ -931,13 +968,15 @@ def solve_bnb(
     """Branch-and-bound over tours and customer slots.
 
     Every station tour is the root of its own search, which assigns
-    customers in urgency order (deadline over importance) to (station,
+    customers in slack order (`_slack`: deadline less the earliest
+    conceivable completion, over importance; fail-first) to (station,
     robot, position) slots, children ordered by their lower bound.  A
-    node is pruned when its bound strictly exceeds the incumbent, so
-    exact ties survive and the returned objective matches
-    `solve_oracle` on any instance the oracle can enumerate.  `on_node`,
-    when given, receives every expanded node as a SearchNode (used by
-    admissibility tests).
+    node is pruned when its bound exceeds the incumbent plus a margin
+    of 1e-12 * (1 + incumbent), so ties survive the rounding of
+    zero-length legs and the returned objective matches `solve_oracle`
+    on any instance the oracle can enumerate.  `on_node`, when given,
+    receives every expanded node as a SearchNode (used by
+    admissibility tests), robots numbered as the search filled them.
 
     Search order: first one greedy dive per tour (`_insert_all` from
     the tour's root, each customer at its lowest-bound slot that still
@@ -948,10 +987,12 @@ def solve_bnb(
     dive that exhausts its search raises InfeasibleInstanceError before
     any search node.  The plan returned is the one with the
     smallest (objective, serialization) among the optimal plans, which
-    every order visits.  Only when the incumbent meets the root bound
-    does the search stop early, and then it returns that plan: the
-    first that meets the bound in this order, dives first
-    (docs/MODEL.md, "Search order and ties").
+    every order visits; its busy robots at each station are numbered
+    by their most urgent customer (`_urgency`), the label the urgency
+    order's search gave them in first-use order.  Only when the
+    incumbent meets the root bound does the search stop early, and
+    then it returns that plan: the first that meets the bound in this
+    order, dives first (docs/MODEL.md, "Search order and ties").
 
     Candidate bounds are computed incrementally from the parent's
     schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
@@ -965,14 +1006,17 @@ def solve_bnb(
     so no completion of it is at or under the incumbent (docs/MODEL.md,
     "Search order and ties").
 
-    With no budget the report status is always "optimal".  A node cap
-    counts search nodes, and bounds each dive too: a dive makes at most
-    one placement per customer plus `max_nodes` more (one follows each
-    undo).  Both caps are read between a dive's placements; one that
-    stops a dive ends the solve, and raises BudgetExhaustedError when
-    it stops the first.  With caps the search returns the incumbent and
-    the gap to the best open bound, a tour not yet started counting as
-    open at the root bound.  `stats` counts expanded nodes (one root
+    A dive makes at most one placement per customer plus `max_nodes`
+    more (one follows each undo), or `CONSTRUCT_UNDOS` more with no
+    node cap.  That cap and the time cap are read between a dive's
+    placements; one that stops the first dive raises
+    BudgetExhaustedError naming it.  With no node cap, the undo cap
+    stopping a later dive only leaves its tour unranked, so with no
+    budget the report status is always "optimal".  A node cap counts
+    search nodes; it or the time cap stopping a later dive ends the
+    solve.  With caps the search returns the incumbent and the gap to
+    the best open bound, a tour not yet started counting as open at the
+    root bound.  `stats` counts expanded nodes (one root
     per tour), bounded candidates, candidates pruned by the bound
     (dropped early or cut off after sorting), expanded nodes dropped by
     the look-ahead (`pruned_by_lookahead`), (station, robot) chains
@@ -990,13 +1034,17 @@ def solve_bnb(
     relax = _relaxed_contributions(instance, ev)
     root_bound = math.fsum(relax)
     station_ids = sorted(s.id for s in instance.stations)
-    urgency = _urgency(instance)
+    order = _slack(instance, ev)
 
-    best = _Best()
+    best = _Best({o: i for i, o in enumerate(_urgency(instance))})
     failed = set()  # bins no placement completes: the same for every tour
-    dive_cap = n_c + (budget.max_nodes or math.inf)  # placements in one dive
+    undos = CONSTRUCT_UNDOS if budget.max_nodes is None else budget.max_nodes
+    dive_cap = n_c + undos  # placements in one dive
+    # `limit` is the incumbent plus a margin for the rounding of
+    # zero-length legs, which can put a bound a few units in the last
+    # place above an optimal leaf below it
     state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False,
-             "doomed": None}
+             "doomed": None, "limit": math.inf}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "pruned_by_lookahead": 0,
         "rejected_by_range": 0, "dives": 0, "incumbents": 0, "optimum_node": 0,
@@ -1031,6 +1079,7 @@ def solve_bnb(
             stats["incumbents"] += 1
             if objective < before:
                 stats["optimum_node"] = state["nodes"]
+                state["limit"] = objective + 1e-12 * (1.0 + objective)
             if objective <= root_bound:
                 state["proved"] = True
 
@@ -1040,11 +1089,11 @@ def solve_bnb(
         return groups, kernel, kernel.root(relax)
 
     def doomed(idx, kernel, sched, hints) -> bool:
-        """Whether a customer after `urgency[idx]` has no slot under the
-        incumbent, the one that failed last checked first; each slot
-        found is the customer's hint at the next check."""
-        limit = best.objective
-        rest = urgency[idx + 1 :]
+        """Whether a customer after `order[idx]` has no slot under the
+        limit, the one that failed last checked first; each slot found
+        is the customer's hint at the next check."""
+        limit = state["limit"]
+        rest = order[idx + 1 :]
         last = state["doomed"]
         if last in rest:
             rest.remove(last)
@@ -1076,8 +1125,8 @@ def solve_bnb(
         if state["nodes"] > TOUR_QUANTUM and doomed(idx, kernel, sched, hints):
             stats["pruned_by_lookahead"] += 1
             return
-        o = urgency[idx]
-        candidates, probed, dropped, rejected = kernel.branch(sched, o, best.objective)
+        o = order[idx]
+        candidates, probed, dropped, rejected = kernel.branch(sched, o, state["limit"])
         stats["candidates"] += probed
         stats["rejected_by_range"] += rejected
         stats["pruned_by_bound"] += dropped
@@ -1085,7 +1134,7 @@ def solve_bnb(
         for i, (bound, ki, r, pos, change) in enumerate(candidates):
             if state["proved"]:
                 return
-            if bound > best.objective:
+            if bound > state["limit"]:
                 # sorted ascending: the rest are pruned too
                 stats["pruned_by_bound"] += len(candidates) - i
                 break
@@ -1108,9 +1157,17 @@ def solve_bnb(
                 break
             groups, kernel, sched = root(tour)
             placed = count(1)
-            leaf = _insert_all(kernel, sched, urgency, failed,
+            leaf = _insert_all(kernel, sched, order, failed,
                                stop=lambda: out_of_time() or next(placed) > dive_cap)
             if leaf is None:
+                if best.plan is None:  # the first dive: no plan to return
+                    cap = (f"the time cap of {budget.max_seconds:g} s" if out_of_time() else
+                           f"the cap of {dive_cap} placements ({n_c} customers plus {undos} undos)")
+                    raise BudgetExhaustedError(
+                        f"budget exhausted before any feasible plan was found: {cap} "
+                        "stopped the first dive")
+                if budget.max_nodes is None and not out_of_time():
+                    continue  # the undo cap costs this tour its rank, not the proof
                 state["aborted"] = True
                 break
             stats["dives"] += 1
@@ -1132,8 +1189,6 @@ def solve_bnb(
         del assign
     stats["nodes"] = state["nodes"]
 
-    if best.plan is None:  # a cap stopped the first dive
-        raise BudgetExhaustedError("budget exhausted before any feasible plan was found")
     if state["aborted"] and state["frontier"] < best.objective:
         status, gap = "budget-exhausted", best.objective - state["frontier"]
     else:

@@ -43,6 +43,7 @@ from itertools import count
 
 from .evaluation import PlanEvaluator, validate
 from .exact import (
+    CONSTRUCT_UNDOS,
     BudgetExhaustedError,
     SolveReport,
     _Best,
@@ -59,11 +60,6 @@ from .exact import (
 from .model import EPSILON, Instance, ModelError, RoutePlan
 
 NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
-
-# Placements one construction may make beyond one per customer (each
-# follows an undo): the bin states its backtracking walks can be
-# exponential in number, and the memo of failed bins does not bound them.
-CONSTRUCT_UNDOS = 10_000
 
 
 @dataclass(frozen=True)

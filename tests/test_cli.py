@@ -18,6 +18,7 @@ from mothership import (
     construct,
     export_bigm,
     export_miqcp,
+    generate,
     improve,
     parse_instance,
     parse_plan,
@@ -209,11 +210,21 @@ class TestSolve:
         assert "status     optimal" in result.output
 
     def test_exhausted_node_budget_exits_1(self, runner):
-        # the first dive needs 5 undos; a 4-node cap stops it
+        # the first dive needs 11 undos; a 4-node cap stops it
         result = runner.invoke(cli, ["solve", "--fixture", "small",
                                      "--budget-nodes", "4"])
         assert result.exit_code == 1
         assert "budget exhausted before any feasible plan" in result.output
+
+    def test_dive_undo_cap_exits_1(self, runner, tmp_path):
+        # with no budget the first dive stops at its undo cap
+        ipath = tmp_path / "packing.json"
+        ipath.write_text(serialize_instance(generate(6, 5, 2, 30)))
+        result = runner.invoke(cli, ["solve", "-i", str(ipath)])
+        assert result.exit_code == 1
+        assert result.output.count("Error:") == 1
+        assert "Error: budget exhausted before any feasible plan was found: the cap of 10030 " \
+            "placements (30 customers plus 10000 undos) stopped the first dive" in result.output
 
     def test_budget_before_any_plan_exits_1(self, runner, clock):
         # the clock passes the cap before the first dive has a plan
@@ -251,9 +262,10 @@ class TestSolve:
         assert f"{args[0]} does not apply to --method {method}" in result.output
 
     def test_partial_budget_reports_gap(self, runner):
-        # the dives give the plan; the proof takes 84 nodes
+        # the first dive needs 11 undos, which an 11-node cap allows;
+        # the proof takes 99 nodes
         result = runner.invoke(cli, ["solve", "--fixture", "small",
-                                     "--budget-nodes", "5"])
+                                     "--budget-nodes", "11"])
         assert result.exit_code == 0
         assert "status     budget-exhausted" in result.output
         assert "gap" in result.output

@@ -16,6 +16,7 @@ import pytest
 
 from mothership import (
     EPSILON,
+    BudgetExhaustedError,
     Customer,
     EnumerationLimitError,
     InfeasibleInstanceError,
@@ -197,22 +198,23 @@ class TestBranchAndBound:
 
     def test_small_fixture_dives_return_plans(self):
         # the range is tight: placing each customer at its cheapest slot
-        # strands one in both tours, and the dives backtrack to a plan
+        # strands one in both tours, and the dives backtrack to a plan;
+        # the first undoes 11 placements, which an 11-node cap allows
         inst, _ = builtin_fixture("small")
         dives = reference_dives(inst)
         assert len(dives) == 2 and all(objective is not None for objective, _ in dives)
-        report = solve_bnb(inst, SolveBudget(max_nodes=5))
+        report = solve_bnb(inst, SolveBudget(max_nodes=11))
         assert report.status == "budget-exhausted"
         assert (report.objective, serialize_plan(report.plan)) == min(dives)
         assert report.stats["dives"] == 2
 
     def test_node_cap_bounds_a_dive(self, monkeypatch):
-        # the small fixture's first dive places its 8 customers in 13
-        # placements (5 undos): a 4-node cap stops it before any plan
+        # the small fixture's first dive places its 8 customers in 19
+        # placements (11 undos): a 10-node cap stops it before any plan
         inst, _ = builtin_fixture("small")
         nodes = []
-        with pytest.raises(RuntimeError, match="before any feasible plan"):
-            solve_bnb(inst, SolveBudget(max_nodes=4), on_node=nodes.append)
+        with pytest.raises(RuntimeError, match="before any feasible plan.* 18 placements"):
+            solve_bnb(inst, SolveBudget(max_nodes=10), on_node=nodes.append)
         assert nodes == []
         # the first dive on (6,5,2,30) backtracks through bin states that
         # fail, exponential in number; a node cap alone stops it after a
@@ -233,6 +235,27 @@ class TestBranchAndBound:
             solve_bnb(inst, SolveBudget(max_nodes=1000), on_node=nodes.append)
         assert len(stops) == 30 + 1000 + 1 and stops[-1] and not any(stops[:-1])
         assert nodes == []
+
+    def test_undo_cap_stops_a_dive_with_no_node_cap(self):
+        # with no budget a dive may undo as many placements as
+        # `construct` may; this first dive ran on past 15 s without that
+        inst = generate(6, 5, 2, 30)
+        started = time.perf_counter()
+        with pytest.raises(BudgetExhaustedError, match="cap of 10030 placements"):
+            solve_bnb(inst)
+        assert time.perf_counter() - started < 5.0
+
+    def test_undo_cap_on_a_later_dive_costs_only_its_rank(self, monkeypatch):
+        # the first tour's dive of (2,2,8) seed 2 undoes nothing, the
+        # second's undoes 2: with no undos allowed the second stops, its
+        # tour is searched unranked, and the proof is the same
+        inst = generate(2, 2, 2, 8)
+        want = solve_bnb(inst)
+        monkeypatch.setattr(exact, "CONSTRUCT_UNDOS", 0)
+        report = solve_bnb(inst)
+        assert report.status == "optimal" and report.stats["dives"] == 1
+        assert (report.objective, serialize_plan(report.plan)) == (
+            want.objective, serialize_plan(want.plan))
 
     def test_budget_before_any_plan(self, clock):
         # the clock passes the cap before the first dive has placed
@@ -283,7 +306,7 @@ class TestBranchAndBound:
         assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
 
     def test_budget_mid_search_returns_feasible_incumbent(self):
-        # the dives reach the optimum; the proof takes 84 nodes
+        # the proof takes 99 nodes
         inst, _ = builtin_fixture("small")
         report = solve_bnb(inst, SolveBudget(max_nodes=60))
         assert report.status == "budget-exhausted"
@@ -323,25 +346,47 @@ class TestBranchAndBound:
             assert lower_bound(inst, node) == node.bound
 
 
+def margin(best):
+    """The incumbent plus the margin `solve_bnb` prunes against."""
+    return best + 1e-12 * (1.0 + best)
+
+
+def urgency_rank(instance):
+    """Each customer's position in deadline-over-importance order."""
+    c = instance.customers
+    order = sorted(range(len(c)), key=lambda o: (c[o].deadline / c[o].importance, o))
+    return {o: i for i, o in enumerate(order)}
+
+
 class _Plain:
     """What the plain searches below share: the instance's tables, the
-    urgency order, and candidates bounded from scratch with
+    slack order (deadline less the earliest conceivable completion, over
+    importance), plan texts with each station's busy robots numbered by
+    their most urgent customer, and candidates bounded from scratch with
     `PlanEvaluator.bound_of`."""
 
     def __init__(self, instance):
-        self.ev = PlanEvaluator(instance)
+        ev = self.ev = PlanEvaluator(instance)
         self.n_c, self.n_r = instance.n_customers, instance.fleet_size
         self.range = instance.robot_range
-        self.relax = _relaxed_contributions(instance, self.ev)
+        self.relax = _relaxed_contributions(instance, ev)
         self.root_bound = math.fsum(self.relax)
         self.station_ids = sorted(s.id for s in instance.stations)
-        self.urgency = sorted(
-            range(self.n_c),
-            key=lambda o: (instance.customers[o].deadline / instance.customers[o].importance, o),
+        c = instance.customers
+        early = [
+            min(ev.depot_leg[k] / ev.vv + ev.sc[k][o] / ev.vr for k in self.station_ids)
+            for o in range(self.n_c)
+        ]
+        self.order = sorted(
+            range(self.n_c), key=lambda o: ((c[o].deadline - early[o]) / c[o].importance, o)
         )
+        self.rank = urgency_rank(instance)
 
     def empty(self):
         return {k: [[] for _ in range(self.n_r)] for k in self.station_ids}
+
+    def key(self, tour, groups):
+        return serialize_plan(_canonical_plan(tour, groups, self.rank))
 
     def candidates(self, tour, groups, o):
         """(bound, ki, r, pos, station) of every slot for `o`, sorted."""
@@ -360,11 +405,11 @@ class _Plain:
         return sorted(out)
 
     def doomed(self, tour, groups, idx, limit):
-        """Whether a customer after `urgency[idx]` has no slot whose bound
+        """Whether a customer after `order[idx]` has no slot whose bound
         is at most `limit`."""
         return any(
             not any(bound <= limit for bound, *_ in self.candidates(tour, groups, o))
-            for o in self.urgency[idx + 1 :]
+            for o in self.order[idx + 1 :]
         )
 
 
@@ -378,17 +423,17 @@ def sorted_order_search(instance):
 
     def assign(tour, idx, groups, node_bound):
         if idx == p.n_c:
-            key = serialize_plan(_canonical_plan(tour, groups))
+            key = p.key(tour, groups)
             if node_bound < state["best"] or (node_bound == state["best"] and key < state["key"]):
                 state["best"], state["key"] = node_bound, key
                 if node_bound <= p.root_bound:
                     state["proved"] = True
             return
-        o = p.urgency[idx]
+        o = p.order[idx]
         for bound, ki, r, pos, k in p.candidates(tour, groups, o):
             if state["proved"]:
                 return
-            if bound > state["best"]:
+            if bound > margin(state["best"]):
                 break
             groups[k][r].insert(pos, o)
             assign(tour, idx + 1, groups, bound)
@@ -403,7 +448,7 @@ def sorted_order_search(instance):
 
 def reference_dives(instance):
     """(objective, serialize_plan text) of each tour's dive, in sorted
-    tour order: every customer, by urgency, at its lowest-bound slot,
+    tour order: every customer, by slack, at its lowest-bound slot,
     and when a customer finds no slot, the last choice undone and the
     next slot tried.  The instance must be feasible."""
     p = _Plain(instance)
@@ -414,7 +459,7 @@ def reference_dives(instance):
         def place(idx, objective):
             if idx == p.n_c:
                 return objective
-            o = p.urgency[idx]
+            o = p.order[idx]
             for bound, _, r, pos, k in p.candidates(tour, groups, o):
                 groups[k][r].insert(pos, o)
                 leaf = place(idx + 1, bound)
@@ -424,7 +469,7 @@ def reference_dives(instance):
             return None
 
         objective = place(0, p.root_bound)
-        out.append((objective, serialize_plan(_canonical_plan(tour, groups))))
+        out.append((objective, p.key(tour, groups)))
     return out
 
 
@@ -435,11 +480,11 @@ def reference_search(instance, quantum):
     the tours' searches, one generator each, take turns of `quantum`
     nodes in order of (dive objective, tour); a plan at the root bound
     ends the search.  Once more than `quantum` nodes are expanded, a
-    node where some later customer has no slot under the incumbent is
-    dropped (the look-ahead).  Returns the expanded nodes in order, the
-    node count, the best objective, the node count at which it was
-    first reached, the serialize_plan text of the plan returned and
-    the nodes the look-ahead dropped."""
+    node where some later customer has no slot under the incumbent plus
+    the margin is dropped (the look-ahead).  Returns the expanded nodes
+    in order, the node count, the best objective, the node count at
+    which it was first reached, the serialize_plan text of the plan
+    returned and the nodes the look-ahead dropped."""
     p = _Plain(instance)
     emitted = []
     dropped = []
@@ -474,16 +519,16 @@ def reference_search(instance, quantum):
             )
         )
         if idx == p.n_c:
-            offer(node_bound, serialize_plan(_canonical_plan(tour, groups)))
+            offer(node_bound, p.key(tour, groups))
             return
-        if state["nodes"] > quantum and p.doomed(tour, groups, idx, state["best"]):
+        if state["nodes"] > quantum and p.doomed(tour, groups, idx, margin(state["best"])):
             dropped.append(emitted[-1])
             return
-        o = p.urgency[idx]
+        o = p.order[idx]
         for bound, ki, r, pos, k in p.candidates(tour, groups, o):
             if state["proved"]:
                 return
-            if bound > state["best"]:
+            if bound > margin(state["best"]):
                 break
             groups[k][r].insert(pos, o)
             yield from assign(tour, idx + 1, groups, bound)
@@ -580,16 +625,16 @@ class TestIncrementalBound:
         monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
         assert_same_search(search_case(name))
 
-    @pytest.mark.parametrize("seed,nodes", [(0, 9828), (1, 2798), (2, 6717), (3, 25172)])
+    @pytest.mark.parametrize("seed,nodes", [(0, 4560), (1, 1849), (2, 2199), (3, 19938)])
     def test_node_counts_pinned(self, seed, nodes):
         # the whole search record: a change that keeps the search keeps
-        # every counter, so no decision moved; seeds 1 and 2 end before
+        # every counter, so no decision moved; seeds 0 to 2 end before
         # the look-ahead starts
         candidates, pruned, lookahead, rejected, incumbents, optimum_node = {
-            0: (39487, 29665, 737, 22817, 25, 6000),
-            1: (17452, 14660, 0, 4266, 8, 897),
-            2: (45143, 38432, 0, 8606, 8, 5626),
-            3: (89211, 64045, 7915, 30383, 9, 17512),
+            0: (20652, 16098, 0, 10641, 17, 2756),
+            1: (11467, 9624, 0, 2747, 4, 81),
+            2: (13892, 11699, 0, 2741, 13, 758),
+            3: (70511, 50579, 5277, 28559, 11, 16972),
         }[seed]
         report = solve_bnb(generate(seed, 3, 2, 10))
         assert report.nodes == nodes
@@ -634,17 +679,17 @@ class TestIncrementalBound:
         # was pruned by the bound
         entered = report.nodes - 2
         assert stats["candidates"] == stats["pruned_by_bound"] + entered
-        # 84 nodes end the search before the look-ahead starts
+        # 99 nodes end the search before the look-ahead starts
         assert stats["pruned_by_lookahead"] == 0
         assert stats["rejected_by_range"] > 0
         assert stats["dives"] == 2
-        assert stats["incumbents"] >= 1
-        # a dive reaches the optimum, so the search only proves it
-        assert stats["optimum_node"] == 0
+        assert stats["incumbents"] == 4
+        # the dives miss the optimum; the search reaches it at node 36
+        assert stats["optimum_node"] == 36
 
     @pytest.mark.parametrize(
         "name", [f"2-2-5-s{seed}" for seed in (0, 2, 4, 5, 7, 8)]
-        + [f"on-stations-s{seed}" for seed in (2, 33, 532, 631)],
+        + [f"on-stations-s{seed}" for seed in (2, 33, 532, 111)],
     )
     def test_lookahead_drops_only_nodes_with_no_completion_under_the_incumbent(
         self, name, monkeypatch
@@ -919,7 +964,36 @@ class TestSearchOrder:
                 want = best, key
             assert (report.objective, serialize_plan(report.plan)) == want
 
-    @pytest.mark.parametrize("shape,seed", [((2, 2, 5), 26), ((3, 2, 5), 6), ((3, 2, 8), 19)])
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_urgency_order_returns_the_same_plan(self, name, monkeypatch):
+        # the order in which the search places customers moves node
+        # counts, not the plan: robots are numbered by urgency either way
+        instance = search_case(name)
+        want = solve_bnb(instance)
+        monkeypatch.setattr(exact, "_slack", lambda instance, ev: exact._urgency(instance))
+        report = solve_bnb(instance)
+        assert (report.objective, serialize_plan(report.plan)) == (
+            want.objective, serialize_plan(want.plan))
+
+    @pytest.mark.parametrize(
+        "name", [f"2-2-5-s{seed}" for seed in range(4)]
+        + [f"on-stations-s{seed}" for seed in (2, 33, 532, 631)],
+    )
+    def test_least_plan_of_every_plan(self, name):
+        # on-stations-s631 has two optimal plans whose objectives are
+        # bit-equal, and an ancestor of the one with the smaller text
+        # has a bound a few units in the last place above them: only the
+        # margin keeps that ancestor once the other plan is the incumbent
+        instance = search_case(name)
+        report = solve_bnb(instance)
+        objective, text = least_plan(instance)
+        assert report.objective == objective
+        if objective > math.fsum(_relaxed_contributions(instance, PlanEvaluator(instance))):
+            assert serialize_plan(report.plan) == text
+        else:  # (2,2,5) seeds 1 and 3: a plan at the root bound ends the search as found
+            assert validate(instance, report.plan) == []
+
+    @pytest.mark.parametrize("shape,seed", [((2, 2, 5), 26), ((3, 2, 5), 6), ((3, 2, 8), 26)])
     def test_a_dive_at_the_root_bound_ends_the_solve(self, shape, seed):
         # the optimum 0 equals the root bound and a dive reaches it: no
         # search node runs, and the plan is that dive's, not the one a
@@ -931,6 +1005,49 @@ class TestSearchOrder:
         assert report.nodes == 0 and report.stats["optimum_node"] == 0
         dive = next(key for objective, key in reference_dives(instance) if objective == 0.0)
         assert serialize_plan(report.plan) == dive != sorted_order_search(instance)[1]
+
+
+def least_plan(instance):
+    """Brute force: the least (objective, serialize_plan text) over every
+    plan, each customer inserted in id order at every position of every
+    chain within range (of the idle robots at a station, the first),
+    with each station's busy robots numbered by their most urgent
+    customer."""
+    ev = PlanEvaluator(instance)
+    rank = urgency_rank(instance)
+    ids = sorted(s.id for s in instance.stations)
+    n_c, n_r = instance.n_customers, instance.fleet_size
+    zero = [0.0] * n_c
+    best = (math.inf, None)
+
+    def text(tour, groups):
+        sorties = []
+        for k in tour:
+            busy = sorted((g for g in groups[k] if g), key=lambda g: min(rank[o] for o in g))
+            sorties.extend(Sortie(r, k, tuple(g)) for r, g in enumerate(busy))
+        return serialize_plan(RoutePlan(tuple(tour), tuple(sorties)))
+
+    def place(tour, groups, o):
+        nonlocal best
+        if o == n_c:
+            objective = ev.bound_of(tour, groups, zero)
+            if objective <= best[0]:
+                best = min(best, (objective, text(tour, groups)))
+            return
+        for k in tour:
+            lists = groups[k]
+            for r in range(min(sum(1 for g in lists if g) + 1, n_r)):
+                g = lists[r]
+                if ev.group_length(k, g + [o]) > instance.robot_range + EPSILON:
+                    continue
+                for pos in range(len(g) + 1):
+                    g.insert(pos, o)
+                    place(tour, groups, o + 1)
+                    g.pop(pos)
+
+    for tour in itertools.permutations(ids):
+        place(tour, {k: [[] for _ in range(n_r)] for k in ids}, 0)
+    return best
 
 
 def identical_customers(n, fits):
