@@ -20,10 +20,10 @@ recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
 the incumbent is dropped unfinished, and so is a slot where the
-inserted customer's own term does.  Past the first `TOUR_QUANTUM`
-nodes, a node where some unplaced customer has no slot under the
-incumbent is dropped too (the look-ahead, `_IncrementalBound.reach`).
-The range verdict is
+inserted customer's own term does.  A node where some unplaced
+customer has no slot under the incumbent is dropped too (the
+look-ahead, `_IncrementalBound.reach`, which passes most slots by a
+certificate, without a `probe`).  The range verdict is
 `_StepTables.fits`'s: the node schedule carries each chain's length,
 and `branch` decides from that length plus the newcomer's leg when the
 sum is clear of the cap, with `fits` otherwise.
@@ -474,13 +474,18 @@ class _NodeSchedule:
     `used[i][r]` is the length of robot r's chain at tour position i,
     bit-equal to `group_length`, for `branch`'s range verdict; only the
     schedules `branch` starts from carry it (`_IncrementalBound.root`
-    and its children), else it is None.  A schedule is never changed
-    once built; children copy what differs.
+    and its children), else it is None.
+    `heavy[i]` is the weight (importance) of the customers served at
+    tour positions i and after, `heavy[-1]` 0.0, for `reach`'s
+    certificate; only the B&B's schedules carry it, else it is None.
+    A schedule is never changed once built; children copy what differs.
     """
 
-    __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix", "used")
+    __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix", "used",
+                 "heavy")
 
-    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used=None):
+    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used=None,
+                 heavy=None):
         self.arrive = arrive
         self.depart = depart
         self.chains = chains
@@ -489,6 +494,7 @@ class _NodeSchedule:
         self.terms = terms
         self.prefix = prefix
         self.used = used
+        self.heavy = heavy
 
 
 class _IncrementalBound:
@@ -522,6 +528,7 @@ class _IncrementalBound:
         self.clear = (tables.clear_below, tables.clear_above)
         self.deadline = ev.deadline
         self.weight = ev.weight
+        self.probes = 0  # spent by `reach`
         rides = []
         prev = None
         for k in tour:
@@ -563,18 +570,24 @@ class _IncrementalBound:
             arrive, depart, chains, returns, low, terms, list(accumulate(terms, add, initial=0.0))
         )
 
-    def root(self, terms) -> _NodeSchedule:
+    def root(self, terms, heavy=False) -> _NodeSchedule:
         """`schedule`, carrying the length of every chain for `branch`
         and `child`: the schedule a search or `construct` starts from.
-        `improve` never branches, so its schedules skip the lengths."""
+        `improve` never branches, so its schedules skip the lengths.
+        With `heavy`, it and its children carry the weights `reach`
+        reads (`_NodeSchedule.heavy`); `construct` never looks ahead."""
         st = self.schedule(terms)
         st.used = [
             [math.fsum([self.doubled[k][o] for o in g]) for g in self.groups[k]]
             for k in self.tour
         ]
+        if heavy:
+            at = [sum(self.weight[o] for g in self.groups[k] for o in g) for k in self.tour]
+            st.heavy = list(accumulate(reversed(at), add, initial=0.0))[::-1]
         return st
 
-    def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float):
+    def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float,
+              floor=True):
         """Bound of the child that inserts customer `o` at `pos` of robot
         `r`'s chain at tour position `ki`, as the candidate tuple
         `(bound, ki, r, pos, change)`, where `change` is what `child`
@@ -583,6 +596,13 @@ class _IncrementalBound:
         fixed order, and a float sum of non-negative terms never
         decreases, so it is at least any one of its terms and any of
         its prefix sums.
+
+        With `floor`, when the insertion delays the departure, the sum
+        with the later stations unchanged is checked against `limit`
+        before they are recomputed.  That pays in `improve`'s relocate
+        probes; the B&B's `branch` and `reach` skip it, where it costs
+        more time than it saves.  It drops no slot the finished sum
+        keeps.
 
         The two inner loops are `_chain_tail` with each completion's
         term computed on the spot.
@@ -621,7 +641,7 @@ class _IncrementalBound:
 
         later = ki + 1  # tour positions before this one keep their times
         if new_dep != dep:
-            if new_dep > dep and limit < math.inf:
+            if floor and new_dep > dep and limit < math.inf:
                 # every later time can only grow, and so can every term:
                 # the sum with the later stations unchanged is a floor
                 # (an infinite limit drops nothing, so it is not summed)
@@ -716,7 +736,7 @@ class _IncrementalBound:
                         if late > 0.0 and w * late > limit:
                             dropped += 1
                             continue
-                    found = probe(st, ki, r, pos, o, limit)
+                    found = probe(st, ki, r, pos, o, limit, False)
                     if found is None:
                         dropped += 1
                     else:
@@ -727,45 +747,68 @@ class _IncrementalBound:
         """A slot `(ki, r, pos)` of customer `o` that `probe` keeps under
         `limit`, or None when there is none: whether `branch` would
         return any candidate, from the same slots and range verdict.
+        `self.probes` counts the `probe` calls it spends.
 
         `hint`, a slot that passed before (or None), is tried first
         while its position exists and its chain takes `o` within range;
         a slot of an idle robot probes the same as the first idle
         robot's, its relabeling.  Then the stations, last in the tour
         first (a slot there moves no later station, so its `probe` is
-        the cheapest), with two floors (docs/MODEL.md, "Search order and
-        ties"), each trusted only beyond a margin of `1e-9 * (1 + limit)`
-        for rounding.  At a station, o completes no earlier than at a
-        chain's head, and no other term shrinks, so the node's bound less
-        o's relaxed term plus o's term there is a floor for every slot.
-        In a chain, inserting `o` anywhere adds, in real arithmetic, the
-        same 2*L(k,o)/VR to the return and delays no other chain, so the
-        end slot's bound, less o's term there plus o's term at the head,
-        is a floor for every slot: one `probe` at the end, its limit
-        raised by the difference, rules the chain out.
+        the cheapest).  A certificate and two floors (docs/MODEL.md,
+        "Search order and ties") save probes, each trusted only beyond
+        a margin of `1e-9 * (1 + limit)` for rounding.  In real
+        arithmetic, inserting `o` at a slot delays each customer after
+        it in the chain, and each at a later tour position, by at most
+        2*L(k,o)/VR, and no one else, so the node's bound less o's
+        relaxed term, plus o's term at the slot, plus 2*L(k,o)/VR times
+        those customers' weight, is at least the slot's bound: at or
+        under the limit, the hint or a chain's end slot passes without
+        a `probe`.  At a station, o completes no earlier than at a
+        chain's head, and no other term shrinks, so the node's bound
+        less o's relaxed term plus o's term there is a floor for every
+        slot.  In a chain, inserting `o` anywhere adds, in real
+        arithmetic, the same 2*L(k,o)/VR to the return and delays no
+        other chain, so the end slot's bound, less o's term there plus
+        o's term at the head, is a floor for every slot: one `probe` at
+        the end, its limit raised by the difference, rules the chain
+        out.
         """
         probe, fits, tour, groups = self.probe, self.fits, self.tour, self.groups
         clear_below, clear_above = self.clear
-        w, due = self.weight[o], self.deadline[o]
+        weight, heavy = self.weight, st.heavy
+        w, due = weight[o], self.deadline[o]
+        margin = 1e-9 * (1.0 + limit)
+        base = st.prefix[-1] - st.terms[o] - limit - margin
         if hint is not None:
             ki, r, pos = hint
             k = tour[ki]
             g = groups[k][r]
             length = st.used[ki][r] + self.doubled[k][o]
-            if (
-                pos <= len(g)
-                and (length <= clear_below or (length <= clear_above and fits(k, g + [o])))
-                and probe(st, ki, r, pos, o, limit) is not None
+            if pos <= len(g) and (
+                length <= clear_below or (length <= clear_above and fits(k, g + [o]))
             ):
-                return hint
-        margin = 1e-9 * (1.0 + limit)
-        base = st.prefix[-1] - st.terms[o] - limit - margin
+                first = self.first[k][o]
+                if pos:  # o's completion, as `probe` computes it
+                    late = st.chains[ki][r][pos - 1] + self.step[k][g[pos - 1]][o] - due
+                else:
+                    late = st.arrive[ki] + first - due
+                behind = heavy[ki + 1]
+                for b in islice(g, pos, None):
+                    behind += weight[b]
+                if base + (w * late if late > 0.0 else 0.0) + 2.0 * first * behind <= 0.0:
+                    return hint
+                self.probes += 1
+                if probe(st, ki, r, pos, o, limit, False) is not None:
+                    return hint
         for ki in range(len(tour) - 1, -1, -1):
             k = tour[ki]
-            late = st.arrive[ki] + self.first[k][o] - due
+            first = self.first[k][o]
+            late = st.arrive[ki] + first - due
             head = w * late if late > 0.0 else 0.0
             if head > limit or base + head > 0.0:
                 continue  # the station floor: no slot here is under the limit
+            # the certificate of an end slot, less o's term there
+            after = base + 2.0 * first * heavy[ki + 1]
             lists = groups[k]
             step, used, comps = self.step[k], st.used[ki], st.chains[ki]
             d = self.doubled[k][o]
@@ -776,14 +819,16 @@ class _IncrementalBound:
                 if length > clear_below and (length > clear_above or not fits(k, g + [o])):
                     continue
                 end = len(g)
-                if not end:
-                    if probe(st, ki, r, 0, o, limit) is not None:
-                        return ki, r, 0
-                    continue
                 comp = comps[r]
-                late = comp[-1] + step[g[-1]][o] - due
-                tail = w * late if late > 0.0 else 0.0
-                found = probe(st, ki, r, end, o, limit + (tail - head) + margin)
+                if end:
+                    late = comp[-1] + step[g[-1]][o] - due
+                    tail = w * late if late > 0.0 else 0.0
+                else:  # an idle robot: its one slot is the head
+                    tail = head
+                if after + tail <= 0.0:
+                    return ki, r, end
+                self.probes += 1
+                found = probe(st, ki, r, end, o, limit + (tail - head) + margin, False)
                 if found is None:
                     continue
                 if found[0] <= limit:
@@ -793,7 +838,8 @@ class _IncrementalBound:
                         late = comp[pos - 1] + step[g[pos - 1]][o] - due
                         if late > 0.0 and w * late > limit:
                             continue
-                    if probe(st, ki, r, pos, o, limit) is not None:
+                    self.probes += 1
+                    if probe(st, ki, r, pos, o, limit, False) is not None:
                         return ki, r, pos
         return None
 
@@ -869,7 +915,11 @@ class _IncrementalBound:
                 depart[i] = t
         prefix = st.prefix[:m]
         prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
-        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used)
+        heavy = st.heavy
+        if heavy is not None:
+            w = self.weight[o]
+            heavy = [h + w for h in islice(heavy, ki + 1)] + heavy[ki + 1 :]
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used, heavy)
 
     def _station(self, i: int, a: float):
         """Chains, returns and departure at tour position `i` for arrival `a`."""
@@ -998,13 +1048,15 @@ def solve_bnb(
     schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
     candidate whose partial bound already exceeds the incumbent is
     dropped before its bound is finished: it would be pruned on entry,
-    and the incumbent only decreases.  Once the solve has expanded more
-    than `TOUR_QUANTUM` nodes, a look-ahead drops a node where some
-    customer after the one it branches on has no slot that `probe`
-    keeps under the incumbent (`_IncrementalBound.reach`): every slot
-    of a descendant has a bound at least that of a slot of the node,
-    so no completion of it is at or under the incumbent (docs/MODEL.md,
-    "Search order and ties").
+    and the incumbent only decreases.  At every node, a look-ahead
+    drops the node when some customer after the one it branches on has
+    no slot that `probe` keeps under the incumbent
+    (`_IncrementalBound.reach`): every slot of a descendant has a bound
+    at least that of a slot of the node, so no completion of it is at
+    or under the incumbent (docs/MODEL.md, "Search order and ties").
+    A slot whose certificate (a real-arithmetic ceiling on its bound)
+    is under the incumbent passes without a `probe`; the certificate
+    only saves probes, it never keeps a node the probe would drop.
 
     A dive makes at most one placement per customer plus `max_nodes`
     more (one follows each undo), or `CONSTRUCT_UNDOS` more with no
@@ -1019,7 +1071,8 @@ def solve_bnb(
     root bound.  `stats` counts expanded nodes (one root
     per tour), bounded candidates, candidates pruned by the bound
     (dropped early or cut off after sorting), expanded nodes dropped by
-    the look-ahead (`pruned_by_lookahead`), (station, robot) chains
+    the look-ahead (`pruned_by_lookahead`), the `probe` calls the
+    look-ahead spent (`lookahead_probes`), (station, robot) chains
     rejected by range, `dives` (tours dived), `incumbents` (offers
     accepted, dives included) and `optimum_node`, the node count at
     which the returned objective was first reached (0 when a dive
@@ -1047,8 +1100,10 @@ def solve_bnb(
              "doomed": None, "limit": math.inf}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "pruned_by_lookahead": 0,
-        "rejected_by_range": 0, "dives": 0, "incumbents": 0, "optimum_node": 0,
+        "lookahead_probes": 0, "rejected_by_range": 0, "dives": 0, "incumbents": 0,
+        "optimum_node": 0,
     }
+    kernels = []
 
     def out_of_time() -> bool:
         return budget.max_seconds is not None and time.perf_counter() - started > budget.max_seconds
@@ -1086,7 +1141,8 @@ def solve_bnb(
     def root(tour):
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
-        return groups, kernel, kernel.root(relax)
+        kernels.append(kernel)
+        return groups, kernel, kernel.root(relax, heavy=True)
 
     def doomed(idx, kernel, sched, hints) -> bool:
         """Whether a customer after `order[idx]` has no slot under the
@@ -1120,9 +1176,7 @@ def solve_bnb(
             if node_bound <= best.objective:
                 offer(node_bound, tour, groups)
             return
-        # the look-ahead pays only in long searches: one that ends within
-        # a turn's worth of nodes spends more on the checks than they save
-        if state["nodes"] > TOUR_QUANTUM and doomed(idx, kernel, sched, hints):
+        if doomed(idx, kernel, sched, hints):
             stats["pruned_by_lookahead"] += 1
             return
         o = order[idx]
@@ -1188,6 +1242,7 @@ def solve_bnb(
         # frees the search state without waiting for the cycle collector
         del assign
     stats["nodes"] = state["nodes"]
+    stats["lookahead_probes"] = sum(kernel.probes for kernel in kernels)
 
     if state["aborted"] and state["frontier"] < best.objective:
         status, gap = "budget-exhausted", best.objective - state["frontier"]

@@ -263,7 +263,7 @@ class TestSolve:
 
     def test_partial_budget_reports_gap(self, runner):
         # the first dive needs 11 undos, which an 11-node cap allows;
-        # the proof takes 99 nodes
+        # the proof takes 78 nodes
         result = runner.invoke(cli, ["solve", "--fixture", "small",
                                      "--budget-nodes", "11"])
         assert result.exit_code == 0

@@ -306,7 +306,7 @@ class TestBranchAndBound:
         assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
 
     def test_budget_mid_search_returns_feasible_incumbent(self):
-        # the proof takes 99 nodes
+        # the proof takes 78 nodes
         inst, _ = builtin_fixture("small")
         report = solve_bnb(inst, SolveBudget(max_nodes=60))
         assert report.status == "budget-exhausted"
@@ -479,12 +479,12 @@ def reference_search(instance, quantum):
     with `PlanEvaluator.bound_of`.  The dives are offered first; then
     the tours' searches, one generator each, take turns of `quantum`
     nodes in order of (dive objective, tour); a plan at the root bound
-    ends the search.  Once more than `quantum` nodes are expanded, a
-    node where some later customer has no slot under the incumbent plus
-    the margin is dropped (the look-ahead).  Returns the expanded nodes
-    in order, the node count, the best objective, the node count at
-    which it was first reached, the serialize_plan text of the plan
-    returned and the nodes the look-ahead dropped."""
+    ends the search.  A node where some later customer has no slot
+    under the incumbent plus the margin is dropped (the look-ahead).
+    Returns the expanded nodes in order, the node count, the best
+    objective, the node count at which it was first reached, the
+    serialize_plan text of the plan returned and the nodes the
+    look-ahead dropped."""
     p = _Plain(instance)
     emitted = []
     dropped = []
@@ -521,7 +521,7 @@ def reference_search(instance, quantum):
         if idx == p.n_c:
             offer(node_bound, p.key(tour, groups))
             return
-        if state["nodes"] > quantum and p.doomed(tour, groups, idx, margin(state["best"])):
+        if p.doomed(tour, groups, idx, margin(state["best"])):
             dropped.append(emitted[-1])
             return
         o = p.order[idx]
@@ -582,15 +582,84 @@ def search_case(name):
     return generate(int(seed), *(int(n) for n in head.split("-")))
 
 
-# (2,2,5) and (3,2,8), seeds 0-3, and seeds whose search meets a chain
-# that got shorter by rounding; on 532 and 631 that chain was the last
-# back, so the departure drops; seed 2's robots are slow enough that
-# the relaxed terms are far from 0
+# (2,2,5) and (3,2,8), seeds 0-3, and customers on stations: the
+# searches of seeds 33, 111 and 631 meet a chain that rounding shortened
+# (the `ret < rets[r]` fallback of `probe`), and on each some such chain
+# was the last back, so the departure drops (`shortened_chains` counts
+# them); seed 2's robots are slow enough that the relaxed terms are far
+# from 0; seed 532's search meets no shortened chain
 SEARCH_CASES = (
     ["small"]
     + [f"{shape}-s{seed}" for shape in ("2-2-5", "3-2-8") for seed in range(4)]
-    + [f"on-stations-s{seed}" for seed in (2, 33, 532, 631)]
+    + [f"on-stations-s{seed}" for seed in (2, 33, 532, 631, 111)]
 )
+SHORTENED_CASES = ("on-stations-s33", "on-stations-s111", "on-stations-s631")
+
+
+def shortened_chains(instance, monkeypatch):
+    """Solve `instance` and count the `probe` calls whose chain, with the
+    customer inserted, returns before it did without (rounding on
+    zero-length legs), and those of them where that chain was the last
+    back, so the station's departure drops."""
+    probe = exact._IncrementalBound.probe
+    counts = [0, 0]
+
+    def watched(kernel, st, ki, r, pos, o, limit, floor=True):
+        k = kernel.tour[ki]
+        g = kernel.groups[k][r]
+        before = st.chains[ki][r][pos - 1] if pos else 0.0
+        _, ret = _chain_tail(kernel.first[k], kernel.step[k], g[:pos] + [o] + g[pos:], pos,
+                             before, st.arrive[ki])
+        if ret < st.returns[ki][r]:
+            counts[0] += 1
+            counts[1] += st.returns[ki][r] == st.depart[ki] > ret
+        return probe(kernel, st, ki, r, pos, o, limit, floor)
+
+    with monkeypatch.context() as m:
+        m.setattr(exact._IncrementalBound, "probe", watched)
+        solve_bnb(instance)
+    return tuple(counts)
+
+
+def certified_slots(instance, monkeypatch, later_weight=True):
+    """Solve `instance` with `reach` watched: a slot it returns that no
+    `probe` of its own kept under the limit passed by the certificate,
+    and is probed here.  Returns how many did, the (slot, limit) of each
+    that `probe` drops, and the solve's node count.  Without
+    `later_weight`, `reach` is handed schedules whose `heavy` reads 0.0,
+    a certificate that leaves the customers at later stations out."""
+    K = exact._IncrementalBound
+    reach, probe = K.reach, K.probe
+    kept, dropped = [], []
+    certified = 0
+
+    def watched_probe(kernel, st, ki, r, pos, o, limit, floor=True):
+        found = probe(kernel, st, ki, r, pos, o, limit, floor)
+        if found is not None:
+            kept.append((ki, r, pos, found[0]))
+        return found
+
+    def watched_reach(kernel, st, o, limit, hint):
+        nonlocal certified
+        kept.clear()
+        seen = st
+        if not later_weight:
+            seen = exact._NodeSchedule(st.arrive, st.depart, st.chains, st.returns, st.low,
+                                       st.terms, st.prefix, st.used, [0.0] * len(st.heavy))
+        slot = reach(kernel, seen, o, limit, hint)
+        if slot is not None and not any(
+            (ki, r, pos) == slot and bound <= limit for ki, r, pos, bound in kept
+        ):
+            certified += 1
+            if probe(kernel, st, *slot, o, limit) is None:
+                dropped.append((slot, limit))
+        return slot
+
+    with monkeypatch.context() as m:
+        m.setattr(K, "probe", watched_probe)
+        m.setattr(K, "reach", watched_reach)
+        nodes = solve_bnb(instance).nodes
+    return certified, dropped, nodes
 
 
 def assert_same_search(instance):
@@ -620,28 +689,55 @@ class TestIncrementalBound:
 
     @pytest.mark.parametrize("name", SEARCH_CASES)
     def test_same_nodes_in_short_turns(self, name, monkeypatch):
-        # 3-node turns make every case switch tours many times, and
-        # start the look-ahead after the third node
+        # 3-node turns make every case switch tours many times
         monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
         assert_same_search(search_case(name))
 
-    @pytest.mark.parametrize("seed,nodes", [(0, 4560), (1, 1849), (2, 2199), (3, 19938)])
+    @pytest.mark.parametrize("name", SHORTENED_CASES)
+    def test_search_meets_a_shortened_chain(self, name, monkeypatch):
+        # what the comment on SEARCH_CASES says of these cases
+        shortened, last_back = shortened_chains(search_case(name), monkeypatch)
+        assert shortened >= last_back > 0
+
+    @pytest.mark.parametrize(
+        "name", [*SEARCH_CASES, *(f"3-2-10-s{seed}" for seed in range(4)), "tiny-corpus"]
+    )
+    def test_certified_slots_are_kept_by_probe(self, name, monkeypatch, request):
+        if name == "tiny-corpus":
+            instances = [inst for inst, _ in request.getfixturevalue("tiny_corpus")]
+        else:
+            instances = [search_case(name)]
+        for instance in instances:
+            certified, dropped, nodes = certified_slots(instance, monkeypatch)
+            assert dropped == []
+            # only a solve that a dive ends at the root bound checks no slot
+            assert certified > 0 or nodes == 0
+
+    def test_a_certificate_without_the_later_stations_fails(self, monkeypatch):
+        # the check above has teeth: leave the later stations' weight out
+        # of the certificate and `probe` drops slots it passed
+        certified, dropped, _ = certified_slots(search_case("3-2-8-s3"), monkeypatch, False)
+        assert dropped and certified > len(dropped)
+
+    @pytest.mark.parametrize("seed,nodes", [(0, 3803), (1, 1363), (2, 1613), (3, 18700)])
     def test_node_counts_pinned(self, seed, nodes):
         # the whole search record: a change that keeps the search keeps
-        # every counter, so no decision moved; seeds 0 to 2 end before
-        # the look-ahead starts
-        candidates, pruned, lookahead, rejected, incumbents, optimum_node = {
-            0: (20652, 16098, 0, 10641, 17, 2756),
-            1: (11467, 9624, 0, 2747, 4, 81),
-            2: (13892, 11699, 0, 2741, 13, 758),
-            3: (70511, 50579, 5277, 28559, 11, 16972),
+        # every counter, so no decision moved; `lookahead_probes` is the
+        # check's cost, which moves with how it finds a slot, not with
+        # which nodes go
+        candidates, pruned, lookahead, probes, rejected, incumbents, optimum_node = {
+            0: (10294, 6497, 1496, 6598, 5024, 17, 2229),
+            1: (4848, 3491, 542, 3734, 1054, 4, 74),
+            2: (6623, 5016, 560, 4047, 1176, 13, 634),
+            3: (50969, 32275, 8468, 30090, 17938, 11, 15979),
         }[seed]
         report = solve_bnb(generate(seed, 3, 2, 10))
         assert report.nodes == nodes
         assert report.stats == {
             "nodes": nodes, "candidates": candidates, "pruned_by_bound": pruned,
-            "pruned_by_lookahead": lookahead, "rejected_by_range": rejected, "dives": 6,
-            "incumbents": incumbents, "optimum_node": optimum_node,
+            "pruned_by_lookahead": lookahead, "lookahead_probes": probes,
+            "rejected_by_range": rejected, "dives": 6, "incumbents": incumbents,
+            "optimum_node": optimum_node,
         }
 
     def test_chain_tail_matches_completions(self):
@@ -671,7 +767,7 @@ class TestIncrementalBound:
         stats = report.stats
         assert set(stats) == {
             "nodes", "candidates", "pruned_by_bound", "pruned_by_lookahead",
-            "rejected_by_range", "dives", "incumbents", "optimum_node",
+            "lookahead_probes", "rejected_by_range", "dives", "incumbents", "optimum_node",
         }
         assert stats["nodes"] == report.nodes
         # two stations: 2 full tours as roots; every other node is a
@@ -679,13 +775,14 @@ class TestIncrementalBound:
         # was pruned by the bound
         entered = report.nodes - 2
         assert stats["candidates"] == stats["pruned_by_bound"] + entered
-        # 99 nodes end the search before the look-ahead starts
-        assert stats["pruned_by_lookahead"] == 0
+        # the look-ahead drops 21 of the 78 nodes and spends 77 probes
+        assert stats["pruned_by_lookahead"] == 21
+        assert stats["lookahead_probes"] == 77
         assert stats["rejected_by_range"] > 0
         assert stats["dives"] == 2
         assert stats["incumbents"] == 4
-        # the dives miss the optimum; the search reaches it at node 36
-        assert stats["optimum_node"] == 36
+        # the dives miss the optimum; the search reaches it at node 28
+        assert stats["optimum_node"] == 28
 
     @pytest.mark.parametrize(
         "name", [f"2-2-5-s{seed}" for seed in (0, 2, 4, 5, 7, 8)]
@@ -694,7 +791,8 @@ class TestIncrementalBound:
     def test_lookahead_drops_only_nodes_with_no_completion_under_the_incumbent(
         self, name, monkeypatch
     ):
-        # 3-node turns put the look-ahead to work from the first turns
+        # 3-node turns switch tours many times, so the checks meet
+        # incumbents from other tours; only with them does 2-2-5-s8 drop
         monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
         instance = search_case(name)
         seen, drops = [], []
@@ -915,9 +1013,11 @@ class TestDropRule:
                     for full in kernel.branch(st, o, math.inf)[0]:
                         bound, ki, r, pos, _ = full
                         for limit in limits_near(bound, rnd):
-                            found = kernel.probe(st, ki, r, pos, o, limit)
                             dropped = bound > limit
-                            assert found == (None if dropped else full)
+                            # with the floor pre-sum (`improve`) and without (the B&B)
+                            for floor in (True, False):
+                                found = kernel.probe(st, ki, r, pos, o, limit, floor)
+                                assert found == (None if dropped else full)
                             seen[dropped] += 1
         assert seen[True] and seen[False], seen
 

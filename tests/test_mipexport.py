@@ -42,7 +42,8 @@ from mothership import (
     solve_oracle,
     validate,
 )
-from mothership.mipexport import _Model, _wrap
+from mothership import mipexport
+from mothership.mipexport import _first_unknown, _Model, _Names, _wrap
 
 SMALL_OPTIMUM = 36.37122987569251
 
@@ -725,6 +726,24 @@ class TestImportAgainstReference:
         assert serialize_plan(sparse[0]) == serialize_plan(dense[0]) == serialize_plan(plan)
         assert sparse[1] == dense[1] == propagate(inst, plan)
         assert not any("propagation gives" in r.getMessage() for r in caplog.records)
+
+    def test_name_check_one_by_one_matches_the_model_names(self, monkeypatch):
+        # a file far smaller than the model has its names parsed one by
+        # one; they must be known exactly when the model writes them
+        inst = generate(0, 3, 2, 4)
+        model = _Names(inst).every()
+        odd = [
+            "y_0_0", "y_2_2", "y_0_4", "y_4_0", "y_01_2", "y_+1_2", "y_-0_1", "y_1", "y_1_2_3",
+            "x_2_1_0", "x_0_0_0", "x_0_1_4", "x_0_1_-1", "x_0_1_00", "z_0_1_0", "z_0_4_1",
+            "w_0_1_4_0", "w_0_1_0_4", "w_1_3_3_3", "w_0_1_0_0_", "ta_0", "ta_4", "td_3",
+            "tc_4", "tt_3", "tt_03", "tt", "t_1", "v_1_2", "y__1", "x_0_1_ 0", "Y_0_1",
+        ]
+        for ratio, path in ((0, "one by one"), (10**9, "model names")):
+            monkeypatch.setattr(mipexport, "_SPARSE_RATIO", ratio)
+            assert _first_unknown(inst, model) is None, path
+            for name in odd:
+                assert _first_unknown(inst, [name]) == (None if name in model else name), name
+            assert _first_unknown(inst, [model[0], "y_0_0", model[1], "tt_9"]) == "y_0_0"
 
 
 @pytest.mark.parametrize("shape, seed", [((2, 2, 4), 0), ((2, 2, 4), 2), ((2, 2, 4), 5), ((3, 2, 5), 2)])
