@@ -6,12 +6,12 @@ the ground truth the branch-and-bound is tested against; it scores
 plans with `PlanEvaluator.bound_of` (`propagate`'s recurrence, not the
 search kernel), so it stays an independent check.
 `solve_bnb` explores the same space as one search per station tour,
-each placing one customer at a time, least slack first, into a
-(station, robot, position) slot and pruning with the admissible bound
-of `lower_bound`; a greedy dive per tour ranks the tours, and their
-searches take turns.  Both report objectives computed with the
-arithmetic of `evaluation.propagate`, so their results compare
-bit-exactly.
+each placing one customer at a time, the one with the fewest slots
+under the incumbent first, into a (station, robot, position) slot and
+pruning with the admissible bound of `lower_bound`; a greedy dive per
+tour ranks the tours, and their searches take turns.  Both report
+objectives computed with the arithmetic of `evaluation.propagate`, so
+their results compare bit-exactly.
 
 `lower_bound` and `PlanEvaluator.bound_of` define the bound.
 `solve_bnb` does not call them per candidate: each node carries its
@@ -20,10 +20,11 @@ recomputed from its insertion point with per-station step tables
 (`_IncrementalBound`), bit-equal to `bound_of` (docs/MODEL.md,
 arithmetic contract).  A candidate whose partial sum already exceeds
 the incumbent is dropped unfinished, and so is a slot where the
-inserted customer's own term does.  A node where some unplaced
-customer has no slot under the incumbent is dropped too (the
-look-ahead, `_IncrementalBound.reach`, which passes most slots by a
-certificate, without a `probe`).  The range verdict is
+inserted customer's own term does.  The slots each unplaced customer
+has under the incumbent are counted at every node
+(`_IncrementalBound.slots`, which decides nearly every slot without a
+`probe`), and a node where some customer has none is dropped (the
+look-ahead).  The range verdict is
 `_StepTables.fits`'s: the node schedule carries each chain's length,
 and `branch` decides from that length plus the newcomer's leg when the
 sum is clear of the cap, with `fits` otherwise.
@@ -475,17 +476,16 @@ class _NodeSchedule:
     bit-equal to `group_length`, for `branch`'s range verdict; only the
     schedules `branch` starts from carry it (`_IncrementalBound.root`
     and its children), else it is None.
-    `heavy[i]` is the weight (importance) of the customers served at
-    tour positions i and after, `heavy[-1]` 0.0, for `reach`'s
-    certificate; only the B&B's schedules carry it, else it is None.
-    A schedule is never changed once built; children copy what differs.
+    `lateness` is `_IncrementalBound._lateness` of the schedule, filled
+    in by the first `slots` call, None before.
+    Apart from that, a schedule is never changed once built; children
+    copy what differs.
     """
 
     __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix", "used",
-                 "heavy")
+                 "lateness")
 
-    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used=None,
-                 heavy=None):
+    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used=None):
         self.arrive = arrive
         self.depart = depart
         self.chains = chains
@@ -494,7 +494,7 @@ class _NodeSchedule:
         self.terms = terms
         self.prefix = prefix
         self.used = used
-        self.heavy = heavy
+        self.lateness = None
 
 
 class _IncrementalBound:
@@ -528,7 +528,7 @@ class _IncrementalBound:
         self.clear = (tables.clear_below, tables.clear_above)
         self.deadline = ev.deadline
         self.weight = ev.weight
-        self.probes = 0  # spent by `reach`
+        self.probes = 0  # spent by `slots`
         rides = []
         prev = None
         for k in tour:
@@ -570,20 +570,15 @@ class _IncrementalBound:
             arrive, depart, chains, returns, low, terms, list(accumulate(terms, add, initial=0.0))
         )
 
-    def root(self, terms, heavy=False) -> _NodeSchedule:
+    def root(self, terms) -> _NodeSchedule:
         """`schedule`, carrying the length of every chain for `branch`
         and `child`: the schedule a search or `construct` starts from.
-        `improve` never branches, so its schedules skip the lengths.
-        With `heavy`, it and its children carry the weights `reach`
-        reads (`_NodeSchedule.heavy`); `construct` never looks ahead."""
+        `improve` never branches, so its schedules skip the lengths."""
         st = self.schedule(terms)
         st.used = [
             [math.fsum([self.doubled[k][o] for o in g]) for g in self.groups[k]]
             for k in self.tour
         ]
-        if heavy:
-            at = [sum(self.weight[o] for g in self.groups[k] for o in g) for k in self.tour]
-            st.heavy = list(accumulate(reversed(at), add, initial=0.0))[::-1]
         return st
 
     def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float,
@@ -600,7 +595,7 @@ class _IncrementalBound:
         With `floor`, when the insertion delays the departure, the sum
         with the later stations unchanged is checked against `limit`
         before they are recomputed.  That pays in `improve`'s relocate
-        probes; the B&B's `branch` and `reach` skip it, where it costs
+        probes; `branch` and `slots` skip it, where it costs
         more time than it saves.  It drops no slot the finished sum
         keeps.
 
@@ -743,105 +738,123 @@ class _IncrementalBound:
                         candidates.append(found)
         return candidates, probed, dropped, rejected
 
-    def reach(self, st: _NodeSchedule, o: int, limit: float, hint):
-        """A slot `(ki, r, pos)` of customer `o` that `probe` keeps under
-        `limit`, or None when there is none: whether `branch` would
-        return any candidate, from the same slots and range verdict.
-        `self.probes` counts the `probe` calls it spends.
+    def slots(self, st: _NodeSchedule, o: int, limit: float, cap):
+        """The slots of customer `o` that `probe` keeps under `limit`,
+        from `branch`'s slots and range verdict, with the counts of
+        slots tried, slots dropped and chains rejected by range at the
+        stations the station floor leaves.  A kept slot is `probe`'s
+        candidate tuple, or `(None, ki, r, pos, None)` when kept without
+        a `probe`.  The walk, the stations last in the tour first and
+        each chain from its end slot in, stops once more than `cap`
+        slots are kept, the counts then partial.  `self.probes` counts
+        the `probe` calls it spends.
 
-        `hint`, a slot that passed before (or None), is tried first
-        while its position exists and its chain takes `o` within range;
-        a slot of an idle robot probes the same as the first idle
-        robot's, its relabeling.  Then the stations, last in the tour
-        first (a slot there moves no later station, so its `probe` is
-        the cheapest).  A certificate and two floors (docs/MODEL.md,
-        "Search order and ties") save probes, each trusted only beyond
-        a margin of `1e-9 * (1 + limit)` for rounding.  In real
-        arithmetic, inserting `o` at a slot delays each customer after
-        it in the chain, and each at a later tour position, by at most
-        2*L(k,o)/VR, and no one else, so the node's bound less o's
-        relaxed term, plus o's term at the slot, plus 2*L(k,o)/VR times
-        those customers' weight, is at least the slot's bound: at or
-        under the limit, the hint or a chain's end slot passes without
-        a `probe`.  At a station, o completes no earlier than at a
-        chain's head, and no other term shrinks, so the node's bound
-        less o's relaxed term plus o's term there is a floor for every
-        slot.  In a chain, inserting `o` anywhere adds, in real
-        arithmetic, the same 2*L(k,o)/VR to the return and delays no
-        other chain, so the end slot's bound, less o's term there plus
-        o's term at the head, is a floor for every slot: one `probe` at
-        the end, its limit raised by the difference, rules the chain
-        out.
+        In real arithmetic (docs/MODEL.md, "Search order and ties"), a
+        slot's bound is the node's bound with o's relaxed term replaced
+        by o's term at the slot, plus what the customers after the slot
+        in its chain add, each completing 2*L(k,o)/VR later, plus what
+        the later stations add, all moving by the delay of the
+        departure.  Beyond a margin of `1e-9 * (1 + limit)` for rounding
+        that decides the slot, and within it a `probe` does.  o's term
+        at the station's head, where o completes earliest, is a floor
+        for every slot at the station (the station floor), and with
+        what the later stations add, for every slot of the chain (the
+        chain floor).
         """
         probe, fits, tour, groups = self.probe, self.fits, self.tour, self.groups
         clear_below, clear_above = self.clear
-        weight, heavy = self.weight, st.heavy
-        w, due = weight[o], self.deadline[o]
+        weight, deadline, terms = self.weight, self.deadline, st.terms
+        w, due = weight[o], deadline[o]
         margin = 1e-9 * (1.0 + limit)
-        base = st.prefix[-1] - st.terms[o] - limit - margin
-        if hint is not None:
-            ki, r, pos = hint
-            k = tour[ki]
-            g = groups[k][r]
-            length = st.used[ki][r] + self.doubled[k][o]
-            if pos <= len(g) and (
-                length <= clear_below or (length <= clear_above and fits(k, g + [o]))
-            ):
-                first = self.first[k][o]
-                if pos:  # o's completion, as `probe` computes it
-                    late = st.chains[ki][r][pos - 1] + self.step[k][g[pos - 1]][o] - due
-                else:
-                    late = st.arrive[ki] + first - due
-                behind = heavy[ki + 1]
-                for b in islice(g, pos, None):
-                    behind += weight[b]
-                if base + (w * late if late > 0.0 else 0.0) + 2.0 * first * behind <= 0.0:
-                    return hint
-                self.probes += 1
-                if probe(st, ki, r, pos, o, limit, False) is not None:
-                    return hint
+        rest = st.prefix[-1] - terms[o] - limit  # the node's bound less o's term, less the limit
+        if st.lateness is None:
+            st.lateness = self._lateness(st)
+        kept = []
+        tried = dropped = rejected = 0
         for ki in range(len(tour) - 1, -1, -1):
             k = tour[ki]
             first = self.first[k][o]
-            late = st.arrive[ki] + first - due
+            twice = 2.0 * first
+            arrive, dep = st.arrive[ki], st.depart[ki]
+            late = arrive + first - due
             head = w * late if late > 0.0 else 0.0
-            if head > limit or base + head > 0.0:
-                continue  # the station floor: no slot here is under the limit
-            # the certificate of an end slot, less o's term there
-            after = base + 2.0 * first * heavy[ki + 1]
+            if rest + head > margin:  # the station floor
+                continue
+            tardy, slack = st.lateness[ki + 1]
             lists = groups[k]
-            step, used, comps = self.step[k], st.used[ki], st.chains[ki]
+            step, used, comps, rets = self.step[k], st.used[ki], st.chains[ki], st.returns[ki]
             d = self.doubled[k][o]
             n_r = len(lists)
             for r in range(min(n_r - lists.count([]) + 1, n_r)):
                 g = lists[r]
                 length = used[r] + d
                 if length > clear_below and (length > clear_above or not fits(k, g + [o])):
+                    rejected += 1
                     continue
-                end = len(g)
+                tried += len(g) + 1
+                # the chain returns `twice` later: what that delays the
+                # departure adds at the later stations
+                delay = (rets[r] if g else arrive) + twice - dep
+                extra = 0.0
+                if delay > 0.0:
+                    extra = delay * tardy
+                    for s, wb in slack:
+                        if s >= delay:
+                            break
+                        extra += wb * (delay - s)
+                    if rest + head + extra > margin:  # the chain floor
+                        dropped += len(g) + 1
+                        continue
                 comp = comps[r]
-                if end:
-                    late = comp[-1] + step[g[-1]][o] - due
-                    tail = w * late if late > 0.0 else 0.0
-                else:  # an idle robot: its one slot is the head
-                    tail = head
-                if after + tail <= 0.0:
-                    return ki, r, end
-                self.probes += 1
-                found = probe(st, ki, r, end, o, limit + (tail - head) + margin, False)
-                if found is None:
-                    continue
-                if found[0] <= limit:
-                    return ki, r, end
-                for pos in range(end):
-                    if pos:  # o's own term, as `branch` screens it
-                        late = comp[pos - 1] + step[g[pos - 1]][o] - due
-                        if late > 0.0 and w * late > limit:
-                            continue
-                    self.probes += 1
-                    if probe(st, ki, r, pos, o, limit, False) is not None:
-                        return ki, r, pos
-        return None
+                for pos in range(len(g), -1, -1):
+                    if pos:  # o's completion after g[pos - 1], as `probe` computes it
+                        b = g[pos - 1]
+                        late = comp[pos - 1] + step[b][o] - due
+                        low = rest + (w * late if late > 0.0 else 0.0) + extra
+                    else:
+                        low = rest + head + extra
+                    if low > margin:  # a floor
+                        dropped += 1
+                    elif low + margin <= 0.0:  # a certificate
+                        kept.append((None, ki, r, pos, None))
+                        if len(kept) > cap:
+                            return kept, tried, dropped, rejected
+                    else:
+                        self.probes += 1
+                        found = probe(st, ki, r, pos, o, limit, False)
+                        if found is None:
+                            dropped += 1
+                        else:
+                            kept.append(found)
+                            if len(kept) > cap:
+                                return kept, tried, dropped, rejected
+                    if pos:  # b completes `twice` later in the slots before it
+                        late = comp[pos - 1] + twice - deadline[b]
+                        if late > 0.0:
+                            extra += weight[b] * late - terms[b]
+        return kept, tried, dropped, rejected
+
+    def _lateness(self, st: _NodeSchedule):
+        """Per tour position i, of the customers served at positions i
+        and after: the weight of those past their deadline, and the
+        (slack, weight) pairs of the others by slack, so all their terms
+        grow by `delay * tardy` plus `w * (delay - s)` for each pair with
+        `s < delay` when their times move `delay` later."""
+        deadline, weight = self.deadline, self.weight
+        tardy, slack = 0.0, []
+        out = [(tardy, slack)]
+        for i in range(len(self.tour) - 1, -1, -1):
+            slack = slack[:]
+            for g, comp in zip(self.groups[self.tour[i]], st.chains[i]):
+                for b, c in zip(g, comp):
+                    s = deadline[b] - c
+                    if s < 0.0:
+                        tardy += weight[b]
+                    else:
+                        slack.append((s, weight[b]))
+            slack.sort()
+            out.append((tardy, slack))
+        return out[::-1]
 
     def rescore(self, st: _NodeSchedule, lo: int, hi: int) -> float:
         """Bound with the groups (and tour) as they stand, where they
@@ -915,11 +928,7 @@ class _IncrementalBound:
                 depart[i] = t
         prefix = st.prefix[:m]
         prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
-        heavy = st.heavy
-        if heavy is not None:
-            w = self.weight[o]
-            heavy = [h + w for h in islice(heavy, ki + 1)] + heavy[ki + 1 :]
-        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used, heavy)
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used)
 
     def _station(self, i: int, a: float):
         """Chains, returns and departure at tour position `i` for arrival `a`."""
@@ -1017,11 +1026,13 @@ def solve_bnb(
 ) -> SolveReport:
     """Branch-and-bound over tours and customer slots.
 
-    Every station tour is the root of its own search, which assigns
-    customers in slack order (`_slack`: deadline less the earliest
-    conceivable completion, over importance; fail-first) to (station,
-    robot, position) slots, children ordered by their lower bound.  A
-    node is pruned when its bound exceeds the incumbent plus a margin
+    Every station tour is the root of its own search, which at each
+    node assigns the unplaced customer with the fewest slots under the
+    incumbent, ties to the earlier in slack order (`_slack`: deadline
+    less the earliest conceivable completion, over importance), to
+    (station, robot, position) slots, children ordered by their lower
+    bound: fail-first (Golomb & Baumert 1965; Haralick & Elliott 1980).
+    A node is pruned when its bound exceeds the incumbent plus a margin
     of 1e-12 * (1 + incumbent), so ties survive the rounding of
     zero-length legs and the returned objective matches `solve_oracle`
     on any instance the oracle can enumerate.  `on_node`, when given,
@@ -1048,15 +1059,16 @@ def solve_bnb(
     schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
     candidate whose partial bound already exceeds the incumbent is
     dropped before its bound is finished: it would be pruned on entry,
-    and the incumbent only decreases.  At every node, a look-ahead
-    drops the node when some customer after the one it branches on has
-    no slot that `probe` keeps under the incumbent
-    (`_IncrementalBound.reach`): every slot of a descendant has a bound
-    at least that of a slot of the node, so no completion of it is at
-    or under the incumbent (docs/MODEL.md, "Search order and ties").
-    A slot whose certificate (a real-arithmetic ceiling on its bound)
-    is under the incumbent passes without a `probe`; the certificate
-    only saves probes, it never keeps a node the probe would drop.
+    and the incumbent only decreases.  The counting
+    (`_IncrementalBound.slots`) is a look-ahead: it drops the node when
+    some unplaced customer has no slot that `probe` keeps under the
+    incumbent, since every slot of a descendant has a bound at least
+    that of a slot of the node, so no completion of it is at or under
+    the incumbent (docs/MODEL.md, "Search order and ties").  Each
+    customer is counted only until it has more slots than the fewest
+    so far, and a slot is decided without a `probe` wherever its bound
+    in real arithmetic is clear of the incumbent by a margin for
+    rounding.
 
     A dive makes at most one placement per customer plus `max_nodes`
     more (one follows each undo), or `CONSTRUCT_UNDOS` more with no
@@ -1068,12 +1080,14 @@ def solve_bnb(
     search nodes; it or the time cap stopping a later dive ends the
     solve.  With caps the search returns the incumbent and the gap to
     the best open bound, a tour not yet started counting as open at the
-    root bound.  `stats` counts expanded nodes (one root
-    per tour), bounded candidates, candidates pruned by the bound
-    (dropped early or cut off after sorting), expanded nodes dropped by
-    the look-ahead (`pruned_by_lookahead`), the `probe` calls the
-    look-ahead spent (`lookahead_probes`), (station, robot) chains
-    rejected by range, `dives` (tours dived), `incumbents` (offers
+    root bound.  `stats` counts expanded nodes (one root per tour);
+    of the customers branched on, the bounded candidates (at stations
+    their floor does not rule out), those pruned by the bound (dropped
+    early or cut off after sorting) and the (station, robot) chains
+    rejected by range; expanded nodes dropped by the look-ahead
+    (`pruned_by_lookahead`), the `probe` calls the counting spent
+    (`counting_probes`), nodes whose branching customer had a single
+    slot (`forced`), `dives` (tours dived), `incumbents` (offers
     accepted, dives included) and `optimum_node`, the node count at
     which the returned objective was first reached (0 when a dive
     reached it).
@@ -1089,6 +1103,7 @@ def solve_bnb(
     station_ids = sorted(s.id for s in instance.stations)
     order = _slack(instance, ev)
 
+    slack_rank = {o: i for i, o in enumerate(order)}
     best = _Best({o: i for i, o in enumerate(_urgency(instance))})
     failed = set()  # bins no placement completes: the same for every tour
     undos = CONSTRUCT_UNDOS if budget.max_nodes is None else budget.max_nodes
@@ -1100,8 +1115,8 @@ def solve_bnb(
              "doomed": None, "limit": math.inf}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "pruned_by_lookahead": 0,
-        "lookahead_probes": 0, "rejected_by_range": 0, "dives": 0, "incumbents": 0,
-        "optimum_node": 0,
+        "counting_probes": 0, "forced": 0, "rejected_by_range": 0, "dives": 0,
+        "incumbents": 0, "optimum_node": 0,
     }
     kernels = []
 
@@ -1142,27 +1157,31 @@ def solve_bnb(
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
         kernels.append(kernel)
-        return groups, kernel, kernel.root(relax, heavy=True)
+        return groups, kernel, kernel.root(relax)
 
-    def doomed(idx, kernel, sched, hints) -> bool:
-        """Whether a customer after `order[idx]` has no slot under the
-        limit, the one that failed last checked first; each slot found
-        is the customer's hint at the next check."""
+    def pick(rest, kernel, sched):
+        """The customer of `rest` with the fewest slots under the limit,
+        ties to the earlier in slack order, with what `slots` gave for
+        it; None when some customer has none.  The one that had none
+        last is counted first, the rest in slack order, each only until
+        it has more slots than the fewest so far (as many, if it comes
+        earlier in slack order)."""
         limit = state["limit"]
-        rest = order[idx + 1 :]
         last = state["doomed"]
         if last in rest:
-            rest.remove(last)
-            rest.insert(0, last)
+            rest = [last, *(o for o in rest if o != last)]
+        chosen, found, fewest = None, None, math.inf
         for o in rest:
-            slot = kernel.reach(sched, o, limit, hints[o])
-            if slot is None:
+            cap = fewest if chosen is None or slack_rank[o] < slack_rank[chosen] else fewest - 1
+            counted = kernel.slots(sched, o, limit, cap)
+            if not counted[0]:
                 state["doomed"] = o
-                return True
-            hints[o] = slot
-        return False
+                return None
+            if len(counted[0]) <= cap:
+                chosen, found, fewest = o, counted, len(counted[0])
+        return chosen, found
 
-    def assign(tour, idx, groups, node_bound, kernel, sched, hints):
+    def assign(tour, rest, groups, node_bound, kernel, sched):
         if not state["quota"]:
             yield  # the tour's turn is over; the scheduler resumes it here
         state["quota"] -= 1
@@ -1171,20 +1190,30 @@ def solve_bnb(
             state["frontier"] = min(state["frontier"], node_bound)
             return
         emit(tour, groups, node_bound)
-        if idx == n_c:
+        if not rest:
             # fully assigned: the node bound is the exact objective
             if node_bound <= best.objective:
                 offer(node_bound, tour, groups)
             return
-        if doomed(idx, kernel, sched, hints):
+        picked = pick(rest, kernel, sched)
+        if picked is None:
             stats["pruned_by_lookahead"] += 1
             return
-        o = order[idx]
-        candidates, probed, dropped, rejected = kernel.branch(sched, o, state["limit"])
-        stats["candidates"] += probed
+        o, (kept, tried, dropped, rejected) = picked
+        candidates = []
+        for found in kept:
+            if found[0] is None:  # kept without a probe: probed for its bound and child
+                found = kernel.probe(sched, *found[1:4], o, state["limit"], False)
+                if found is None:
+                    dropped += 1
+                    continue
+            candidates.append(found)
+        stats["candidates"] += tried
         stats["rejected_by_range"] += rejected
         stats["pruned_by_bound"] += dropped
+        stats["forced"] += len(kept) == 1
         candidates.sort()
+        rest = [b for b in rest if b != o]
         for i, (bound, ki, r, pos, change) in enumerate(candidates):
             if state["proved"]:
                 return
@@ -1195,13 +1224,13 @@ def solve_bnb(
             g = groups[tour[ki]][r]
             g.insert(pos, o)
             yield from assign(
-                tour, idx + 1, groups, bound, kernel, kernel.child(sched, ki, r, pos, change), hints
+                tour, rest, groups, bound, kernel, kernel.child(sched, ki, r, pos, change)
             )
             g.pop(pos)
 
     def search(tour):
         groups, kernel, sched = root(tour)
-        yield from assign(tour, 0, groups, root_bound, kernel, sched, [None] * n_c)
+        yield from assign(tour, order, groups, root_bound, kernel, sched)
 
     tours = list(permutations(station_ids))
     try:
@@ -1242,7 +1271,7 @@ def solve_bnb(
         # frees the search state without waiting for the cycle collector
         del assign
     stats["nodes"] = state["nodes"]
-    stats["lookahead_probes"] = sum(kernel.probes for kernel in kernels)
+    stats["counting_probes"] = sum(kernel.probes for kernel in kernels)
 
     if state["aborted"] and state["frontier"] < best.objective:
         status, gap = "budget-exhausted", best.objective - state["frontier"]

@@ -404,14 +404,6 @@ class _Plain:
                     g.pop(pos)
         return sorted(out)
 
-    def doomed(self, tour, groups, idx, limit):
-        """Whether a customer after `order[idx]` has no slot whose bound
-        is at most `limit`."""
-        return any(
-            not any(bound <= limit for bound, *_ in self.candidates(tour, groups, o))
-            for o in self.order[idx + 1 :]
-        )
-
 
 def sorted_order_search(instance):
     """The branch-and-bound search as it was before tours were ranked by
@@ -479,16 +471,20 @@ def reference_search(instance, quantum):
     with `PlanEvaluator.bound_of`.  The dives are offered first; then
     the tours' searches, one generator each, take turns of `quantum`
     nodes in order of (dive objective, tour); a plan at the root bound
-    ends the search.  A node where some later customer has no slot
-    under the incumbent plus the margin is dropped (the look-ahead).
+    ends the search.  At each node every unplaced customer's slots with
+    a bound under the incumbent plus the margin are counted: a customer
+    with none drops the node (the look-ahead), and the search branches
+    on the customer with the fewest, ties to the earlier in slack order.
     Returns the expanded nodes in order, the node count, the best
     objective, the node count at which it was first reached, the
-    serialize_plan text of the plan returned and the nodes the
-    look-ahead dropped."""
+    serialize_plan text of the plan returned, the nodes the look-ahead
+    dropped and the count of nodes whose branching customer had one
+    slot."""
     p = _Plain(instance)
     emitted = []
     dropped = []
-    state = {"nodes": 0, "quota": 0, "proved": False, "best": math.inf, "key": None, "at": 0}
+    state = {"nodes": 0, "quota": 0, "proved": False, "best": math.inf, "key": None, "at": 0,
+             "forced": 0}
 
     def offer(objective, key):
         if objective < state["best"]:
@@ -499,7 +495,7 @@ def reference_search(instance, quantum):
         if objective <= p.root_bound:
             state["proved"] = True
 
-    def assign(tour, idx, groups, node_bound):
+    def assign(tour, rest, groups, node_bound):
         if not state["quota"]:
             yield
         state["quota"] -= 1
@@ -518,20 +514,26 @@ def reference_search(instance, quantum):
                 node_bound,
             )
         )
-        if idx == p.n_c:
+        if not rest:
             offer(node_bound, p.key(tour, groups))
             return
-        if p.doomed(tour, groups, idx, margin(state["best"])):
-            dropped.append(emitted[-1])
-            return
-        o = p.order[idx]
-        for bound, ki, r, pos, k in p.candidates(tour, groups, o):
+        limit = margin(state["best"])
+        counted = []
+        for rank, o in enumerate(rest):  # `rest` is in slack order
+            slots = [c for c in p.candidates(tour, groups, o) if c[0] <= limit]
+            if not slots:
+                dropped.append(emitted[-1])
+                return
+            counted.append((len(slots), rank, o, slots))
+        count, _, o, slots = min(counted)
+        state["forced"] += count == 1
+        for bound, ki, r, pos, k in slots:
             if state["proved"]:
                 return
             if bound > margin(state["best"]):
                 break
             groups[k][r].insert(pos, o)
-            yield from assign(tour, idx + 1, groups, bound)
+            yield from assign(tour, [b for b in rest if b != o], groups, bound)
             groups[k][r].pop(pos)
 
     tours = list(itertools.permutations(p.station_ids))
@@ -541,7 +543,8 @@ def reference_search(instance, quantum):
         if state["proved"]:
             break
     rank = {tour: objective for tour, (objective, _) in zip(tours, dives)}
-    turns = [assign(t, 0, p.empty(), p.root_bound) for t in sorted(tours, key=lambda t: (rank[t], t))]
+    turns = [assign(t, p.order, p.empty(), p.root_bound)
+             for t in sorted(tours, key=lambda t: (rank[t], t))]
     while turns and not state["proved"]:
         gen = turns.pop(0)
         state["quota"] = quantum
@@ -550,7 +553,8 @@ def reference_search(instance, quantum):
         except StopIteration:
             continue
         turns.append(gen)
-    return emitted, state["nodes"], state["best"], state["at"], state["key"], dropped
+    return (emitted, state["nodes"], state["best"], state["at"], state["key"], dropped,
+            state["forced"])
 
 
 def customers_on_stations(seed):
@@ -583,17 +587,17 @@ def search_case(name):
 
 
 # (2,2,5) and (3,2,8), seeds 0-3, and customers on stations: the
-# searches of seeds 33, 111 and 631 meet a chain that rounding shortened
+# searches of seeds 0, 111 and 631 meet a chain that rounding shortened
 # (the `ret < rets[r]` fallback of `probe`), and on each some such chain
 # was the last back, so the departure drops (`shortened_chains` counts
 # them); seed 2's robots are slow enough that the relaxed terms are far
-# from 0; seed 532's search meets no shortened chain
+# from 0; the searches of seeds 33 and 532 meet no shortened chain
 SEARCH_CASES = (
     ["small"]
     + [f"{shape}-s{seed}" for shape in ("2-2-5", "3-2-8") for seed in range(4)]
-    + [f"on-stations-s{seed}" for seed in (2, 33, 532, 631, 111)]
+    + [f"on-stations-s{seed}" for seed in (0, 2, 33, 111, 532, 631)]
 )
-SHORTENED_CASES = ("on-stations-s33", "on-stations-s111", "on-stations-s631")
+SHORTENED_CASES = ("on-stations-s0", "on-stations-s111", "on-stations-s631")
 
 
 def shortened_chains(instance, monkeypatch):
@@ -621,51 +625,59 @@ def shortened_chains(instance, monkeypatch):
     return tuple(counts)
 
 
-def certified_slots(instance, monkeypatch, later_weight=True):
-    """Solve `instance` with `reach` watched: a slot it returns that no
-    `probe` of its own kept under the limit passed by the certificate,
-    and is probed here.  Returns how many did, the (slot, limit) of each
-    that `probe` drops, and the solve's node count.  Without
-    `later_weight`, `reach` is handed schedules whose `heavy` reads 0.0,
-    a certificate that leaves the customers at later stations out."""
+def checked_slots(instance, monkeypatch, tamper=None):
+    """Solve `instance` with `_IncrementalBound.slots` watched: each call
+    is redone with no cap, and the slots it keeps are compared with the
+    slots `branch` keeps under the same limit, each bounded by `probe`.
+    Returns the slots kept without a `probe` that `probe` drops, the
+    slots the floors dropped that `probe` keeps, how many slots were
+    kept without a `probe` and dropped without one, and the solve's node
+    count.  With `tamper`, `slots` reads the lateness table `tamper`
+    makes of the true one."""
     K = exact._IncrementalBound
-    reach, probe = K.reach, K.probe
-    kept, dropped = [], []
-    certified = 0
+    slots = K.slots
+    wrongly_kept, wrongly_dropped = [], []
+    unprobed = [0, 0]
 
-    def watched_probe(kernel, st, ki, r, pos, o, limit, floor=True):
-        found = probe(kernel, st, ki, r, pos, o, limit, floor)
-        if found is not None:
-            kept.append((ki, r, pos, found[0]))
-        return found
-
-    def watched_reach(kernel, st, o, limit, hint):
-        nonlocal certified
-        kept.clear()
-        seen = st
-        if not later_weight:
-            seen = exact._NodeSchedule(st.arrive, st.depart, st.chains, st.returns, st.low,
-                                       st.terms, st.prefix, st.used, [0.0] * len(st.heavy))
-        slot = reach(kernel, seen, o, limit, hint)
-        if slot is not None and not any(
-            (ki, r, pos) == slot and bound <= limit for ki, r, pos, bound in kept
-        ):
-            certified += 1
-            if probe(kernel, st, *slot, o, limit) is None:
-                dropped.append((slot, limit))
-        return slot
+    def watched(kernel, st, o, limit, cap):
+        if tamper is not None:
+            st.lateness = tamper(kernel._lateness(st))
+        probes = kernel.probes
+        kept = slots(kernel, st, o, limit, math.inf)[0]
+        probes = kernel.probes - probes
+        certified = sum(found[0] is None for found in kept)
+        candidates, tried, _, _ = kernel.branch(st, o, limit)
+        unprobed[0] += certified
+        # the slots in range, less those kept, less those a probe dropped
+        unprobed[1] += tried - len(kept) - (probes - (len(kept) - certified))
+        mine = {found[1:4] for found in kept}
+        theirs = {found[1:4] for found in candidates}
+        wrongly_kept.extend(mine - theirs)
+        wrongly_dropped.extend(theirs - mine)
+        return slots(kernel, st, o, limit, cap)
 
     with monkeypatch.context() as m:
-        m.setattr(K, "probe", watched_probe)
-        m.setattr(K, "reach", watched_reach)
+        m.setattr(K, "slots", watched)
         nodes = solve_bnb(instance).nodes
-    return certified, dropped, nodes
+    return wrongly_kept, wrongly_dropped, unprobed, nodes
+
+
+SLOT_CASES = (*SEARCH_CASES, *(f"3-2-10-s{seed}" for seed in range(4)), "tiny-corpus")
+
+
+def checked_case(name, monkeypatch, request):
+    """`checked_slots` of a search case, or summed over the tiny corpus."""
+    if name != "tiny-corpus":
+        return checked_slots(search_case(name), monkeypatch)
+    runs = [checked_slots(inst, monkeypatch) for inst, _ in request.getfixturevalue("tiny_corpus")]
+    kept, dropped, unprobed, nodes = zip(*runs)
+    return sum(kept, []), sum(dropped, []), [sum(n) for n in zip(*unprobed)], sum(nodes)
 
 
 def assert_same_search(instance):
     """`solve_bnb` expands the nodes `reference_search` does, in the same
     order and with the same bounds, and reports its counts."""
-    expected, nodes, best, at, _, dropped = reference_search(instance, exact.TOUR_QUANTUM)
+    expected, nodes, best, at, _, dropped, forced = reference_search(instance, exact.TOUR_QUANTUM)
     seen = []
     report = solve_bnb(instance, on_node=seen.append)
     assert len(seen) == len(expected)
@@ -677,6 +689,7 @@ def assert_same_search(instance):
     assert report.objective == best
     assert report.stats["optimum_node"] == at
     assert report.stats["pruned_by_lookahead"] == len(dropped)
+    assert report.stats["forced"] == forced
 
 
 class TestIncrementalBound:
@@ -699,43 +712,57 @@ class TestIncrementalBound:
         shortened, last_back = shortened_chains(search_case(name), monkeypatch)
         assert shortened >= last_back > 0
 
-    @pytest.mark.parametrize(
-        "name", [*SEARCH_CASES, *(f"3-2-10-s{seed}" for seed in range(4)), "tiny-corpus"]
-    )
+    @pytest.mark.parametrize("name", SLOT_CASES)
     def test_certified_slots_are_kept_by_probe(self, name, monkeypatch, request):
-        if name == "tiny-corpus":
-            instances = [inst for inst, _ in request.getfixturevalue("tiny_corpus")]
-        else:
-            instances = [search_case(name)]
-        for instance in instances:
-            certified, dropped, nodes = certified_slots(instance, monkeypatch)
-            assert dropped == []
-            # only a solve that a dive ends at the root bound checks no slot
-            assert certified > 0 or nodes == 0
+        # every slot `slots` keeps without a probe is one `probe` keeps
+        wrongly_kept, _, (certified, _), nodes = checked_case(name, monkeypatch, request)
+        assert wrongly_kept == []
+        # only a solve that a dive ends at the root bound counts no slot
+        assert certified > 0 or nodes == 0
+
+    @pytest.mark.parametrize("name", SLOT_CASES)
+    def test_floored_slots_are_dropped_by_probe(self, name, monkeypatch, request):
+        # every slot a floor of `slots` rules out is one `probe` drops
+        _, wrongly_dropped, (_, floored), nodes = checked_case(name, monkeypatch, request)
+        assert wrongly_dropped == []
+        assert floored > 0 or nodes == 0
 
     def test_a_certificate_without_the_later_stations_fails(self, monkeypatch):
-        # the check above has teeth: leave the later stations' weight out
-        # of the certificate and `probe` drops slots it passed
-        certified, dropped, _ = certified_slots(search_case("3-2-8-s3"), monkeypatch, False)
-        assert dropped and certified > len(dropped)
+        # the checks above have teeth for the certificate: leave out what
+        # the later stations add, and slots `probe` drops are kept
+        wrongly_kept, _, _, _ = checked_slots(
+            search_case("3-2-8-s3"), monkeypatch,
+            lambda table: [(0.0, [])] * len(table),
+        )
+        assert wrongly_kept
 
-    @pytest.mark.parametrize("seed,nodes", [(0, 3803), (1, 1363), (2, 1613), (3, 18700)])
+    def test_a_floor_counting_the_later_stations_twice_fails(self, monkeypatch):
+        # and for the floors: count what the later stations add twice,
+        # and slots `probe` keeps are dropped
+        wrongly_kept, wrongly_dropped, _, _ = checked_slots(
+            search_case("3-2-8-s3"), monkeypatch,
+            lambda table: [(2.0 * tardy, [(s, 2.0 * w) for s, w in slack])
+                           for tardy, slack in table],
+        )
+        assert wrongly_dropped and not wrongly_kept
+
+    @pytest.mark.parametrize("seed,nodes", [(0, 1792), (1, 956), (2, 773), (3, 896)])
     def test_node_counts_pinned(self, seed, nodes):
         # the whole search record: a change that keeps the search keeps
-        # every counter, so no decision moved; `lookahead_probes` is the
-        # check's cost, which moves with how it finds a slot, not with
-        # which nodes go
-        candidates, pruned, lookahead, probes, rejected, incumbents, optimum_node = {
-            0: (10294, 6497, 1496, 6598, 5024, 17, 2229),
-            1: (4848, 3491, 542, 3734, 1054, 4, 74),
-            2: (6623, 5016, 560, 4047, 1176, 13, 634),
-            3: (50969, 32275, 8468, 30090, 17938, 11, 15979),
+        # every counter, so no decision moved; `counting_probes` is the
+        # counting's cost, which moves with how it decides a slot, not
+        # with which nodes go
+        candidates, pruned, lookahead, probes, forced, rejected, incumbents, optimum_node = {
+            0: (4216, 2430, 895, 9, 375, 1461, 19, 1033),
+            1: (2606, 1656, 443, 1, 250, 556, 5, 121),
+            2: (2193, 1426, 372, 4, 183, 307, 12, 399),
+            3: (2155, 1265, 389, 19, 245, 621, 8, 762),
         }[seed]
         report = solve_bnb(generate(seed, 3, 2, 10))
         assert report.nodes == nodes
         assert report.stats == {
             "nodes": nodes, "candidates": candidates, "pruned_by_bound": pruned,
-            "pruned_by_lookahead": lookahead, "lookahead_probes": probes,
+            "pruned_by_lookahead": lookahead, "counting_probes": probes, "forced": forced,
             "rejected_by_range": rejected, "dives": 6, "incumbents": incumbents,
             "optimum_node": optimum_node,
         }
@@ -766,23 +793,26 @@ class TestIncrementalBound:
         report = solve_bnb(inst)
         stats = report.stats
         assert set(stats) == {
-            "nodes", "candidates", "pruned_by_bound", "pruned_by_lookahead",
-            "lookahead_probes", "rejected_by_range", "dives", "incumbents", "optimum_node",
+            "nodes", "candidates", "pruned_by_bound", "pruned_by_lookahead", "counting_probes",
+            "forced", "rejected_by_range", "dives", "incumbents", "optimum_node",
         }
         assert stats["nodes"] == report.nodes
         # two stations: 2 full tours as roots; every other node is a
-        # candidate that was entered, and every candidate not entered
-        # was pruned by the bound
+        # candidate of the customer its parent branched on that was
+        # entered, and every such candidate not entered was pruned by
+        # the bound
         entered = report.nodes - 2
         assert stats["candidates"] == stats["pruned_by_bound"] + entered
-        # the look-ahead drops 21 of the 78 nodes and spends 77 probes
-        assert stats["pruned_by_lookahead"] == 21
-        assert stats["lookahead_probes"] == 77
+        # the look-ahead drops 25 of the 73 nodes; counting the slots
+        # spends 1 probe, and 21 nodes branch on a customer with 1 slot
+        assert stats["pruned_by_lookahead"] == 25
+        assert stats["counting_probes"] == 1
+        assert stats["forced"] == 21
         assert stats["rejected_by_range"] > 0
         assert stats["dives"] == 2
-        assert stats["incumbents"] == 4
-        # the dives miss the optimum; the search reaches it at node 28
-        assert stats["optimum_node"] == 28
+        assert stats["incumbents"] == 5
+        # the dives miss the optimum; the search reaches it at node 45
+        assert stats["optimum_node"] == 45
 
     @pytest.mark.parametrize(
         "name", [f"2-2-5-s{seed}" for seed in (0, 2, 4, 5, 7, 8)]
@@ -792,19 +822,19 @@ class TestIncrementalBound:
         self, name, monkeypatch
     ):
         # 3-node turns switch tours many times, so the checks meet
-        # incumbents from other tours; only with them does 2-2-5-s8 drop
+        # incumbents from other tours
         monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
         instance = search_case(name)
         seen, drops = [], []
-        reach = exact._IncrementalBound.reach
+        slots = exact._IncrementalBound.slots
 
-        def watched(kernel, st, o, limit, hint):
-            slot = reach(kernel, st, o, limit, hint)
-            if slot is None:  # the node just expanded is dropped
+        def watched(kernel, st, o, limit, cap):
+            counted = slots(kernel, st, o, limit, cap)
+            if not counted[0]:  # no slot: the node just expanded is dropped
                 drops.append((seen[-1], limit))
-            return slot
+            return counted
 
-        monkeypatch.setattr(exact._IncrementalBound, "reach", watched)
+        monkeypatch.setattr(exact._IncrementalBound, "slots", watched)
         report = solve_bnb(instance, on_node=seen.append)
         assert drops and len(drops) == report.stats["pruned_by_lookahead"]
         for node, limit in drops:
@@ -1060,7 +1090,7 @@ class TestSearchOrder:
             want = sorted_order_search(inst)
             if want[0] == math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst))):
                 # the search stops at the first plan that meets the bound
-                _, _, best, _, key, _ = reference_search(inst, exact.TOUR_QUANTUM)
+                _, _, best, _, key, _, _ = reference_search(inst, exact.TOUR_QUANTUM)
                 want = best, key
             assert (report.objective, serialize_plan(report.plan)) == want
 
