@@ -210,8 +210,8 @@ def cmd_evaluate(instance_path, fixture, plan_path, fmt):
 
 
 # the solve options each method has no use for
-_IGNORED_BY = {"exact": ("seed", "restarts"), "heuristic": ("budget_nodes",),
-               "oracle": ("budget_nodes", "budget_seconds", "seed", "restarts")}
+_IGNORED_BY = {"exact": ("seed",), "heuristic": ("budget_nodes",),
+               "oracle": ("budget_nodes", "budget_seconds", "seed")}
 
 
 @cli.command("solve")
@@ -226,18 +226,17 @@ _IGNORED_BY = {"exact": ("seed", "restarts"), "heuristic": ("budget_nodes",),
 @click.option("--budget-nodes", type=int, default=None)
 @click.option("--budget-seconds", type=float, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--restarts", type=int, default=4, show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False),
               help="Write the plan JSON here.")
 @click.pass_context
 def cmd_solve(ctx, instance_path, fixture, method, budget_nodes, budget_seconds,
-              seed, restarts, output):
+              seed, output):
     """Solve an instance and print the plan and its objective."""
     for name in _IGNORED_BY[method]:
         if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
             raise click.UsageError(f"--{name.replace('_', '-')} does not apply to --method {method}")
     instance = _load_instance(instance_path, fixture)
-    report = _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts)
+    report = _run_solver(instance, method, budget_nodes, budget_seconds, seed)
     click.echo(f"status     {report.status}")
     click.echo(f"objective  {report.objective!r}")
     if report.bound_gap is not None:
@@ -258,14 +257,14 @@ def _echo_plan(plan: RoutePlan):
         click.echo(f"sortie     robot {s.robot} at S{s.station}: {chain}")
 
 
-def _run_solver(instance, method, budget_nodes, budget_seconds, seed, restarts) -> SolveReport:
+def _run_solver(instance, method, budget_nodes, budget_seconds, seed) -> SolveReport:
     if method == "oracle":
         return solve_oracle(instance)
     if method == "exact":
         budget = SolveBudget(max_nodes=budget_nodes, max_seconds=budget_seconds)
         return solve_bnb(instance, budget=budget)
     caps = {} if budget_seconds is None else {"max_seconds": budget_seconds}
-    params = SearchParams(seed=seed, restarts=restarts, **caps)
+    params = SearchParams(seed=seed, **caps)
     return improve(instance, construct(instance, seed=seed), params)
 
 
@@ -324,7 +323,7 @@ def cmd_bench(runs, seed, n_stations, n_robots, n_customers, robot_range, method
         try:
             instance = generate_instance(s, n_stations, n_robots, n_customers,
                                          robot_range=robot_range)
-            report = _run_solver(instance, method, None, None, s, 4)
+            report = _run_solver(instance, method, None, None, s)
             rows.append([s, f"{report.objective:.6f}", report.status,
                          report.nodes, f"{report.wall_time:.3f}"])
         except _DOMAIN_ERRORS as e:

@@ -137,8 +137,11 @@ class SolveReport:
     open bound), and "heuristic" for local-search results, which prove
     nothing.  The plan always passes `validate` and `objective` always
     equals `propagate(plan).objective`.  `stats` holds the solver's
-    own counters (see `solve_bnb` and `heuristic.improve`);
-    `solve_oracle` leaves it empty.
+    own counters: for `solve_bnb` its nodes, prunes and incumbents,
+    with `optimum_node`; for `heuristic.improve` its move evaluations
+    and kept moves per neighborhood, its ruin-and-recreate iterations,
+    each operator's tries, acceptances and new bests, and `best_eval`
+    (see both).  `solve_oracle` leaves it empty.
     """
 
     plan: RoutePlan

@@ -7,19 +7,20 @@ tour refined by 2-opt, then customers inserted in urgency order
 backtracking over insertion choices if a later customer cannot be
 placed.  `improve` runs a first-improvement descent over five
 neighborhoods (relocate, swap, intra-sortie reorder, whole-sortie
-reassignment, tour 2-opt) with optional multistart.
-
-Restart r of a run seeded s constructs its starting plan with seed
-s + r; that fixed splitting rule makes multistart runs reproducible.
+reassignment, tour 2-opt), then a ruin-and-recreate loop around that
+descent until its budget is spent: each iteration takes a few customers
+out of the current plan (and sometimes moves a station in the tour),
+puts them back cheapest-first, descends, and keeps the result by a
+simulated-annealing rule seeded by `SearchParams.seed`.
 
 Both score with the branch-and-bound's schedule kernel
 (`exact._IncrementalBound`), reach its step tables' `fits` verdict on
-range, and write plans with `exact._canonical_plan`.  `construct` runs
-the package's one greedy search, `exact._insert_all`, which
-`solve_bnb`'s dives run too: slots come from the kernel's `branch` and
-are entered with `child`, so no slot costs a whole-schedule
-recomputation; tests check its plans against a plain construction
-that rescores the whole schedule per slot.
+range, and write plans with `exact._canonical_plan`.  `construct` and
+every recreate run the package's one greedy search, `exact._insert_all`,
+which `solve_bnb`'s dives run too: slots come from the kernel's
+`branch` and are entered with `child`, so no slot costs a
+whole-schedule recomputation; tests check its plans against a plain
+construction that rescores the whole schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
 change in place and undo.  A relocate takes its customer out of
@@ -29,7 +30,7 @@ dropped unfinished (docs/MODEL.md, monotone float sums).  The other
 neighborhoods rescore from the first tour position a move touches.
 Every score is bit-equal to `propagate(...).objective`, and the
 candidate order, range checks and evaluation count are fixed, so tests
-check the search against a plain dict-based descent that copies every
+check the descent against a plain dict-based descent that copies every
 candidate.
 """
 
@@ -51,6 +52,7 @@ from .exact import (
     _IncrementalBound,
     _insert_all,
     _NodeSchedule,
+    _relaxed_contributions,
     _report,
     _Stop,
     _StepTables,
@@ -61,24 +63,35 @@ from .model import EPSILON, Instance, ModelError, RoutePlan
 
 NEIGHBORHOODS = ("relocate", "swap", "reorder", "reassign", "two_opt")
 
+# `improve`'s ruin-and-recreate loop.  A ruin removes RUIN_SIZE
+# customers (at most all of them) by one of REMOVALS, and in
+# STATION_MOVE of the iterations also moves one station in the tour.
+# The annealing temperature starts at START_TEMPERATURE times the first
+# descent's objective and is multiplied by COOLING every iteration; the
+# loop ends after STALL iterations per customer without a new best.
+REMOVALS = ("random", "related", "worst")
+RUIN_SIZE = (2, 6)
+STATION_MOVE = 0.3
+START_TEMPERATURE = 0.02
+COOLING = 0.998
+STALL = 50
+WORST_BIAS = 3  # worst removal takes rank int(u**WORST_BIAS * left), u uniform
+
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs of one `improve` run; every cap must be positive, and the
-    two counts integers."""
+    """Knobs of one `improve` run; both caps must be positive, and the
+    evaluation cap an integer."""
 
     seed: int = 0
     max_iterations: int = 200_000
     max_seconds: float = 10.0
-    restarts: int = 4
 
     def __post_init__(self):
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise ModelError(f"max_iterations must be a positive integer, got {self.max_iterations!r}")
         if not self.max_seconds > 0:  # NaN too
             raise ModelError("max_seconds must be positive")
-        if not isinstance(self.restarts, int) or self.restarts < 1:
-            raise ModelError(f"restarts must be a positive integer, got {self.restarts!r}")
 
 
 class _Work:
@@ -105,11 +118,12 @@ class _Evaluator:
     bit-equal to `propagate(...).objective`.
     """
 
-    def __init__(self, ev: PlanEvaluator, tables: _StepTables, work: _Work):
+    def __init__(self, ev: PlanEvaluator, tables: _StepTables, work: _Work, reached: int = 0):
         self.ev = ev
         self.tables = tables
         self.work = work
         self.unserved = [0.0] * ev.n  # the term of a customer taken out
+        self.reached = reached  # the evaluation count the objective was reached at
         self.refresh()
 
     def refresh(self) -> None:
@@ -172,10 +186,10 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     placed; adding 0.0 leaves a sum unchanged, so the cost is bit-equal
     to that partial objective (docs/MODEL.md).
 
-    The seed ladders the multistart diversification.  Seed 0 is the
+    The seed ladders the diversification.  Seed 0 is the
     pure recipe with the nearest-neighbor tour grown from the depot.
     Seeds 1 through n_stations keep the pure insertion but start the
-    tour at the seed-th station, so a small restart fan covers every
+    tour at the seed-th station, so a small fan of seeds covers every
     start.  Larger seeds draw, in a fixed order, a random start
     station, one urgency jitter per customer, and one semi-greedy slot
     pick per urgency position, which every insertion at that depth
@@ -191,21 +205,6 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     """
     ev = PlanEvaluator(instance)
     check_capacity(ev)
-    plan = _construct(ev, _StepTables(ev), seed)
-    if plan is None:
-        raise BudgetExhaustedError(
-            f"construct gave up after {instance.n_customers + CONSTRUCT_UNDOS} placements "
-            "without a feasible plan"
-        )
-    return plan
-
-
-def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int, stop=None) -> RoutePlan | None:
-    """`construct` on the caller's evaluator and step tables, with no
-    capacity check: `improve`'s restarts start from a feasible plan.
-    None when the placement cap stops the search, or `stop()`, read
-    before each placement, turns true."""
-    instance = ev.instance
     ids = sorted(s.id for s in instance.stations)
     rnd = random.Random(seed)
 
@@ -233,16 +232,18 @@ def _construct(ev: PlanEvaluator, tables: _StepTables, seed: int, stop=None) -> 
         jitter = [1.0 + 0.25 * rnd.random() for _ in instance.customers]
         picks = [rnd.random() for _ in instance.customers]
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
-    kernel = _IncrementalBound(ev, tables, tour, groups)
+    kernel = _IncrementalBound(ev, _StepTables(ev), tour, groups)
     order = _urgency(instance, jitter)
     placed = count(1)
     cap = len(order) + CONSTRUCT_UNDOS
 
     def halt() -> bool:
-        return next(placed) > cap or (stop is not None and stop())
+        return next(placed) > cap
 
     if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), picks, halt) is None:
-        return None
+        raise BudgetExhaustedError(
+            f"construct gave up after {cap} placements without a feasible plan"
+        )
     return _canonical_plan(tour, groups)
 
 
@@ -440,24 +441,71 @@ def _descend(state: _Evaluator, params: SearchParams, late, stats: dict) -> None
             if move is not None:
                 _apply(state.work, name, move)
                 state.refresh()
+                state.reached = stats["evals"]
                 stats["moves_" + name] += 1
                 break
         else:
             return
 
 
+def _ruin(state: _Evaluator, removal: str, size: int, rnd: random.Random) -> list[int]:
+    """The customers removal `removal` takes out of the plan: `size` of
+    them drawn at random ("random"); up to `size` drawn from one station
+    that serves customers ("related"); or drawn by weighted tardiness,
+    the largest most likely ("worst")."""
+    spots = _located(state.work)
+    if removal == "random":
+        return rnd.sample([o for o, _, _, _ in spots], size)
+    if removal == "related":
+        k = rnd.choice([k for k in state.work.tour if any(state.work.groups[k])])
+        here = [o for o, k2, _, _ in spots if k2 == k]
+        return rnd.sample(here, min(size, len(here)))
+    terms = state.sched.terms
+    left = sorted((o for o, _, _, _ in spots), key=lambda o: (-terms[o], o))
+    return [left.pop(int(rnd.random() ** WORST_BIAS * len(left))) for _ in range(size)]
+
+
+def _ruined(work: _Work, removed, tour) -> _Work:
+    """A copy of `work` on `tour` without the customers `removed`, each
+    station's busy chains first: `branch` tries only the first idle
+    robot of a station."""
+    gone = set(removed)
+    groups = {}
+    for k, lists in work.groups.items():
+        busy = [kept for kept in ([o for o in g if o not in gone] for g in lists) if kept]
+        groups[k] = busy + [[] for _ in range(len(lists) - len(busy))]
+    return _Work(tour, groups)
+
+
 def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchParams()) -> SolveReport:
     """Local-search improvement of a feasible plan.
 
-    Runs the descent on the given plan, then on `params.restarts - 1`
-    fresh constructions (seeds `params.seed + r`), and returns the best
-    plan found; never worse than the input, always feasible.  The time
-    cap is read inside a construction too: a construction that it, or
-    the construction's own placement cap, stops offers nothing and ends
-    the run.  The report status is "heuristic": no optimality proof is
-    implied.  `nodes` counts move evaluations; `stats` splits
-    them by neighborhood (`evals_<name>`), counts the moves kept
-    (`moves_<name>`) and the descents run (`descents`).
+    Descends from the given plan, then runs a ruin-and-recreate loop
+    (Schrimpf et al. 2000) from the plan the descent ends on.  Each
+    iteration copies the current plan; in `STATION_MOVE` of them moves
+    one station to another tour position; removes `RUIN_SIZE` customers
+    by one of `REMOVALS`; puts them back in urgency order, each at its
+    cheapest slot, with `exact._insert_all`; descends; and accepts the
+    result as the current plan when it is no worse, or by simulated
+    annealing with probability exp(-increase / temperature).  The
+    random draws come from `params.seed` alone, and the rule reads
+    neither the clock nor the caps, so a run under a lower cap makes
+    the same first iterations as one under a higher cap.
+
+    The loop stops at the first of: the time cap (read inside a
+    recreate too), the evaluation cap, a best objective at or below the
+    root bound (the sum of the relaxed contributions, which no plan
+    beats), and `STALL` iterations per customer without a new best.
+    Returns the best plan met, never worse than the input, always
+    feasible.  The report status is "heuristic": no optimality proof is
+    implied.  `nodes` counts move evaluations; `stats` splits them by
+    neighborhood (`evals_<name>`), counts the moves kept
+    (`moves_<name>`), the descents run (`descents`) and the loop's
+    `iterations`; for each removal and the station move, the iterations
+    that tried it (`tries_<name>`), whose result became the current
+    plan (`accepted_<name>`) and a new best (`bests_<name>`); and
+    `best_eval`, the evaluation count at which the returned objective
+    was first reached.
     """
     started = time.perf_counter()
     violations = validate(instance, plan)
@@ -467,32 +515,73 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         )
     ev = PlanEvaluator(instance)
     tables = _StepTables(ev)
-    stats = {"evals": 0, "descents": 0}
+    stats = {"evals": 0, "descents": 0, "iterations": 0, "best_eval": 0}
     for prefix in ("evals_", "moves_"):
         stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
+    for prefix in ("tries_", "accepted_", "bests_"):
+        stats.update((prefix + name, 0) for name in (*REMOVALS, "station"))
 
     best = _Best()
+    rnd = random.Random(params.seed)
+    root_bound = math.fsum(_relaxed_contributions(instance, ev))
+    rank = {o: i for i, o in enumerate(_urgency(instance))}
 
     def late() -> bool:
         return time.perf_counter() - started > params.max_seconds
 
-    def run(start: RoutePlan) -> bool:
-        """Descend from `start` and offer the result; False when a cap
-        ended the descent."""
-        state = _Evaluator(ev, tables, _Work.from_plan(instance, start))
+    def descend(state: _Evaluator) -> bool:
+        """Descend from `state` in place; False when a cap ended the
+        descent."""
         try:
             _descend(state, params, late, stats)
-            finished = True
         except _Stop:
-            finished = False
-        best.offer(state.objective, state.work.tour, state.work.groups)
-        return finished
+            return False
+        return True
 
-    if run(plan):
-        for r in range(1, params.restarts):
-            start = _construct(ev, tables, params.seed + r, late)
-            if start is None or not run(start):
-                break
+    def offer(state: _Evaluator) -> bool:
+        """Offer `state` to the incumbent; True for a new best objective."""
+        lower = state.objective < best.objective
+        if lower:
+            stats["best_eval"] = state.reached
+        best.offer(state.objective, state.work.tour, state.work.groups)
+        return lower
+
+    current = _Evaluator(ev, tables, _Work.from_plan(instance, plan))
+    going = descend(current)
+    offer(current)
+    temperature = START_TEMPERATURE * current.objective
+    stall = 0
+    while going and best.objective > root_bound and stall < STALL * instance.n_customers:
+        stats["iterations"] += 1
+        removal = rnd.choice(REMOVALS)
+        tried = [removal]
+        tour = list(current.work.tour)
+        if len(tour) > 1 and rnd.random() < STATION_MOVE:
+            i = rnd.randrange(len(tour))
+            j = rnd.randrange(len(tour) - 1)
+            tour.insert(j + (j >= i), tour.pop(i))
+            tried.append("station")
+        size = min(rnd.randint(*RUIN_SIZE), instance.n_customers)
+        removed = _ruin(current, removal, size, rnd)
+        work = _ruined(current.work, removed, tour)
+        kernel = _IncrementalBound(ev, tables, work.tour, work.groups)
+        order = sorted(removed, key=rank.__getitem__)
+        if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), None, late) is None:
+            break
+        state = _Evaluator(ev, tables, work, stats["evals"])
+        going = descend(state)
+        accepted = state.objective <= current.objective or temperature > 0.0 and (
+            rnd.random() < math.exp((current.objective - state.objective) / temperature)
+        )
+        new_best = offer(state)
+        for name in tried:
+            stats["tries_" + name] += 1
+            stats["accepted_" + name] += accepted
+            stats["bests_" + name] += new_best
+        if accepted:
+            current = state
+        stall = 0 if new_best else stall + 1
+        temperature *= COOLING
 
     nodes = stats.pop("evals")
     return _report(instance, best.plan, "heuristic", nodes, started, stats=stats)

@@ -1,11 +1,11 @@
 """
-The local search of `heuristic.improve`, written plainly.
+The descent of `heuristic.improve`, written plainly.
 
 Every candidate is built as a deep copy of the plan's groups (and tour)
 and scored by recomputing the schedule in dicts from the first tour
 position the move touches, with the recurrence of `propagate` written
 out once more.  `improve` scores its moves with the branch-and-bound's
-incremental kernel instead; tests assert that both make the same search:
+incremental kernel instead; tests assert that both make the same descent:
 the same objective, plan and evaluation count under every cap.
 """
 
@@ -15,10 +15,8 @@ import time
 
 from mothership import (
     NEIGHBORHOODS,
-    InfeasibleInstanceError,
     PlanEvaluator,
     SearchParams,
-    construct,
     serialize_plan,
 )
 from mothership.exact import _canonical_plan
@@ -207,33 +205,15 @@ def descend(ev, state: Evaluator, params: SearchParams, started: float, counters
                 break
 
 
-def reference_improve(instance, plan, params: SearchParams = SearchParams()):
-    """(objective, plan text, evaluations) of the search `improve` makes
-    from `plan` under `params`; give `params` a `max_seconds` no run
-    reaches, or the time check makes the result depend on the machine."""
+def reference_descent(instance, plan, params: SearchParams = SearchParams()):
+    """(objective, plan text, evaluations) of the descent `improve` runs
+    first from `plan` under `params`; give `params` a `max_seconds` no
+    run reaches, or the time check makes the result depend on the
+    machine."""
     started = time.perf_counter()
     ev = PlanEvaluator(instance)
     counters = {"evals": 0}
-    best = (float("inf"), "")
-
-    def offer(work: _Work, objective: float):
-        nonlocal best
-        best = min(best, (objective, serialize_plan(_canonical_plan(work.tour, work.groups))))
-
     state = Evaluator(ev, _Work.from_plan(instance, plan))
     descend(ev, state, params, started, counters)
-    offer(state.work, state.objective)
-    for r in range(1, params.restarts):
-        if counters["evals"] >= params.max_iterations:
-            break
-        if time.perf_counter() - started > params.max_seconds:
-            break
-        try:
-            seeded = construct(instance, params.seed + r)
-        except InfeasibleInstanceError:
-            break
-        state = Evaluator(ev, _Work.from_plan(instance, seeded))
-        descend(ev, state, params, started, counters)
-        offer(state.work, state.objective)
-    objective, text = best
-    return objective, text, counters["evals"]
+    text = serialize_plan(_canonical_plan(state.work.tour, state.work.groups))
+    return state.objective, text, counters["evals"]

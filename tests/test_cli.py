@@ -250,9 +250,9 @@ class TestSolve:
          ("oracle", ["--budget-nodes", "3"]),
          ("oracle", ["--budget-seconds", "1"]),
          ("oracle", ["--seed", "0"]),
-         ("oracle", ["--restarts", "4"]),
+         ("oracle", ["--budget-seconds", "0.5"]),
          ("exact", ["--seed", "1"]),
-         ("exact", ["--restarts", "2"])],
+         ("exact", ["--seed", "0"])],
     )
     def test_flag_the_method_ignores_is_usage_error(self, runner, method, args):
         # given on the command line, even at its default value
@@ -260,6 +260,14 @@ class TestSolve:
                                      "--method", method, *args])
         assert result.exit_code == 2
         assert f"{args[0]} does not apply to --method {method}" in result.output
+
+    def test_restarts_is_an_unknown_option(self, runner):
+        # the heuristic runs one ruin-and-recreate loop; nothing restarts
+        result = runner.invoke(cli, ["solve", "--fixture", "small",
+                                     "--method", "heuristic", "--restarts", "4"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert "--restarts" in result.output
 
     def test_partial_budget_reports_gap(self, runner):
         # the first dive needs 11 undos, which an 11-node cap allows;

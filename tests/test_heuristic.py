@@ -9,7 +9,7 @@ import time
 
 import pytest
 from reference_construct import reference_construct
-from reference_improve import reference_improve
+from reference_improve import reference_descent
 
 from mothership import (
     NEIGHBORHOODS,
@@ -35,8 +35,16 @@ from mothership import (
     validate,
 )
 from mothership import heuristic
-from mothership.exact import _canonical_plan, _StepTables, check_capacity
-from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply
+from mothership.exact import (
+    _canonical_plan,
+    _IncrementalBound,
+    _insert_all,
+    _relaxed_contributions,
+    _StepTables,
+    _Stop,
+    check_capacity,
+)
+from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply, _descend, _ruined
 
 SMALL_OPTIMUM = 36.37122987569251
 
@@ -45,7 +53,7 @@ class TestSearchParams:
     def test_defaults(self):
         p = SearchParams()
         assert p.seed == 0
-        assert p.restarts >= 1
+        assert p.max_iterations >= 1 and p.max_seconds > 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,11 +62,11 @@ class TestSearchParams:
             {"max_iterations": math.nan},
             {"max_seconds": 0.0},
             {"max_seconds": math.nan},
-            {"restarts": 0},
-            {"restarts": math.nan},
-            {"restarts": 2.5},
+            {"max_iterations": -1},
+            {"max_seconds": -1.0},
+            {"max_seconds": -math.inf},
             {"max_iterations": 2.5},
-            {"restarts": "4"},
+            {"max_iterations": "4"},
             {"max_iterations": 1e5},
         ],
     )
@@ -231,18 +239,19 @@ class TestReferenceConstruct:
 
 def _medium_improve(**caps):
     inst = builtin_fixture("medium")[0]
-    return improve(inst, construct(inst), SearchParams(max_seconds=1e6, restarts=2, **caps))
+    return improve(inst, construct(inst), SearchParams(max_seconds=1e6, **caps))
 
 
-# one call of each solver; improve also with a cap that stops it inside
-# a relocate scan, and construct on an instance where it backtracks
+# one call of each solver; improve through some loop iterations, and
+# with a cap that stops it inside the first descent's relocate scan;
+# construct on an instance where it backtracks
 SOLVER_CALLS = {
     "solve_bnb": lambda: solve_bnb(generate(1, 3, 2, 10)),
     "solve_oracle": lambda: solve_oracle(generate(0, 2, 2, 4)),
     "construct": lambda: construct(generate(0, 6, 4, 40), 999),
     "construct-backtracking": lambda: construct(backtracking_instance()),
-    "improve": _medium_improve,
-    "improve-capped": lambda: _medium_improve(max_iterations=500),
+    "improve": lambda: _medium_improve(max_iterations=3_000),
+    "improve-capped": lambda: _medium_improve(max_iterations=150),
 }
 
 
@@ -260,6 +269,22 @@ def test_solvers_leave_no_cyclic_garbage(name):
         gc.enable()
 
 
+def first_descent(inst, start, params):
+    """(objective, plan text, evaluations) of the descent `improve`
+    runs first, made by calling `heuristic._descend` directly."""
+    ev = PlanEvaluator(inst)
+    state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, start))
+    stats = {"evals": 0, "descents": 0}
+    for prefix in ("evals_", "moves_"):
+        stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
+    try:
+        _descend(state, params, lambda: False, stats)
+    except _Stop:
+        pass
+    text = serialize_plan(_canonical_plan(state.work.tour, state.work.groups))
+    return state.objective, text, stats["evals"]
+
+
 class TestImprove:
     def test_reaches_small_fixture_optimum(self):
         inst, _ = builtin_fixture("small")
@@ -272,13 +297,13 @@ class TestImprove:
     def test_never_worse_than_input(self):
         inst, plan = builtin_fixture("small")
         start = propagate(inst, plan).objective
-        report = improve(inst, plan, SearchParams(restarts=1))
+        report = improve(inst, plan)
         assert report.objective <= start
 
     def test_keeps_optimal_input(self):
         inst, _ = builtin_fixture("small")
         optimal = solve_bnb(inst).plan
-        report = improve(inst, optimal, SearchParams(restarts=1))
+        report = improve(inst, optimal)
         assert report.objective == SMALL_OPTIMUM
 
     def test_deterministic(self):
@@ -311,7 +336,7 @@ class TestImprove:
     def test_time_budget_respected(self):
         inst, _ = builtin_fixture("medium")
         started = time.perf_counter()
-        improve(inst, construct(inst), SearchParams(max_seconds=0.5, restarts=2))
+        improve(inst, construct(inst), SearchParams(max_seconds=0.5))
         assert time.perf_counter() - started < 5.0
 
     def test_time_cap_inside_a_descent(self, clock):
@@ -327,55 +352,63 @@ class TestImprove:
         assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
         assert validate(inst, timed.plan) == []
 
-    def test_time_cap_between_restarts(self, clock, monkeypatch):
-        # the clock passes the cap as the first descent ends: no
-        # restart runs, and the run is the one without restarts
+    def test_time_cap_between_iterations(self, clock, monkeypatch):
+        # the clock passes the cap as the third descent ends: the loop
+        # stops before its third recreate, which reads the clock first,
+        # and the run is the one an evaluation cap at the same count
+        # ends, whose last evaluation judged no move
         inst, _ = builtin_fixture("medium")
-        descend = heuristic._descend
+        descend, descents = heuristic._descend, []
 
         def then_late(*args):
             descend(*args)
-            clock.now += 10.0
+            descents.append(None)
+            if len(descents) == 3:
+                clock.now += 10.0
 
         monkeypatch.setattr(heuristic, "_descend", then_late)
         timed = improve(inst, construct(inst), SearchParams(max_seconds=1.0))
-        single = improve(inst, construct(inst), SearchParams(max_seconds=1.0, restarts=1))
-        assert timed.stats["descents"] == 1
-        assert timed.nodes == single.nodes
-        assert serialize_plan(timed.plan) == serialize_plan(single.plan)
+        monkeypatch.setattr(heuristic, "_descend", descend)
+        capped = improve(inst, construct(inst), SearchParams(max_iterations=timed.nodes))
+        assert timed.stats["descents"] == 3
+        assert timed.stats["iterations"] == 3  # the third recreate stopped
+        assert capped.stats["iterations"] == 2
+        assert timed.objective == capped.objective
+        assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
 
-    def test_time_cap_inside_a_restart_construction(self, clock, monkeypatch):
-        # once the first descent ends, each reading moves the clock
-        # 0.4 s: the first restart's construction reads 0.4, 0.8, then
-        # 1.2 s before its third placement and stops there; it offers
-        # nothing and no second descent runs
+    def test_time_cap_inside_a_recreate(self, clock, monkeypatch):
+        # in the first recreate that puts back three customers or more,
+        # the clock passes the cap after two placements, so the read
+        # before the third is past it: the recreate stops with its plan
+        # part-filled, and the run returns the best whole plan met
+        # before, no worse than the first descent's
         inst, _ = builtin_fixture("medium")
         start = construct(inst)
-        descend, build = heuristic._descend, heuristic._construct
-        built, reads = [], []
+        recreate, sizes, reads = heuristic._insert_all, [], []
 
-        def then_slow(*args):
-            descend(*args)
-            clock.step = 0.4
+        def recorded(kernel, sched, order, failed, picks, stop):
+            sizes.append(len(order))
+            if len(order) < 3:
+                return recreate(kernel, sched, order, failed, picks, stop)
 
-        def recorded(ev, tables, seed, stop):
             def read():
                 reads.append(stop())
+                if len(reads) == 2:
+                    clock.now += 10.0
                 return reads[-1]
 
-            built.append(build(ev, tables, seed, read))
-            return built[-1]
+            return recreate(kernel, sched, order, failed, picks, read)
 
-        monkeypatch.setattr(heuristic, "_descend", then_slow)
-        monkeypatch.setattr(heuristic, "_construct", recorded)
+        monkeypatch.setattr(heuristic, "_insert_all", recorded)
         timed = improve(inst, start, SearchParams(max_seconds=1.0))
-        assert built == [None]
         assert reads == [False, False, True]
-        clock.now = clock.step = 0.0
-        single = improve(inst, start, SearchParams(max_seconds=1.0, restarts=1))
-        assert timed.stats["descents"] == 1
-        assert timed.nodes == single.nodes
-        assert serialize_plan(timed.plan) == serialize_plan(single.plan)
+        assert timed.stats["iterations"] == timed.stats["descents"] == len(sizes)
+        assert validate(inst, timed.plan) == []
+        assert timed.objective == propagate(inst, timed.plan).objective
+        assert timed.objective <= first_descent(inst, start, SearchParams(max_seconds=1e6))[0]
+        monkeypatch.setattr(heuristic, "_insert_all", recreate)
+        capped = improve(inst, start, SearchParams(max_iterations=timed.nodes))
+        assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
 
     def test_corpus_feasible_and_not_worse_than_construct(self, tiny_corpus):
         for inst, _ in tiny_corpus[::25]:
@@ -387,11 +420,12 @@ class TestImprove:
 
 class TestIncrementalEvaluator:
     def test_probe_matches_full_propagate(self):
-        # walk a few descent steps and re-check the incremental
+        # walk a few descents and recreates and re-check the incremental
         # objective against a full propagation of the emitted plan
         inst, _ = builtin_fixture("small")
         for seed in range(6):
-            report = improve(inst, construct(inst, seed), SearchParams(seed=seed, restarts=1))
+            params = SearchParams(seed=seed, max_iterations=3_000)
+            report = improve(inst, construct(inst, seed), params)
             assert report.objective == propagate(inst, report.plan).objective
 
     def test_probe_equals_propagate_for_every_move(self):
@@ -433,7 +467,7 @@ class TestIncrementalEvaluator:
     def test_medium_fixture_improves(self):
         inst, plan = builtin_fixture("medium")
         base = propagate(inst, plan).objective
-        report = improve(inst, construct(inst), SearchParams(restarts=2))
+        report = improve(inst, construct(inst), SearchParams(max_iterations=20_000))
         assert report.objective <= base
         assert validate(inst, report.plan) == []
 
@@ -459,15 +493,14 @@ def on_stations(seed):
 def descent_case(name):
     """(instance, start plan, params) of a named reference case: a
     fixture or (3,2,9) instance with seed s, "on-stations-s<s>", or
-    "large-s<s>-r<restarts>" for (6,4,40) at 52,000 evaluations.  No
-    case may reach its time cap."""
+    "large-s<s>-r<r>" for (6,4,40) seed s from the plan `construct`
+    builds with seed r, at 52,000 evaluations.  No case may reach its
+    time cap."""
     head, seed = name.rsplit("-s", 1)
     if head == "large":
-        seed, restarts = (int(x) for x in seed.split("-r"))
+        seed, start = (int(x) for x in seed.split("-r"))
         inst = generate(seed, 6, 4, 40)
-        return inst, construct(inst), SearchParams(
-            max_iterations=52_000, max_seconds=1e6, restarts=restarts
-        )
+        return inst, construct(inst, start), SearchParams(max_iterations=52_000, max_seconds=1e6)
     seed = int(seed)
     if head in ("small", "medium"):
         inst = builtin_fixture(head)[0]
@@ -483,27 +516,25 @@ def descent_case(name):
 DESCENT_CASES = (
     [f"{head}-s{seed}" for head in ("small", "medium", "3-2-9", "on-stations") for seed in range(4)]
     + ["on-stations-s44", "on-stations-s90"]
-    + [f"large-s{seed}-r{restarts}" for seed in range(4) for restarts in (1, 4)]
+    + [f"large-s{seed}-r{start}" for seed in range(4) for start in (1, 4)]
 )
 
-# improve on (6,4,40) seeds 0-3 from construct at 52,000 evaluations
-# with the default restarts, as the plain dict-based descent gave them
-LARGE_OBJECTIVES = (647.0300426571624, 437.48001435445855, 412.54705848638116, 394.2891390799275)
+# improve on (6,4,40) seeds 0-3 from construct at 52,000 evaluations;
+# the first descent of seeds 1 and 3 is still running there, and those
+# of seeds 0 and 2 end after 46,606 and 28,070 evaluations
+LARGE_OBJECTIVES = (640.9979520553211, 437.48001435445855, 344.60991036433904, 394.2891390799275)
 
 
 class TestReferenceDescent:
     """`improve` scores moves with the B&B's incremental kernel; the
-    search it makes must be the one `reference_improve` makes, which
-    deep-copies every candidate and recomputes its schedule in dicts."""
+    descent it runs first must be the one `reference_descent` makes,
+    which deep-copies every candidate and recomputes its schedule in
+    dicts: the same objective, plan text and evaluation count."""
 
     @pytest.mark.parametrize("name", DESCENT_CASES)
     def test_same_search_as_reference(self, name):
         inst, start, params = descent_case(name)
-        report = improve(inst, start, params)
-        objective, text, nodes = reference_improve(inst, start, params)
-        assert report.objective == objective
-        assert serialize_plan(report.plan) == text
-        assert report.nodes == nodes
+        assert first_descent(inst, start, params) == reference_descent(inst, start, params)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_large_objectives_pinned(self, seed):
@@ -518,36 +549,220 @@ class TestReferenceDescent:
         [("medium", 1), ("medium", 64), ("medium", 500), ("medium", 700)]
         + [("large-s1", cap) for cap in (1, 64, 5_000)],
     )
-    def test_cap_stops_leave_a_whole_plan(self, which, cap):
-        # each cap lands inside a relocate scan (in the first, third
-        # and fourth descent on medium), while the customer is out of
-        # the plan: the plan returned still serves everyone
+    def test_cap_stops_leave_a_whole_plan(self, which, cap, monkeypatch):
+        # each cap but medium's 700 lands inside a relocate scan, while
+        # the customer is out of the plan; 700 lands in a swap scan.
+        # The plan returned still serves everyone.  Medium's first
+        # descent ends after 211 evaluations, so the caps 500 and 700
+        # land in the descent of a loop iteration, and the plan is no
+        # worse than the first descent's; the other caps stop the first
+        # descent, which is then the reference's
         if which == "medium":
             inst = builtin_fixture("medium")[0]
         else:
             inst = generate(1, 6, 4, 40)
         start = construct(inst)
         params = SearchParams(max_iterations=cap, max_seconds=1e6)
+        scans = []
+        for name, scan in list(_MOVES.items()):
+            def watched(*args, name=name, scan=scan):
+                scans.append(name)
+                return scan(*args)
+
+            monkeypatch.setitem(_MOVES, name, watched)
         report = improve(inst, start, params)
+        assert scans[-1] == ("swap" if cap == 700 else "relocate")
         assert validate(inst, report.plan) == []
         assert report.nodes == cap
-        assert report.stats["evals_relocate"] > 0
-        objective, text, nodes = reference_improve(inst, start, params)
-        assert report.objective == objective
-        assert serialize_plan(report.plan) == text
-        assert report.nodes == nodes
+        objective, text, nodes = reference_descent(inst, start, params)
+        if nodes < cap:  # the first descent ended before the cap
+            assert report.stats["iterations"] > 0
+            assert report.objective <= objective
+        else:
+            assert (report.objective, serialize_plan(report.plan), report.nodes) == (
+                objective, text, nodes
+            )
+
+
+def one_late_customer():
+    """One customer, at (0,-4), due at 0.5, and two stations: 1 at (2,0),
+    2 at (0,-3).  Construct's nearest-neighbor tour visits station 1
+    first and serves the customer there (done at 2 + 20**0.5, about
+    6.47); moving it to station 2 or reversing the tour is worse, but
+    station 2 first, serving it, is done at 4, the earliest possible."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(2.0, 0.0)), Station(2, Point(0.0, -3.0))),
+        customers=(Customer(0, Point(0.0, -4.0), 1.0, 0.5),),
+        fleet_size=1,
+        robot_range=20.0,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
+class TestRuinAndRecreate:
+    def test_deterministic(self):
+        inst, _ = builtin_fixture("medium")
+        params = SearchParams(max_iterations=20_000, max_seconds=1e6)
+        a = improve(inst, construct(inst), params)
+        b = improve(inst, construct(inst), params)
+        assert a.stats["iterations"] > 0
+        assert a.objective == b.objective
+        assert serialize_plan(a.plan) == serialize_plan(b.plan)
+        assert a.stats == b.stats
+
+    def test_lower_cap_makes_the_same_first_iterations(self, monkeypatch):
+        # the plans the descents start from: the run under the lower cap
+        # is a prefix of the run under the higher one.  On this instance
+        # the first iterations already draw for worse results
+        inst = generate(0, 3, 2, 10)
+        descend, starts = heuristic._descend, []
+
+        def recorded(state, *args):
+            plan = _canonical_plan(state.work.tour, state.work.groups)
+            starts[-1].append((state.objective, serialize_plan(plan)))
+            descend(state, *args)
+
+        monkeypatch.setattr(heuristic, "_descend", recorded)
+        reports = []
+        for cap in (5_000, 20_000):
+            starts.append([])
+            reports.append(improve(inst, construct(inst), SearchParams(max_iterations=cap)))
+        low, high = starts
+        assert 1 < len(low) < len(high)
+        assert high[: len(low)] == low
+        assert reports[1].objective <= reports[0].objective
+
+    def test_stops_at_once_without_customers(self):
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(5.0, 0.0)), Station(2, Point(0.0, 5.0))),
+            customers=(),
+            fleet_size=1,
+            robot_range=10.0,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        report = improve(inst, construct(inst))
+        assert report.objective == 0.0
+        assert report.stats["iterations"] == 0
+        assert report.stats["descents"] == 1
+
+    def test_stops_at_once_at_the_root_bound(self):
+        # a single customer who is never late: the first descent ends
+        # at the root bound, 0.0, and no iteration runs
+        inst = generate(0, 3, 2, 1)
+        report = improve(inst, construct(inst))
+        assert report.objective == math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
+        assert report.objective == 0.0
+        assert report.stats["iterations"] == 0
+
+    def test_one_customer_reaches_the_root_bound_and_stops(self):
+        # one customer, served by the root bound's station first: the
+        # descent cannot get there, a station move and its recreate can
+        inst = one_late_customer()
+        bound = math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
+        start = construct(inst)
+        assert start.tour == (1, 2)
+        assert first_descent(inst, start, SearchParams())[0] > bound
+        report = improve(inst, start)
+        assert report.objective == bound == 4.0 - 0.5
+        assert report.plan.tour == (2, 1)
+        assert 0 < report.stats["iterations"] < heuristic.STALL
+        assert report.stats["bests_station"] == 1
+
+    def test_a_ruin_that_empties_the_first_robots_still_recreates(self):
+        # one station, three robots of range 10; customers 0 and 1 are
+        # 4.5 away (one to a sortie), 2 and 3 are 1 away (they can
+        # share one).  From the chains [0], [1], [2, 3], a ruin of 0, 1
+        # and 3 leaves the third robot busy.  `branch` tries a station's
+        # first (busy + 1) robots, so with the two idle robots in front,
+        # customer 3 (the most urgent) cannot join 2, and then 0 and 1
+        # find no sortie: `_ruined` puts the busy chains first
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(0.0, 0.0)),),
+            customers=(
+                Customer(0, Point(4.5, 0.0), 1.0, 5.0),
+                Customer(1, Point(0.0, 4.5), 1.0, 5.0),
+                Customer(2, Point(1.0, 0.0), 1.0, 5.0),
+                Customer(3, Point(0.0, 1.0), 1.0, 1.0),
+            ),
+            fleet_size=3,
+            robot_range=10.0,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        ev = PlanEvaluator(inst)
+        tables = _StepTables(ev)
+        order = [3, 0, 1]  # urgency order
+
+        def recreate(work):
+            kernel = _IncrementalBound(ev, tables, work.tour, work.groups)
+            return _insert_all(kernel, kernel.root([0.0] * ev.n), order, set())
+
+        ruined = _ruined(_Work([1], {1: [[0], [1], [2, 3]]}), [0, 1, 3], [1])
+        assert ruined.groups == {1: [[2], [], []]}
+        assert recreate(ruined) is not None
+        assert validate(inst, _canonical_plan(ruined.tour, ruined.groups)) == []
+        # teeth: the same ruin with the emptied chains left in front
+        with pytest.raises(InfeasibleInstanceError):
+            recreate(_Work([1], {1: [[], [], [2]]}))
+
+
+# The gate on the proven corpus: improve at a fixed evaluation cap, so
+# the figures are the same on every machine.  Measured at 60,000
+# evaluations: mean gap 1.75%, 7 of 8 optima ((3,2,10) seed 1 ends
+# 13.99% above).  The thresholds leave a margin of about 2 points and
+# one optimum for changes that move the search without making it worse.
+GATE_CASES = tuple(((3, 2, 10), s) for s in range(4)) + tuple(((4, 3, 12), s) for s in range(4))
+GATE_EVALUATIONS = 60_000
+GATE_MEAN_GAP = 0.04
+GATE_OPTIMA = 6
+
+
+def test_gate_gap_to_proven_optima():
+    gaps = []
+    for shape, seed in GATE_CASES:
+        inst = generate(seed, *shape)
+        optimum = solve_bnb(inst).objective
+        params = SearchParams(max_iterations=GATE_EVALUATIONS, max_seconds=1e6)
+        report = improve(inst, construct(inst), params)
+        assert report.objective >= optimum
+        gaps.append((report.objective - optimum) / optimum)
+    assert sum(gaps) / len(gaps) <= GATE_MEAN_GAP, gaps
+    assert sum(gap == 0.0 for gap in gaps) >= GATE_OPTIMA, gaps
 
 
 class TestSearchStats:
     def test_counters_add_up(self):
+        # a run the stall rule ends
         inst, _ = builtin_fixture("medium")
-        report = improve(inst, construct(inst), SearchParams(restarts=3, max_seconds=1e6))
+        start = construct(inst)
+        report = improve(inst, start, SearchParams(max_seconds=1e6))
         stats = report.stats
-        assert set(stats) == {"descents"} | {
+        operators = (*heuristic.REMOVALS, "station")
+        assert set(stats) == {"descents", "iterations", "best_eval"} | {
             f"{kind}_{name}" for kind in ("evals", "moves") for name in NEIGHBORHOODS
-        }
+        } | {f"{kind}_{name}" for kind in ("tries", "accepted", "bests") for name in operators}
+        assert report.nodes < SearchParams().max_iterations
         assert sum(stats[f"evals_{name}"] for name in NEIGHBORHOODS) == report.nodes
-        assert stats["descents"] == 3
         assert sum(stats[f"moves_{name}"] for name in NEIGHBORHOODS) > 0
         for name in NEIGHBORHOODS:
             assert stats[f"moves_{name}"] <= stats[f"evals_{name}"]
+        assert stats["descents"] == stats["iterations"] + 1
+        assert sum(stats[f"tries_{name}"] for name in heuristic.REMOVALS) == stats["iterations"]
+        assert 0 < stats["tries_station"] < stats["iterations"]
+        for name in operators:
+            tries, accepted = stats[f"tries_{name}"], stats[f"accepted_{name}"]
+            assert 0 <= stats[f"bests_{name}"] <= accepted <= tries
+        assert sum(stats[f"bests_{name}"] for name in heuristic.REMOVALS) > 0
+        # the returned objective is first reached at evaluation best_eval:
+        # a run capped one evaluation later returns it, one capped there not
+        reached = stats["best_eval"]
+        assert 0 < reached < report.nodes
+        again = improve(inst, start, SearchParams(max_iterations=reached + 1, max_seconds=1e6))
+        assert again.objective == report.objective
+        short = improve(inst, start, SearchParams(max_iterations=reached, max_seconds=1e6))
+        assert short.objective > report.objective
