@@ -9,9 +9,9 @@ search kernel), so it stays an independent check.
 each placing one customer at a time, the one with the fewest slots
 under the incumbent first, into a (station, robot, position) slot and
 pruning with the admissible bound of `lower_bound`; a greedy dive per
-tour ranks the tours, and their searches take turns.  Both report
-objectives computed with the arithmetic of `evaluation.propagate`, so
-their results compare bit-exactly.
+tour ranks the tours, and their searches run one after another in rank
+order.  Both report objectives computed with the arithmetic of
+`evaluation.propagate`, so their results compare bit-exactly.
 
 `lower_bound` and `PlanEvaluator.bound_of` define the bound.
 `solve_bnb` does not call them per candidate: each node carries its
@@ -40,7 +40,7 @@ first dive, or `construct`, exhausts its search.
 Ties between equal-objective plans go to the lexicographically smallest
 plan serialization, with one exception in `solve_bnb`: when the optimum
 equals the root bound, the search stops at the first plan that meets
-it, in its own order of dives and turns (docs/MODEL.md, "Search order
+it, in its own order of dives and tours (docs/MODEL.md, "Search order
 and ties").  `solve_bnb` prunes against the incumbent plus a relative
 margin of 1e-12, so no tie is lost to the rounding of zero-length legs.
 Robots at one station are interchangeable, so both solvers fill robots
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, count, islice, permutations
@@ -68,18 +67,12 @@ from .model import EPSILON, Instance, ModelError, RoutePlan, Schedule, Sortie, s
 # Plans kept safely enumerable by the oracle (upper bound on leaves).
 ORACLE_LEAF_LIMIT = 5_000_000
 
-# Nodes one tour's search expands per turn before `solve_bnb` moves on
-# to the next tour in rank order (interleaved depth-first search).
-TOUR_QUANTUM = 8192
-
 # Placements one greedy search (`_insert_all`, in `heuristic.construct`
 # and in a `solve_bnb` dive with no node cap) may make beyond one per
 # customer (each follows an undo): the bin states its backtracking walks
 # can be exponential in number, and the memo of failed bins does not
 # bound them.
 CONSTRUCT_UNDOS = 10_000
-
-_DONE = object()  # what `next` returns once a tour's search has finished
 
 _UNPACKABLE = "no feasible plan: customers cannot be packed into per-robot sorties within range"
 
@@ -1044,19 +1037,19 @@ def solve_bnb(
 
     Search order: first one greedy dive per tour (`_insert_all` from
     the tour's root, each customer at its lowest-bound slot that still
-    lets the rest fit) offers its plan to the incumbent; then the
-    tours' searches run interleaved, in order of (dive objective,
-    tour), `TOUR_QUANTUM` nodes per turn, so a good incumbent comes
-    early.  The dives share one memo of failed bins, and the first
-    dive that exhausts its search raises InfeasibleInstanceError before
-    any search node.  The plan returned is the one with the
-    smallest (objective, serialization) among the optimal plans, which
-    every order visits; its busy robots at each station are numbered
-    by their most urgent customer (`_urgency`), the label the urgency
-    order's search gave them in first-use order.  Only when the
-    incumbent meets the root bound does the search stop early, and
-    then it returns that plan: the first that meets the bound in this
-    order, dives first (docs/MODEL.md, "Search order and ties").
+    lets the rest fit) offers its plan to the incumbent; then each
+    tour's search runs to its end, one tour after another in order of
+    (dive objective, tour), so a good incumbent comes early.  The dives
+    share one memo of failed bins, and the first dive that exhausts its
+    search raises InfeasibleInstanceError before any search node.  The
+    plan returned is the one with the smallest (objective,
+    serialization) among the optimal plans, which every order visits;
+    its busy robots at each station are numbered by their most urgent
+    customer (`_urgency`), the label the urgency order's search gave
+    them in first-use order.  Only when the incumbent meets the root
+    bound does the search stop early, and then it returns that plan:
+    the first that meets the bound in this order, dives first
+    (docs/MODEL.md, "Search order and ties").
 
     Candidate bounds are computed incrementally from the parent's
     schedule (`_IncrementalBound`), bit-equal to `lower_bound`.  A
@@ -1080,14 +1073,17 @@ def solve_bnb(
     BudgetExhaustedError naming it.  With no node cap, the undo cap
     stopping a later dive only leaves its tour unranked, so with no
     budget the report status is always "optimal".  A node cap counts
-    search nodes; it or the time cap stopping a later dive ends the
-    solve.  With caps the search returns the incumbent and the gap to
-    the best open bound, a tour not yet started counting as open at the
-    root bound.  `stats` counts expanded nodes (one root per tour);
-    of the customers branched on, the bounded candidates (at stations
-    their floor does not rule out), those pruned by the bound (dropped
-    early or cut off after sorting) and the (station, robot) chains
-    rejected by range; expanded nodes dropped by the look-ahead
+    search nodes, the one it stops at included, so a capped solve
+    reports at most `max_nodes`; it or the time cap (read every 64
+    nodes) stopping a later dive or a search ends the solve at once.
+    The search then returns the incumbent and the gap to the best open
+    bound: the least bound left at each open level of the stopped
+    search, and the root bound when a tour was not started.  `stats`
+    counts expanded nodes (one root per tour); of the customers
+    branched on, the bounded candidates (at stations their floor does
+    not rule out), those pruned by the bound (dropped early or cut off
+    after sorting) and the (station, robot) chains rejected by range;
+    expanded nodes dropped by the look-ahead
     (`pruned_by_lookahead`), the `probe` calls the counting spent
     (`counting_probes`), nodes whose branching customer had a single
     slot (`forced`), `dives` (tours dived), `incumbents` (offers
@@ -1109,31 +1105,22 @@ def solve_bnb(
     slack_rank = {o: i for i, o in enumerate(order)}
     best = _Best({o: i for i, o in enumerate(_urgency(instance))})
     failed = set()  # bins no placement completes: the same for every tour
+    node_cap = math.inf if budget.max_nodes is None else budget.max_nodes
     undos = CONSTRUCT_UNDOS if budget.max_nodes is None else budget.max_nodes
     dive_cap = n_c + undos  # placements in one dive
     # `limit` is the incumbent plus a margin for the rounding of
     # zero-length legs, which can put a bound a few units in the last
     # place above an optimal leaf below it
-    state = {"nodes": 0, "quota": 0, "aborted": False, "frontier": math.inf, "proved": False,
+    state = {"nodes": 0, "aborted": False, "frontier": math.inf, "proved": False,
              "doomed": None, "limit": math.inf}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "pruned_by_lookahead": 0,
         "counting_probes": 0, "forced": 0, "rejected_by_range": 0, "dives": 0,
         "incumbents": 0, "optimum_node": 0,
     }
-    kernels = []
 
     def out_of_time() -> bool:
         return budget.max_seconds is not None and time.perf_counter() - started > budget.max_seconds
-
-    def over_budget() -> bool:
-        if state["aborted"]:
-            return True
-        if budget.max_nodes is not None and state["nodes"] >= budget.max_nodes:
-            state["aborted"] = True
-        elif state["nodes"] % 64 == 0 and out_of_time():
-            state["aborted"] = True
-        return state["aborted"]
 
     def emit(tour, groups, bound):
         if on_node is None:
@@ -1159,7 +1146,6 @@ def solve_bnb(
     def root(tour):
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
-        kernels.append(kernel)
         return groups, kernel, kernel.root(relax)
 
     def pick(rest, kernel, sched):
@@ -1185,11 +1171,10 @@ def solve_bnb(
         return chosen, found
 
     def assign(tour, rest, groups, node_bound, kernel, sched):
-        if not state["quota"]:
-            yield  # the tour's turn is over; the scheduler resumes it here
-        state["quota"] -= 1
         state["nodes"] += 1
-        if over_budget():
+        nodes = state["nodes"]
+        if nodes >= node_cap or nodes % 64 == 0 and out_of_time():
+            state["aborted"] = True
             state["frontier"] = min(state["frontier"], node_bound)
             return
         emit(tour, groups, node_bound)
@@ -1224,16 +1209,14 @@ def solve_bnb(
                 # sorted ascending: the rest are pruned too
                 stats["pruned_by_bound"] += len(candidates) - i
                 break
+            if state["aborted"]:
+                # sorted ascending: the least bound left open at this level
+                state["frontier"] = min(state["frontier"], bound)
+                return
             g = groups[tour[ki]][r]
             g.insert(pos, o)
-            yield from assign(
-                tour, rest, groups, bound, kernel, kernel.child(sched, ki, r, pos, change)
-            )
+            assign(tour, rest, groups, bound, kernel, kernel.child(sched, ki, r, pos, change))
             g.pop(pos)
-
-    def search(tour):
-        groups, kernel, sched = root(tour)
-        yield from assign(tour, order, groups, root_bound, kernel, sched)
 
     tours = list(permutations(station_ids))
     try:
@@ -1259,22 +1242,22 @@ def solve_bnb(
             stats["dives"] += 1
             rank[tour] = leaf.prefix[-1]
             offer(rank[tour], tour, groups)
-        # the tours' searches take turns in rank order until all are
-        # done or the incumbent meets the root bound; after a cap every
-        # search still runs, each node only entering its bound into the
-        # frontier
-        turns = deque(search(t) for t in sorted(tours, key=lambda t: (rank.get(t, math.inf), t)))
-        while turns and not state["proved"]:
-            gen = turns.popleft()
-            state["quota"] = TOUR_QUANTUM
-            if next(gen, _DONE) is not _DONE:
-                turns.append(gen)
+        # each tour's search runs to its end, in rank order, until the
+        # incumbent meets the root bound or a cap stops the solve
+        for tour in sorted(tours, key=lambda t: (rank.get(t, math.inf), t)):
+            if state["proved"]:
+                break
+            if state["aborted"]:  # the tours not started are open at the root bound
+                state["frontier"] = min(state["frontier"], root_bound)
+                break
+            groups, kernel, sched = root(tour)
+            assign(tour, order, groups, root_bound, kernel, sched)
+            stats["counting_probes"] += kernel.probes
     finally:
         # a recursive closure is a reference cycle; emptying its cell
         # frees the search state without waiting for the cycle collector
         del assign
     stats["nodes"] = state["nodes"]
-    stats["counting_probes"] = sum(kernel.probes for kernel in kernels)
 
     if state["aborted"] and state["frontier"] < best.objective:
         status, gap = "budget-exhausted", best.objective - state["frontier"]

@@ -82,6 +82,20 @@ def unpackable_instance():
     )
 
 
+def one_station(points, fleet_size, robot_range):
+    """One station on the depot, `fleet_size` robots, and customer o at
+    `points[o]`, importance and deadline 1; unit speeds."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(0.0, 0.0)),),
+        customers=tuple(Customer(o, Point(*p), 1.0, 1.0) for o, p in enumerate(points)),
+        fleet_size=fleet_size,
+        robot_range=robot_range,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
 def brute_force_optimum(instance):
     """Independent enumerator: tours x assignment maps x sortie orders."""
     ids = sorted(s.id for s in instance.stations)
@@ -274,13 +288,20 @@ class TestBranchAndBound:
         # plan comes back with both tours open at the root bound
         inst, _ = builtin_fixture("small")
         insert_all = exact._insert_all
+        built = []
 
         def then_late(*args, **kwargs):
             leaf = insert_all(*args, **kwargs)
             clock.now = 10.0
             return leaf
 
+        class Counted(exact._IncrementalBound):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
         monkeypatch.setattr(exact, "_insert_all", then_late)
+        monkeypatch.setattr(exact, "_IncrementalBound", Counted)
         nodes = []
         report = solve_bnb(inst, SolveBudget(max_seconds=1.0), on_node=nodes.append)
         assert report.status == "budget-exhausted"
@@ -288,7 +309,9 @@ class TestBranchAndBound:
         assert (report.objective, serialize_plan(report.plan)) == reference_dives(inst)[0]
         root_bound = math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
         assert report.bound_gap == report.objective - root_bound
-        assert nodes == [] and report.nodes == 2
+        # the solve ends at the cap: no search node is counted, and the
+        # only kernels built are the two dives'
+        assert nodes == [] and report.nodes == 0 and len(built) == 2
 
     def test_time_cap_mid_search(self, clock):
         # the clock passes the cap at the first search node; it is read
@@ -306,13 +329,31 @@ class TestBranchAndBound:
         assert serialize_plan(timed.plan) == serialize_plan(capped.plan)
 
     def test_budget_mid_search_returns_feasible_incumbent(self):
-        # the proof takes 78 nodes
+        # the proof takes 73 nodes; the cap stops the second tour's
+        # search, so the gap is to a candidate left at an open level,
+        # above the root bound of 0
         inst, _ = builtin_fixture("small")
         report = solve_bnb(inst, SolveBudget(max_nodes=60))
         assert report.status == "budget-exhausted"
-        assert report.bound_gap is not None and report.bound_gap > 0.0
+        assert report.nodes == 60
+        assert report.bound_gap == 34.7215613859352 < report.objective
         assert report.objective >= SMALL_OPTIMUM
         assert validate(inst, report.plan) == []
+
+    @pytest.mark.parametrize(
+        "name,cap,gap",
+        [("4-3-12-s0", 1, 23.20512500951844), ("4-3-12-s0", 5, 23.20512500951844),
+         ("4-3-12-s0", 100, 22.036948240620074), ("4-3-12-s0", 500, 14.064814864508032),
+         ("6-3-12-s1", 50, 13.574304202714584), ("6-3-12-s1", 500, 11.255937968375942)],
+    )
+    def test_node_cap_ends_the_solve(self, name, cap, gap):
+        # the node that reaches the cap is the last counted: no pending
+        # candidate and no tour left is entered after it, and the gap is
+        # to the least bound they leave open
+        report = solve_bnb(search_case(name), SolveBudget(max_nodes=cap))
+        assert report.status == "budget-exhausted"
+        assert report.nodes == cap
+        assert report.bound_gap == gap
 
     def test_budget_validation(self):
         with pytest.raises(ModelError):
@@ -465,16 +506,16 @@ def reference_dives(instance):
     return out
 
 
-def reference_search(instance, quantum):
+def reference_search(instance):
     """The branch-and-bound search of `solve_bnb`, written plainly: every
     candidate slot is inserted into the groups and bounded from scratch
     with `PlanEvaluator.bound_of`.  The dives are offered first; then
-    the tours' searches, one generator each, take turns of `quantum`
-    nodes in order of (dive objective, tour); a plan at the root bound
-    ends the search.  At each node every unplaced customer's slots with
-    a bound under the incumbent plus the margin are counted: a customer
-    with none drops the node (the look-ahead), and the search branches
-    on the customer with the fewest, ties to the earlier in slack order.
+    each tour is searched to its end, one after another in order of
+    (dive objective, tour); a plan at the root bound ends the search.
+    At each node every unplaced customer's slots with a bound under the
+    incumbent plus the margin are counted: a customer with none drops
+    the node (the look-ahead), and the search branches on the customer
+    with the fewest, ties to the earlier in slack order.
     Returns the expanded nodes in order, the node count, the best
     objective, the node count at which it was first reached, the
     serialize_plan text of the plan returned, the nodes the look-ahead
@@ -483,8 +524,7 @@ def reference_search(instance, quantum):
     p = _Plain(instance)
     emitted = []
     dropped = []
-    state = {"nodes": 0, "quota": 0, "proved": False, "best": math.inf, "key": None, "at": 0,
-             "forced": 0}
+    state = {"nodes": 0, "proved": False, "best": math.inf, "key": None, "at": 0, "forced": 0}
 
     def offer(objective, key):
         if objective < state["best"]:
@@ -496,9 +536,6 @@ def reference_search(instance, quantum):
             state["proved"] = True
 
     def assign(tour, rest, groups, node_bound):
-        if not state["quota"]:
-            yield
-        state["quota"] -= 1
         state["nodes"] += 1
         emitted.append(
             SearchNode(
@@ -533,7 +570,7 @@ def reference_search(instance, quantum):
             if bound > margin(state["best"]):
                 break
             groups[k][r].insert(pos, o)
-            yield from assign(tour, [b for b in rest if b != o], groups, bound)
+            assign(tour, [b for b in rest if b != o], groups, bound)
             groups[k][r].pop(pos)
 
     tours = list(itertools.permutations(p.station_ids))
@@ -543,16 +580,10 @@ def reference_search(instance, quantum):
         if state["proved"]:
             break
     rank = {tour: objective for tour, (objective, _) in zip(tours, dives)}
-    turns = [assign(t, p.order, p.empty(), p.root_bound)
-             for t in sorted(tours, key=lambda t: (rank[t], t))]
-    while turns and not state["proved"]:
-        gen = turns.pop(0)
-        state["quota"] = quantum
-        try:
-            next(gen)
-        except StopIteration:
-            continue
-        turns.append(gen)
+    for tour in sorted(tours, key=lambda t: (rank[t], t)):
+        if state["proved"]:
+            break
+        assign(tour, p.order, p.empty(), p.root_bound)
     return (emitted, state["nodes"], state["best"], state["at"], state["key"], dropped,
             state["forced"])
 
@@ -677,7 +708,7 @@ def checked_case(name, monkeypatch, request):
 def assert_same_search(instance):
     """`solve_bnb` expands the nodes `reference_search` does, in the same
     order and with the same bounds, and reports its counts."""
-    expected, nodes, best, at, _, dropped, forced = reference_search(instance, exact.TOUR_QUANTUM)
+    expected, nodes, best, at, _, dropped, forced = reference_search(instance)
     seen = []
     report = solve_bnb(instance, on_node=seen.append)
     assert len(seen) == len(expected)
@@ -698,12 +729,6 @@ class TestIncrementalBound:
 
     @pytest.mark.parametrize("name", SEARCH_CASES)
     def test_same_nodes_as_reference_search(self, name):
-        assert_same_search(search_case(name))
-
-    @pytest.mark.parametrize("name", SEARCH_CASES)
-    def test_same_nodes_in_short_turns(self, name, monkeypatch):
-        # 3-node turns make every case switch tours many times
-        monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
         assert_same_search(search_case(name))
 
     @pytest.mark.parametrize("name", SHORTENED_CASES)
@@ -767,6 +792,18 @@ class TestIncrementalBound:
             "optimum_node": optimum_node,
         }
 
+    def test_node_counts_pinned_on_a_long_tour(self):
+        # (3,3,14) seed 2: the best-ranked tour's search takes 8,930 of
+        # the 18,434 nodes, and the other five tours are searched after
+        # it, under its incumbent
+        report = solve_bnb(generate(2, 3, 3, 14))
+        assert report.objective == 22.720861773196773
+        assert report.stats == {
+            "nodes": 18434, "candidates": 62143, "pruned_by_bound": 43715,
+            "pruned_by_lookahead": 9546, "counting_probes": 36, "forced": 3976,
+            "rejected_by_range": 15999, "dives": 6, "incumbents": 30, "optimum_node": 14453,
+        }
+
     def test_chain_tail_matches_completions(self):
         rnd = random.Random(5)
         for seed in range(6):
@@ -821,9 +858,6 @@ class TestIncrementalBound:
     def test_lookahead_drops_only_nodes_with_no_completion_under_the_incumbent(
         self, name, monkeypatch
     ):
-        # 3-node turns switch tours many times, so the checks meet
-        # incumbents from other tours
-        monkeypatch.setattr(exact, "TOUR_QUANTUM", 3)
         instance = search_case(name)
         seen, drops = [], []
         slots = exact._IncrementalBound.slots
@@ -873,18 +907,7 @@ class TestRangeCheck:
     def test_chain_on_the_range_limit(self, robot_range, fits):
         # two customers 5 away: the sortie is 20 long, exactly on TR,
         # past TR but within TR + EPSILON, and past TR + EPSILON
-        inst = Instance(
-            depot=Point(0.0, 0.0),
-            stations=(Station(1, Point(0.0, 0.0)),),
-            customers=(
-                Customer(0, Point(3.0, 4.0), 1.0, 1.0),
-                Customer(1, Point(-4.0, 3.0), 1.0, 1.0),
-            ),
-            fleet_size=1,
-            robot_range=robot_range,
-            vehicle_speed=1.0,
-            robot_speed=1.0,
-        )
+        inst = one_station([(3.0, 4.0), (-4.0, 3.0)], 1, robot_range)
         assert sortie_length(inst, Sortie(0, 1, (0, 1))) == 20.0
         tables = _StepTables(PlanEvaluator(inst))
         assert tables.fits(1, [0, 1]) is fits
@@ -962,18 +985,7 @@ class TestCarriedRange:
         while robot_range + EPSILON != target:
             up = robot_range + EPSILON < target
             robot_range = math.nextafter(robot_range, math.inf if up else -math.inf)
-        inst = Instance(
-            depot=Point(0.0, 0.0),
-            stations=(Station(1, Point(0.0, 0.0)),),
-            customers=(
-                Customer(0, Point(3.0, 4.0), 1.0, 1.0),
-                Customer(1, Point(-4.0, 3.0), 1.0, 1.0),
-            ),
-            fleet_size=1,
-            robot_range=robot_range,
-            vehicle_speed=1.0,
-            robot_speed=1.0,
-        )
+        inst = one_station([(3.0, 4.0), (-4.0, 3.0)], 1, robot_range)
         tables = _StepTables(PlanEvaluator(inst))
         assert tables.cap == target
         asked = []
@@ -1073,8 +1085,9 @@ class TestDropRule:
 
 
 class TestSearchOrder:
-    """Ranking and interleaving the tours changes which nodes the search
-    visits, not the plan it returns: that is the plan of the search in
+    """Ranking the tours by their dives and searching them one after
+    another in that order changes which nodes the search visits, not
+    the plan it returns: that is the plan of the search in
     sorted tour order, unless the optimum is the root bound; then it is
     the first plan met that reaches the bound, dives first."""
 
@@ -1090,7 +1103,7 @@ class TestSearchOrder:
             want = sorted_order_search(inst)
             if want[0] == math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst))):
                 # the search stops at the first plan that meets the bound
-                _, _, best, _, key, _, _ = reference_search(inst, exact.TOUR_QUANTUM)
+                _, _, best, _, key, _, _ = reference_search(inst)
                 want = best, key
             assert (report.objective, serialize_plan(report.plan)) == want
 
@@ -1183,28 +1196,12 @@ def least_plan(instance):
 def identical_customers(n, fits):
     """One station and one robot; `n` customers 1.5 away, with a range
     that fits `fits` of them in the one sortie."""
-    return Instance(
-        depot=Point(0.0, 0.0),
-        stations=(Station(1, Point(0.0, 0.0)),),
-        customers=tuple(Customer(o, Point(1.5, 0.0), 1.0, 1.0) for o in range(n)),
-        fleet_size=1,
-        robot_range=3.0 * fits + 1.0,
-        vehicle_speed=1.0,
-        robot_speed=1.0,
-    )
+    return one_station([(1.5, 0.0)] * n, 1, 3.0 * fits + 1.0)
 
 
 def sorties_of_legs(legs, robot_range):
     """One station and two robots; customer o is `legs[o]` away."""
-    return Instance(
-        depot=Point(0.0, 0.0),
-        stations=(Station(1, Point(0.0, 0.0)),),
-        customers=tuple(Customer(o, Point(leg, 0.0), 1.0, 1.0) for o, leg in enumerate(legs)),
-        fleet_size=2,
-        robot_range=robot_range,
-        vehicle_speed=1.0,
-        robot_speed=1.0,
-    )
+    return one_station([(leg, 0.0) for leg in legs], 2, robot_range)
 
 
 class TestCapacityCheck:
