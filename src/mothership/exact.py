@@ -507,9 +507,9 @@ class _IncrementalBound:
 
     The kernel reads `groups` as they stand, so a caller may change
     them in place and score the result.  `improve` does that: a
-    relocate takes its customer out, builds that plan's `schedule` and
-    makes every insertion slot one `probe` of it; the other moves are
-    scored with `rescore`.  `_insert_all` walks down like the search:
+    relocate takes its customer out, builds that plan's schedule from
+    the whole plan's with `without` and makes every insertion slot one
+    `probe` of it; the other moves are scored with `rescore`.  `_insert_all` walks down like the search:
     from the empty plan's `root` schedule it takes every slot `branch`
     gives with no limit and enters the chosen one with `child`.
     """
@@ -852,22 +852,27 @@ class _IncrementalBound:
             out.append((tardy, slack))
         return out[::-1]
 
-    def rescore(self, st: _NodeSchedule, lo: int, hi: int) -> float:
+    def rescore(self, st: _NodeSchedule, changed, limit: float) -> float | None:
         """Bound with the groups (and tour) as they stand, where they
-        differ from `st`'s only at tour positions `lo` to `hi`, and no
-        customer has left those positions.  Those stations are
-        recomputed, the later ones only while their arrival moves, and
-        the sum restarts below the smallest recomputed customer id, as
-        in `probe`."""
+        differ from `st`'s only at the tour positions in `changed`, and
+        no customer has left those positions.  Those stations are
+        recomputed, the others only while their arrival moves, and the
+        sum restarts below the smallest recomputed customer id, as in
+        `probe`; None as soon as a term or a partial sum exceeds
+        `limit`, as there."""
         tour, rides = self.tour, self.rides
         deadline, weight = self.deadline, self.weight
         terms = st.terms[:]
         m = len(terms)
+        lo, hi = min(changed), max(changed)
         t = st.depart[lo - 1] if lo else 0.0
         for i in range(lo, len(tour)):
             a = t + rides[i]
-            if i > hi and a == st.arrive[i]:
-                break  # this station and all after it keep their times
+            if a == st.arrive[i] and i not in changed:
+                if i > hi:
+                    break  # this station and all after it keep their times
+                t = st.depart[i]
+                continue
             k = tour[i]
             first, step = self.first[k], self.step[k]
             t = a
@@ -878,14 +883,24 @@ class _IncrementalBound:
                 for b in g:
                     c = c + first[b] if prev is None else c + step[prev][b]
                     late = c - deadline[b]
-                    terms[b] = weight[b] * late if late > 0.0 else 0.0
+                    if late > 0.0:
+                        x = weight[b] * late
+                        if x > limit:
+                            return None
+                        terms[b] = x
+                    else:
+                        terms[b] = 0.0
                     if b < m:
                         m = b
                     prev = b
                 back = c + first[prev]
                 if back > t:
                     t = back
-        return reduce(add, islice(terms, m, None), st.prefix[m])
+        start = st.prefix[m]
+        if start > limit:
+            return None
+        total = reduce(add, islice(terms, m, None), start)
+        return None if total > limit else total
 
     def child(self, st: _NodeSchedule, ki: int, r: int, pos: int, change) -> _NodeSchedule:
         """The schedule of a candidate `probe` returned, built from the
@@ -925,6 +940,42 @@ class _IncrementalBound:
         prefix = st.prefix[:m]
         prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
         return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used)
+
+    def without(self, st: _NodeSchedule, ki: int, o: int) -> _NodeSchedule:
+        """The schedule once customer `o` has left a chain at tour
+        position `ki`, built from `st`, the schedule with it, once the
+        groups are without it: the counterpart of `child`.  That station
+        is recomputed, the later ones only while their arrival moves,
+        and the sum restarts below the smallest recomputed customer id;
+        o's term becomes 0.0, the term `improve` gives a customer taken
+        out.  Same operations as `schedule`, so the schedule is
+        bit-equal to it.  Chain lengths are not carried."""
+        deadline, weight = self.deadline, self.weight
+        terms = st.terms[:]
+        terms[o] = 0.0
+        m = o
+        arrive, depart = st.arrive[:], st.depart[:]
+        chains, returns, low = st.chains[:], st.returns[:], st.low[:]
+        a = arrive[ki]
+        for i in range(ki, len(self.tour)):
+            if i > ki:
+                a = depart[i - 1] + self.rides[i]
+                if a == arrive[i]:
+                    break  # this station and all after it keep their times
+                arrive[i] = a
+            chains[i], returns[i], depart[i] = self._station(i, a)
+            low[i] = len(terms)
+            for g, comp in zip(self.groups[self.tour[i]], chains[i]):
+                for b, c in zip(g, comp):
+                    late = c - deadline[b]
+                    terms[b] = weight[b] * late if late > 0.0 else 0.0
+                    if b < low[i]:
+                        low[i] = b
+            if low[i] < m:
+                m = low[i]
+        prefix = st.prefix[:m]
+        prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix)
 
     def _station(self, i: int, a: float):
         """Chains, returns and departure at tour position `i` for arrival `a`."""

@@ -23,15 +23,23 @@ whole-schedule recomputation; tests check its plans against a plain
 construction that rescores the whole schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
-change in place and undo.  A relocate takes its customer out of
-the plan once and probes every insertion slot from the insertion point
-on; a slot whose partial sum already exceeds the current objective is
-dropped unfinished (docs/MODEL.md, monotone float sums).  The other
-neighborhoods rescore from the first tour position a move touches.
-Every score is bit-equal to `propagate(...).objective`, and the
-candidate order, range checks and evaluation count are fixed, so tests
-check the descent against a plain dict-based descent that copies every
-candidate.
+change in place and undo.  A relocate takes its customer out of the
+plan once, builds that schedule from the plan's (`without`), and probes
+every insertion slot from the insertion point on; the other
+neighborhoods rescore the stations a move changed and the later ones
+whose arrival moves.  A candidate whose partial sum already exceeds
+the current objective is dropped unfinished (docs/MODEL.md, monotone
+float sums).  Every score is bit-equal to `propagate(...).objective`.
+
+The descent keeps don't-look bits (Bentley 1992) for every
+neighborhood but 2-opt: a scan passes over the customers whose bit is
+clear, clears a customer's bit once none of its moves improved, and a
+kept move sets the bits of the customers on the chains it changed.
+The first descent starts with every bit set, the descent of a loop
+iteration with those of the customers the ruin and recreate touched.
+The candidate order, range checks, bits and evaluation count are
+fixed, so tests check the descent against a plain dict-based descent
+that copies every candidate.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .exact import (
     _canonical_plan,
     _IncrementalBound,
     _insert_all,
-    _NodeSchedule,
     _relaxed_contributions,
     _report,
     _Stop,
@@ -129,19 +136,30 @@ class _Evaluator:
     def refresh(self) -> None:
         """Re-read the plan after a move was kept."""
         self.kernel = _IncrementalBound(self.ev, self.tables, self.work.tour, self.work.groups)
-        self.sched = self.schedule()
+        self.sched = self.kernel.schedule(self.unserved)
         self.objective = self.sched.prefix[-1]
         self.at = {k: i for i, k in enumerate(self.work.tour)}
 
-    def schedule(self) -> _NodeSchedule:
-        """The kernel's schedule of the plan as it stands."""
-        return self.kernel.schedule(self.unserved)
-
-    def score(self, k: int, k2: int) -> float:
+    def score(self, k: int, k2: int, limit: float) -> float | None:
         """Objective of the plan as it stands, when a move changed the
-        chains of stations `k` and `k2` only."""
-        lo, hi = sorted((self.at[k], self.at[k2]))
-        return self.kernel.rescore(self.sched, lo, hi)
+        chains of stations `k` and `k2` only; None once a partial sum
+        exceeds `limit`."""
+        return self.kernel.rescore(self.sched, {self.at[k], self.at[k2]}, limit)
+
+
+class _Look:
+    """Don't-look bits of one neighborhood (Bentley 1992): `flagged`
+    holds the customers whose moves a scan still looks at, and `skips`
+    counts the customers (chains, for reassign) scans passed over
+    because none was flagged; swap pairs such a customer with the
+    flagged ones only.  A scan clears a customer's bit once it has
+    scanned all of that customer's moves without an improving one."""
+
+    __slots__ = ("flagged", "skips")
+
+    def __init__(self, flagged):
+        self.flagged = set(flagged)
+        self.skips = 0
 
 
 def _tour_2opt(ev: PlanEvaluator, tour: list[int]) -> list[int]:
@@ -281,15 +299,18 @@ def _apply(work: _Work, name: str, move) -> None:
         work.tour[i : j + 1] = reversed(work.tour[i : j + 1])
 
 
-def _relocate(state: _Evaluator, limit: float):
+def _relocate(state: _Evaluator, limit: float, look: _Look | None = None):
     """Yield (score, move) for every relocate move: each customer by id
     to every other (station, robot) chain whose range allows it, at
     every position.  Robots at one station are interchangeable, so of
     the robots idle once the customer is out only the first is tried,
     as `branch` and `_reassign` do.
 
-    The customer is taken out of its chain once, and every slot is one
-    `_IncrementalBound.probe` of the schedule without it.  The score is
+    Only the customers flagged in `look` (every one when it is None)
+    are moved.  The customer is taken out of its chain once, the
+    schedule without it is built from the plan's with
+    `_IncrementalBound.without`, and every slot is one
+    `_IncrementalBound.probe` of that schedule.  The score is
     None when the probe dropped the slot, which it does only once a
     partial sum exceeds `limit` (then the objective is above `limit`
     too).  The plan is missing the customer while a yield is pending;
@@ -306,11 +327,15 @@ def _relocate(state: _Evaluator, limit: float):
     cap = state.tables.cap
     doubled = state.tables.doubled
     legs = {k: [[doubled[k][x] for x in g] for g in groups[k]] for k in tour}
+    look = look or _Look(range(state.ev.n))
     for o, k, r, pos in _located(work):
+        if o not in look.flagged:
+            look.skips += 1
+            continue
         chain = groups[k][r]
         chain.pop(pos)
         try:
-            sched = state.schedule()
+            sched = state.kernel.without(state.sched, state.at[k], o)
             for ki2, k2 in enumerate(tour):
                 extra = [doubled[k2][o]]
                 idle = False
@@ -328,47 +353,66 @@ def _relocate(state: _Evaluator, limit: float):
                         yield (None if found is None else found[0]), (k, r, pos, k2, r2, pos2)
         finally:
             chain.insert(pos, o)
+        look.flagged.discard(o)
 
 
-def _swap(state: _Evaluator, limit: float):
+def _swap(state: _Evaluator, limit: float, look: _Look | None = None):
     """Yield (score, move) for every exchange of two customers on
-    different chains, both chains within range."""
+    different chains, both chains within range, of which at least one
+    is flagged in `look`."""
     groups, fits = state.work.groups, state.tables.fits
     spots = _located(state.work)
+    look = look or _Look(range(state.ev.n))
+    flagged = look.flagged
     for i, (o, k, r, pos) in enumerate(spots):
-        for p, k2, r2, pos2 in spots[i + 1 :]:
+        later = spots[i + 1 :]
+        if o not in flagged:
+            look.skips += 1
+            later = [spot for spot in later if spot[0] in flagged]
+        for p, k2, r2, pos2 in later:
             if (k, r) == (k2, r2):
                 continue
             move = (k, r, pos, k2, r2, pos2)
             _apply(state.work, "swap", move)
             within = fits(k, groups[k][r]) and fits(k2, groups[k2][r2])
-            score = state.score(k, k2) if within else None
+            score = state.score(k, k2, limit) if within else None
             _apply(state.work, "swap", move)
             if within:
                 yield score, move
+        flagged.discard(o)
 
 
-def _reorder(state: _Evaluator, limit: float):
-    """Yield (score, move) for every move of a customer to another
-    position of its own chain."""
-    for _, k, r, pos in _located(state.work):
+def _reorder(state: _Evaluator, limit: float, look: _Look | None = None):
+    """Yield (score, move) for every move of a customer flagged in
+    `look` to another position of its own chain."""
+    look = look or _Look(range(state.ev.n))
+    for o, k, r, pos in _located(state.work):
+        if o not in look.flagged:
+            look.skips += 1
+            continue
         g = state.work.groups[k][r]
         for pos2 in range(len(g)):
             if pos2 == pos:
                 continue
             _apply(state.work, "reorder", (k, r, pos, pos2))
-            score = state.score(k, k)
+            score = state.score(k, k, limit)
             _apply(state.work, "reorder", (k, r, pos2, pos))
             yield score, (k, r, pos, pos2)
+        look.flagged.discard(o)
 
 
-def _reassign(state: _Evaluator, limit: float):
-    """Yield (score, move) for every move of a whole chain to the first
-    idle robot of another station, within range there."""
+def _reassign(state: _Evaluator, limit: float, look: _Look | None = None):
+    """Yield (score, move) for every move of a whole chain with a
+    customer flagged in `look` to the first idle robot of another
+    station, within range there."""
     work, fits = state.work, state.tables.fits
+    look = look or _Look(range(state.ev.n))
     for k in work.tour:
         for r, g in enumerate(work.groups[k]):
             if not g:
+                continue
+            if look.flagged.isdisjoint(g):
+                look.skips += 1
                 continue
             for k2 in work.tour:
                 if k2 == k:
@@ -378,27 +422,30 @@ def _reassign(state: _Evaluator, limit: float):
                     continue
                 move = (k, r, k2, free[0])
                 _apply(work, "reassign", move)
-                score = state.score(k, k2)
+                score = state.score(k, k2, limit)
                 _apply(work, "reassign", move)
                 yield score, move
+            look.flagged.difference_update(g)
 
 
-def _two_opt(state: _Evaluator, limit: float):
-    """Yield (score, move) for every reversal of a tour segment."""
+def _two_opt(state: _Evaluator, limit: float, look: _Look | None = None):
+    """Yield (score, move) for every reversal of a tour segment; it has
+    no don't-look bits, so `look` is ignored."""
     work = state.work
     n = len(work.tour)
     for i in range(n - 1):
         for j in range(i + 1, n):
             _apply(work, "two_opt", (i, j))
             kernel = _IncrementalBound(state.ev, state.tables, work.tour, work.groups)
-            score = kernel.rescore(state.sched, i, j)
+            score = kernel.rescore(state.sched, range(i, j + 1), limit)
             _apply(work, "two_opt", (i, j))
             yield score, (i, j)
 
 
 # Each yields (score, move) in a fixed deterministic order, with the
-# plan restored at every yield except relocate's (see `_relocate`);
-# only relocate drops candidates past the limit, the others score exactly.
+# plan restored at every yield except relocate's (see `_relocate`).  A
+# score is None once a term or a partial sum exceeds the limit (then so
+# does the objective); every other score is exact.
 _MOVES = {
     "relocate": _relocate,
     "swap": _swap,
@@ -408,12 +455,13 @@ _MOVES = {
 }
 
 
-def _first_improvement(state: _Evaluator, name: str, params: SearchParams, late, stats: dict):
+def _first_improvement(state: _Evaluator, name: str, params: SearchParams, late, stats: dict,
+                       look: _Look | None):
     """The first move of neighborhood `name` that lowers the objective,
-    or None.  Every candidate counts one evaluation, and the caps are
-    checked before it is judged; raises _Stop when one is reached, with
-    the plan whole."""
-    moves = _MOVES[name](state, state.objective)
+    or None, scanning the customers flagged in `look`.  Every candidate
+    counts one evaluation, and the caps are checked before it is judged;
+    raises _Stop when one is reached, with the plan whole."""
+    moves = _MOVES[name](state, state.objective, look)
     evals = stats["evals"]
     try:
         for score, move in moves:
@@ -431,21 +479,53 @@ def _first_improvement(state: _Evaluator, name: str, params: SearchParams, late,
         stats["evals"] = evals
 
 
-def _descend(state: _Evaluator, params: SearchParams, late, stats: dict) -> None:
-    """First-improvement descent to a local optimum, in place; raises
-    _Stop when a cap ends it."""
+def _touched(work: _Work, name: str, move) -> list[int]:
+    """The customers on the chains a move of neighborhood `name`, once
+    applied, changed; for two_opt, every customer at the reversed
+    stations."""
+    groups = work.groups
+    if name == "two_opt":
+        i, j = move
+        return [o for k in work.tour[i : j + 1] for g in groups[k] for o in g]
+    if name == "reorder":
+        return groups[move[0]][move[1]]
+    if name == "reassign":
+        return groups[move[2]][move[3]]
+    k, r, _, k2, r2, _ = move
+    return groups[k][r] + groups[k2][r2]
+
+
+def _descend(state: _Evaluator, params: SearchParams, late, stats: dict, flagged=None) -> None:
+    """First-improvement descent, in place, with don't-look bits in
+    every neighborhood but two_opt; raises _Stop when a cap ends it.
+
+    Each bit starts set for the customers in `flagged` (every customer
+    when None), and a kept move sets them for the customers `_touched`.
+    The descent ends when no scan finds an improving move: at a local
+    optimum over the moves of flagged customers, which need not be one
+    over every move."""
     stats["descents"] += 1
-    while True:
-        for name in NEIGHBORHOODS:
-            move = _first_improvement(state, name, params, late, stats)
-            if move is not None:
-                _apply(state.work, name, move)
-                state.refresh()
-                state.reached = stats["evals"]
-                stats["moves_" + name] += 1
-                break
-        else:
-            return
+    if flagged is None:
+        flagged = range(state.ev.n)
+    looks = {name: _Look(flagged) for name in NEIGHBORHOODS if name != "two_opt"}
+    try:
+        while True:
+            for name in NEIGHBORHOODS:
+                move = _first_improvement(state, name, params, late, stats, looks.get(name))
+                if move is not None:
+                    _apply(state.work, name, move)
+                    state.refresh()
+                    state.reached = stats["evals"]
+                    stats["moves_" + name] += 1
+                    touched = _touched(state.work, name, move)
+                    for look in looks.values():
+                        look.flagged.update(touched)
+                    break
+            else:
+                return
+    finally:
+        for name, look in looks.items():
+            stats["skips_" + name] += look.skips
 
 
 def _ruin(state: _Evaluator, removal: str, size: int, rnd: random.Random) -> list[int]:
@@ -485,12 +565,14 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     iteration copies the current plan; in `STATION_MOVE` of them moves
     one station to another tour position; removes `RUIN_SIZE` customers
     by one of `REMOVALS`; puts them back in urgency order, each at its
-    cheapest slot, with `exact._insert_all`; descends; and accepts the
-    result as the current plan when it is no worse, or by simulated
-    annealing with probability exp(-increase / temperature).  The
-    random draws come from `params.seed` alone, and the rule reads
-    neither the clock nor the caps, so a run under a lower cap makes
-    the same first iterations as one under a higher cap.
+    cheapest slot, with `exact._insert_all`; descends, looking only at
+    the removed customers, the others on their chains and the moved
+    station's customers (see `_descend`); and accepts the result as the
+    current plan when it is no worse, or by simulated annealing with
+    probability exp(-increase / temperature).  The random draws come
+    from `params.seed` alone, and the rule reads neither the clock nor
+    the caps, so a run under a lower cap makes the same first
+    iterations as one under a higher cap.
 
     The loop stops at the first of: the time cap (read inside a
     recreate too), the evaluation cap, a best objective at or below the
@@ -500,12 +582,14 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     feasible.  The report status is "heuristic": no optimality proof is
     implied.  `nodes` counts move evaluations; `stats` splits them by
     neighborhood (`evals_<name>`), counts the moves kept
-    (`moves_<name>`), the descents run (`descents`) and the loop's
-    `iterations`; for each removal and the station move, the iterations
-    that tried it (`tries_<name>`), whose result became the current
-    plan (`accepted_<name>`) and a new best (`bests_<name>`); and
-    `best_eval`, the evaluation count at which the returned objective
-    was first reached.
+    (`moves_<name>`), the customers (chains, for reassign) a scan
+    passed over because their don't-look bits were clear
+    (`skips_<name>`, every neighborhood but two_opt), the descents run
+    (`descents`) and the loop's `iterations`; for each removal and the
+    station move, the iterations that tried it (`tries_<name>`), whose
+    result became the current plan (`accepted_<name>`) and a new best
+    (`bests_<name>`); and `best_eval`, the evaluation count at which
+    the returned objective was first reached.
     """
     started = time.perf_counter()
     violations = validate(instance, plan)
@@ -518,6 +602,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     stats = {"evals": 0, "descents": 0, "iterations": 0, "best_eval": 0}
     for prefix in ("evals_", "moves_"):
         stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
+    stats.update(("skips_" + name, 0) for name in NEIGHBORHOODS if name != "two_opt")
     for prefix in ("tries_", "accepted_", "bests_"):
         stats.update((prefix + name, 0) for name in (*REMOVALS, "station"))
 
@@ -529,11 +614,12 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     def late() -> bool:
         return time.perf_counter() - started > params.max_seconds
 
-    def descend(state: _Evaluator) -> bool:
-        """Descend from `state` in place; False when a cap ended the
-        descent."""
+    def descend(state: _Evaluator, flagged=None) -> bool:
+        """Descend from `state` in place, with the don't-look bits of
+        the customers in `flagged` set (every one when None); False when
+        a cap ended the descent."""
         try:
-            _descend(state, params, late, stats)
+            _descend(state, params, late, stats, flagged)
         except _Stop:
             return False
         return True
@@ -556,10 +642,12 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         removal = rnd.choice(REMOVALS)
         tried = [removal]
         tour = list(current.work.tour)
+        moved = None
         if len(tour) > 1 and rnd.random() < STATION_MOVE:
             i = rnd.randrange(len(tour))
             j = rnd.randrange(len(tour) - 1)
-            tour.insert(j + (j >= i), tour.pop(i))
+            moved = tour.pop(i)
+            tour.insert(j + (j >= i), moved)
             tried.append("station")
         size = min(rnd.randint(*RUIN_SIZE), instance.n_customers)
         removed = _ruin(current, removal, size, rnd)
@@ -568,8 +656,16 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         order = sorted(removed, key=rank.__getitem__)
         if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), None, late) is None:
             break
+        # the descent looks at the customers the recreate touched: the
+        # removed ones, the others on their chains, and the moved
+        # station's customers
+        gone = set(removed)
+        flagged = {
+            o for k in work.tour for g in work.groups[k]
+            if k == moved or not gone.isdisjoint(g) for o in g
+        }
         state = _Evaluator(ev, tables, work, stats["evals"])
-        going = descend(state)
+        going = descend(state, flagged)
         accepted = state.objective <= current.objective or temperature > 0.0 and (
             rnd.random() < math.exp((current.objective - state.objective) / temperature)
         )

@@ -4,7 +4,8 @@ The descent of `heuristic.improve`, written plainly.
 Every candidate is built as a deep copy of the plan's groups (and tour)
 and scored by recomputing the schedule in dicts from the first tour
 position the move touches, with the recurrence of `propagate` written
-out once more.  `improve` scores its moves with the branch-and-bound's
+out once more; the don't-look bits are plain sets of customers.
+`improve` scores its moves with the branch-and-bound's
 incremental kernel instead; tests assert that both make the same descent:
 the same objective, plan and evaluation count under every cap.
 """
@@ -95,8 +96,14 @@ class Evaluator:
 
 
 def scan_moves(ev: PlanEvaluator, state: Evaluator, name: str):
-    """Yield candidate states (first_affected_idx, tour, groups) of one
-    neighborhood, in a fixed deterministic order."""
+    """Yield (owners, candidates) of one neighborhood in a fixed
+    deterministic order: the customers whose don't-look bits decide
+    whether the candidates are scanned (one customer, or one chain for
+    reassign), and a generator of their candidates
+    (partner, first_affected_idx, tour, groups, touched).  `partner` is
+    the other customer of a swap, None otherwise; `touched` lists the
+    customers on the chains the candidate changes, or at the stations
+    it reverses."""
     work = state.work
     tour = work.tour
     n_r = len(next(iter(work.groups.values()))) if work.groups else 0
@@ -108,8 +115,17 @@ def scan_moves(ev: PlanEvaluator, state: Evaluator, name: str):
                 for pos, o in enumerate(g):
                     yield o, k, r, pos
 
+    def copied():
+        return {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+
+    def changed(groups):
+        return [
+            o for k in tour for r, g in enumerate(groups[k]) if g != work.groups[k][r] for o in g
+        ]
+
     if name == "relocate":
-        for o, k, r, pos in sorted(located()):
+
+        def relocates(o, k, r, pos):
             for k2 in tour:
                 # robots idle once o is out; only the first is a target
                 idle = [
@@ -123,13 +139,17 @@ def scan_moves(ev: PlanEvaluator, state: Evaluator, name: str):
                     if ev.group_length(k2, target + [o]) > ev.range + EPSILON:
                         continue
                     for pos2 in range(len(target) + 1):
-                        groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                        groups = copied()
                         groups[k][r].pop(pos)
                         groups[k2][r2].insert(pos2, o)
-                        yield min(pos_of[k], pos_of[k2]), tour, groups
+                        yield None, min(pos_of[k], pos_of[k2]), tour, groups, changed(groups)
+
+        for o, k, r, pos in sorted(located()):
+            yield [o], relocates(o, k, r, pos)
     elif name == "swap":
         spots = sorted(located())
-        for i, (o, k, r, pos) in enumerate(spots):
+
+        def swaps(i, o, k, r, pos):
             for p, k2, r2, pos2 in spots[i + 1 :]:
                 if (k, r) == (k2, r2):
                     continue
@@ -140,67 +160,99 @@ def scan_moves(ev: PlanEvaluator, state: Evaluator, name: str):
                     continue
                 if ev.group_length(k2, b) > ev.range + EPSILON:
                     continue
-                groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                groups = copied()
                 groups[k][r] = a
                 groups[k2][r2] = b
-                yield min(pos_of[k], pos_of[k2]), tour, groups
+                yield p, min(pos_of[k], pos_of[k2]), tour, groups, changed(groups)
+
+        for i, (o, k, r, pos) in enumerate(spots):
+            yield [o], swaps(i, o, k, r, pos)
     elif name == "reorder":
-        for o, k, r, pos in sorted(located()):
-            g = work.groups[k][r]
-            if len(g) < 2:
-                continue
-            for pos2 in range(len(g)):
+
+        def reorders(k, r, pos):
+            for pos2 in range(len(work.groups[k][r])):
                 if pos2 == pos:
                     continue
-                groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
+                groups = copied()
                 moved = groups[k][r].pop(pos)
                 groups[k][r].insert(pos2, moved)
-                yield pos_of[k], tour, groups
+                yield None, pos_of[k], tour, groups, changed(groups)
+
+        for o, k, r, pos in sorted(located()):
+            yield [o], reorders(k, r, pos)
     elif name == "reassign":
+
+        def reassigns(k, r, g):
+            for k2 in tour:
+                if k2 == k:
+                    continue
+                free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
+                if not free:
+                    continue
+                if ev.group_length(k2, g) > ev.range + EPSILON:
+                    continue
+                groups = copied()
+                groups[k][r] = []
+                groups[k2][free[0]] = list(g)
+                yield None, min(pos_of[k], pos_of[k2]), tour, groups, changed(groups)
+
         for k in tour:
             for r, g in enumerate(work.groups[k]):
-                if not g:
-                    continue
-                for k2 in tour:
-                    if k2 == k:
-                        continue
-                    free = [r2 for r2, g2 in enumerate(work.groups[k2]) if not g2]
-                    if not free:
-                        continue
-                    if ev.group_length(k2, g) > ev.range + EPSILON:
-                        continue
-                    groups = {kk: [list(g) for g in ls] for kk, ls in work.groups.items()}
-                    groups[k][r] = []
-                    groups[k2][free[0]] = list(g)
-                    yield min(pos_of[k], pos_of[k2]), tour, groups
+                if g:
+                    yield list(g), reassigns(k, r, g)
     elif name == "two_opt":
-        for i in range(len(tour) - 1):
-            for j in range(i + 1, len(tour)):
-                t2 = list(tour)
-                t2[i : j + 1] = reversed(t2[i : j + 1])
-                yield i, t2, work.groups
+
+        def reversals():
+            for i in range(len(tour) - 1):
+                for j in range(i + 1, len(tour)):
+                    t2 = list(tour)
+                    t2[i : j + 1] = reversed(t2[i : j + 1])
+                    touched = [o for k in tour[i : j + 1] for g in work.groups[k] for o in g]
+                    yield None, i, t2, work.groups, touched
+
+        yield [], reversals()
     else:
         raise ValueError(f"unknown neighborhood {name!r}")
 
 
 def descend(ev, state: Evaluator, params: SearchParams, started: float, counters: dict):
-    """First-improvement descent to a local optimum, in place."""
+    """First-improvement descent, in place, with don't-look bits.
+
+    Every neighborhood but two_opt keeps the set of flagged customers,
+    at first all of them.  Owners none of whose customers is flagged
+    are passed over, and a swap of two unflagged customers too.  Once
+    all of an owner's candidates were scanned and none improved, its
+    customers are unflagged; a kept move flags the customers it
+    touched in every set."""
+    look = {name: set(range(ev.n)) for name in NEIGHBORHOODS if name != "two_opt"}
     improved = True
     while improved:
         improved = False
         for name in NEIGHBORHOODS:
-            for from_idx, tour, groups in scan_moves(ev, state, name):
-                counters["evals"] += 1
-                if counters["evals"] >= params.max_iterations:
-                    return
-                if counters["evals"] % 64 == 0:
-                    if time.perf_counter() - started > params.max_seconds:
+            flags = look.get(name)
+            for owners, candidates in scan_moves(ev, state, name):
+                if flags is not None and flags.isdisjoint(owners) and name != "swap":
+                    continue
+                for partner, from_idx, tour, groups, touched in candidates:
+                    if name == "swap" and owners[0] not in flags and partner not in flags:
+                        continue
+                    counters["evals"] += 1
+                    if counters["evals"] >= params.max_iterations:
                         return
-                cand = state.probe(tour, groups, from_idx)
-                if cand < state.objective:
-                    state.commit(tour, groups)
-                    improved = True
+                    if counters["evals"] % 64 == 0:
+                        if time.perf_counter() - started > params.max_seconds:
+                            return
+                    cand = state.probe(tour, groups, from_idx)
+                    if cand < state.objective:
+                        state.commit(tour, groups)
+                        for flagged in look.values():
+                            flagged.update(touched)
+                        improved = True
+                        break
+                if improved:
                     break
+                if flags is not None:
+                    flags.difference_update(owners)
             if improved:
                 break
 

@@ -44,7 +44,18 @@ from mothership.exact import (
     _Stop,
     check_capacity,
 )
-from mothership.heuristic import _MOVES, _Evaluator, _Work, _apply, _descend, _ruined
+from mothership.heuristic import (
+    _MOVES,
+    _apply,
+    _descend,
+    _Evaluator,
+    _first_improvement,
+    _Look,
+    _relocate,
+    _ruined,
+    _touched,
+    _Work,
+)
 
 SMALL_OPTIMUM = 36.37122987569251
 
@@ -275,7 +286,7 @@ def first_descent(inst, start, params):
     ev = PlanEvaluator(inst)
     state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, start))
     stats = {"evals": 0, "descents": 0}
-    for prefix in ("evals_", "moves_"):
+    for prefix in ("evals_", "moves_", "skips_"):
         stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
     try:
         _descend(state, params, lambda: False, stats)
@@ -431,9 +442,9 @@ class TestIncrementalEvaluator:
     def test_probe_equals_propagate_for_every_move(self):
         # every candidate of every neighborhood, scored without a limit,
         # equals propagate of the candidate plan; with the objective as
-        # the limit, a relocate slot is dropped only when it is no better
+        # the limit, a candidate is dropped only when it is no better
         moves = dict.fromkeys(NEIGHBORHOODS, 0)
-        dropped = 0
+        dropped = dict.fromkeys(NEIGHBORHOODS, 0)
         # on_stations(254) has relocate slots where rounding shortens
         # the chain that gains the customer
         cases = [builtin_fixture("small"), builtin_fixture("medium")]
@@ -454,15 +465,33 @@ class TestIncrementalEvaluator:
                     exact = propagate(inst, built).objective
                     assert score == exact
                     if bounded is None:
-                        assert name == "relocate"
                         assert exact >= state.objective
-                        dropped += 1
+                        dropped[name] += 1
                     else:
                         assert bounded == exact
                     moves[name] += 1
                 assert serialize_plan(_canonical_plan(state.work.tour, state.work.groups)) == before
         assert all(moves.values()), moves
-        assert dropped
+        assert all(dropped.values()), dropped
+
+    def test_without_equals_the_whole_schedule(self):
+        # the schedule with one customer taken out, built from the
+        # plan's, is the one built from scratch, field by field; the
+        # on-stations instances have chains that rounding shortens
+        cases = [builtin_fixture("medium")[0], generate(0, 6, 4, 40)]
+        cases += [on_stations(seed) for seed in (44, 90, 254)]
+        for inst in cases:
+            ev = PlanEvaluator(inst)
+            state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, construct(inst)))
+            fields = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix")
+            for o, k, r, pos in heuristic._located(state.work):
+                chain = state.work.groups[k][r]
+                chain.pop(pos)
+                built = state.kernel.without(state.sched, state.at[k], o)
+                whole = state.kernel.schedule(state.unserved)
+                chain.insert(pos, o)
+                for name in fields:
+                    assert getattr(built, name) == getattr(whole, name), (o, name)
 
     def test_medium_fixture_improves(self):
         inst, plan = builtin_fixture("medium")
@@ -520,9 +549,9 @@ DESCENT_CASES = (
 )
 
 # improve on (6,4,40) seeds 0-3 from construct at 52,000 evaluations;
-# the first descent of seeds 1 and 3 is still running there, and those
-# of seeds 0 and 2 end after 46,606 and 28,070 evaluations
-LARGE_OBJECTIVES = (640.9979520553211, 437.48001435445855, 344.60991036433904, 394.2891390799275)
+# the first descents end after 13,322, 22,151, 8,439 and 15,881
+# evaluations
+LARGE_OBJECTIVES = (423.0947064514268, 290.1382497222017, 261.44919167605167, 202.99959520236854)
 
 
 class TestReferenceDescent:
@@ -550,10 +579,10 @@ class TestReferenceDescent:
         + [("large-s1", cap) for cap in (1, 64, 5_000)],
     )
     def test_cap_stops_leave_a_whole_plan(self, which, cap, monkeypatch):
-        # each cap but medium's 700 lands inside a relocate scan, while
-        # the customer is out of the plan; 700 lands in a swap scan.
+        # medium's caps 64 and 500 land inside a swap scan, the others
+        # inside a relocate scan, while the customer is out of the plan.
         # The plan returned still serves everyone.  Medium's first
-        # descent ends after 211 evaluations, so the caps 500 and 700
+        # descent ends after 155 evaluations, so the caps 500 and 700
         # land in the descent of a loop iteration, and the plan is no
         # worse than the first descent's; the other caps stop the first
         # descent, which is then the reference's
@@ -571,7 +600,8 @@ class TestReferenceDescent:
 
             monkeypatch.setitem(_MOVES, name, watched)
         report = improve(inst, start, params)
-        assert scans[-1] == ("swap" if cap == 700 else "relocate")
+        in_swap = which == "medium" and cap in (64, 500)
+        assert scans[-1] == ("swap" if in_swap else "relocate")
         assert validate(inst, report.plan) == []
         assert report.nodes == cap
         objective, text, nodes = reference_descent(inst, start, params)
@@ -711,10 +741,58 @@ class TestRuinAndRecreate:
             recreate(_Work([1], {1: [[], [], [2]]}))
 
 
+class TestDontLookBits:
+    def test_a_kept_move_flags_only_the_chains_it_touched(self):
+        # a relocate scan clears the bits of the customers before the
+        # first improving one; once that move is kept, the customers on
+        # the two chains it changed are moved in the next scan, and a
+        # customer cleared before and on neither chain is not.  On
+        # (3,2,10) seed 0 the first improving relocate moves customer 3
+        inst = generate(0, 3, 2, 10)
+        ev = PlanEvaluator(inst)
+        state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, construct(inst)))
+        stats = {"evals": 0, "evals_relocate": 0}
+        look = _Look(range(ev.n))
+        move = _first_improvement(state, "relocate", SearchParams(), lambda: False, stats, look)
+        assert move is not None
+        cleared = set(range(ev.n)) - look.flagged
+        _apply(state.work, "relocate", move)
+        state.refresh()
+        touched = set(_touched(state.work, "relocate", move))
+        k, r, _, k2, r2, _ = move
+        assert touched == {*state.work.groups[k][r], *state.work.groups[k2][r2]}
+        look.flagged.update(touched)
+        untouched = cleared - touched
+        assert untouched
+        groups = {k: [list(g) for g in lists] for k, lists in state.work.groups.items()}
+        moved = {groups[k][r][pos] for _, (k, r, pos, *_) in _relocate(state, math.inf, look)}
+        assert touched <= moved
+        assert not moved & untouched
+        assert look.skips == len(cleared - touched)
+        assert not look.flagged  # the whole scan cleared every bit
+
+
+# (6,4,40) seeds 0-3 from construct, at a fixed evaluation cap.  With
+# don't-look bits the mean objective at 100,000 evaluations is 288.98,
+# against 402.26 when every descent scans every customer; the threshold
+# leaves about 10% for changes that move the search.
+LARGE_GATE_EVALUATIONS = 100_000
+LARGE_GATE_MEAN = 320.0
+
+
+def test_gate_large_instances():
+    objectives = []
+    for seed in range(4):
+        inst = generate(seed, 6, 4, 40)
+        params = SearchParams(max_iterations=LARGE_GATE_EVALUATIONS, max_seconds=1e6)
+        objectives.append(improve(inst, construct(inst), params).objective)
+    assert sum(objectives) / len(objectives) <= LARGE_GATE_MEAN, objectives
+
+
 # The gate on the proven corpus: improve at a fixed evaluation cap, so
 # the figures are the same on every machine.  Measured at 60,000
-# evaluations: mean gap 1.75%, 7 of 8 optima ((3,2,10) seed 1 ends
-# 13.99% above).  The thresholds leave a margin of about 2 points and
+# evaluations: mean gap 0.90%, 7 of 8 optima ((3,2,10) seed 0 ends
+# 7.18% above).  The thresholds leave a margin of about 3 points and
 # one optimum for changes that move the search without making it worse.
 GATE_CASES = tuple(((3, 2, 10), s) for s in range(4)) + tuple(((4, 3, 12), s) for s in range(4))
 GATE_EVALUATIONS = 60_000
@@ -743,12 +821,16 @@ class TestSearchStats:
         report = improve(inst, start, SearchParams(max_seconds=1e6))
         stats = report.stats
         operators = (*heuristic.REMOVALS, "station")
+        looked = [name for name in NEIGHBORHOODS if name != "two_opt"]
         assert set(stats) == {"descents", "iterations", "best_eval"} | {
             f"{kind}_{name}" for kind in ("evals", "moves") for name in NEIGHBORHOODS
-        } | {f"{kind}_{name}" for kind in ("tries", "accepted", "bests") for name in operators}
+        } | {f"{kind}_{name}" for kind in ("tries", "accepted", "bests") for name in operators} | {
+            f"skips_{name}" for name in looked
+        }
         assert report.nodes < SearchParams().max_iterations
         assert sum(stats[f"evals_{name}"] for name in NEIGHBORHOODS) == report.nodes
         assert sum(stats[f"moves_{name}"] for name in NEIGHBORHOODS) > 0
+        assert all(stats[f"skips_{name}"] > 0 for name in looked)
         for name in NEIGHBORHOODS:
             assert stats[f"moves_{name}"] <= stats[f"evals_{name}"]
         assert stats["descents"] == stats["iterations"] + 1
@@ -766,3 +848,13 @@ class TestSearchStats:
         assert again.objective == report.objective
         short = improve(inst, start, SearchParams(max_iterations=reached, max_seconds=1e6))
         assert short.objective > report.objective
+
+    def test_no_skips_before_a_scan_clears_a_bit(self):
+        # the first scan of each neighborhood starts with every bit set:
+        # a run stopped by its first evaluation has skipped nothing
+        inst, _ = builtin_fixture("medium")
+        report = improve(inst, construct(inst), SearchParams(max_iterations=1, max_seconds=1e6))
+        assert report.nodes == 1
+        assert [report.stats[f"skips_{name}"] for name in NEIGHBORHOODS if name != "two_opt"] == [
+            0, 0, 0, 0
+        ]
