@@ -26,8 +26,8 @@ has under the incumbent are counted at every node
 `probe`), and a node where some customer has none is dropped (the
 look-ahead).  The range verdict is
 `_StepTables.fits`'s: the node schedule carries each chain's length,
-and `branch` decides from that length plus the newcomer's leg when the
-sum is clear of the cap, with `fits` otherwise.
+and `branch` and `slots` decide from that length plus the newcomer's
+leg when the sum is clear of the cap, with `fits` otherwise.
 `_insert_all`, cheapest `branch` slot first with backtracking and a
 memo of failed bins, is the one greedy search: `solve_bnb`'s dives and
 `heuristic.construct` run it.  `heuristic.improve` scores its moves
@@ -431,9 +431,9 @@ class _StepTables:
     range check against `cap` = TR + EPSILON.  Built once per
     `solve_bnb`, `heuristic.construct` and `heuristic.improve` call.
 
-    `fits` is the range verdict.  `branch` reaches the same verdict
-    from a chain's carried length plus the newcomer's addend when that
-    sum is below `clear_below` or above `clear_above`: the sum is
+    `fits` is the range verdict.  `branch` and `slots` reach the same
+    verdict from a chain's carried length plus the newcomer's addend
+    when that sum is below `clear_below` or above `clear_above`: it is
     within a few units in the last place of the exact length, far
     inside the relative 1e-12 margin, so the exactly rounded `fsum`
     of `fits` falls on the same side of `cap`.  Between the two it
@@ -469,9 +469,10 @@ class _NodeSchedule:
     `bound_of` adds them, so `prefix[n]` is the bound `bound_of` gives
     the node.
     `used[i][r]` is the length of robot r's chain at tour position i,
-    bit-equal to `group_length`, for `branch`'s range verdict; only the
-    schedules `branch` starts from carry it (`_IncrementalBound.root`
-    and its children), else it is None.
+    bit-equal to `group_length`, for the range verdict of `branch` and
+    `slots`; `_IncrementalBound.schedule` and `child` carry it, and the
+    schedules of `without`, which only relocate probes read, leave it
+    None.
     `lateness` is `_IncrementalBound._lateness` of the schedule, filled
     in by the first `slots` call, None before.
     Apart from that, a schedule is never changed once built; children
@@ -509,9 +510,10 @@ class _IncrementalBound:
     them in place and score the result.  `improve` does that: a
     relocate takes its customer out, builds that plan's schedule from
     the whole plan's with `without` and makes every insertion slot one
-    `probe` of it; the other moves are scored with `rescore`.  `_insert_all` walks down like the search:
-    from the empty plan's `root` schedule it takes every slot `branch`
-    gives with no limit and enters the chosen one with `child`.
+    `probe` of it; the other moves are scored with `rescore`.
+    `_insert_all` walks down like the search: from the empty plan's
+    `schedule` it takes every slot `branch` gives and enters the chosen
+    one with `child`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -540,7 +542,8 @@ class _IncrementalBound:
         relaxed contribution at the B&B root, 0.0 for a customer the
         local search has taken out.  Served customers get their
         weighted tardiness, so with every customer served `prefix[n]`
-        is the plan's objective, bit-equal to `propagate`'s.
+        is the plan's objective, bit-equal to `propagate`'s.  Every
+        chain's length is carried for `branch`, `slots` and `child`.
         """
         terms = list(terms)
         n = len(terms)
@@ -562,20 +565,10 @@ class _IncrementalBound:
             chains.append(cs)
             returns.append(rs)
             low.append(m)
-        return _NodeSchedule(
-            arrive, depart, chains, returns, low, terms, list(accumulate(terms, add, initial=0.0))
-        )
-
-    def root(self, terms) -> _NodeSchedule:
-        """`schedule`, carrying the length of every chain for `branch`
-        and `child`: the schedule a search or `construct` starts from.
-        `improve` never branches, so its schedules skip the lengths."""
-        st = self.schedule(terms)
-        st.used = [
-            [math.fsum([self.doubled[k][o] for o in g]) for g in self.groups[k]]
-            for k in self.tour
-        ]
-        return st
+        used = [[math.fsum([self.doubled[k][o] for o in g]) for g in self.groups[k]]
+                for k in self.tour]
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms,
+                             list(accumulate(terms, add, initial=0.0)), used)
 
     def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float,
               floor=True):
@@ -591,9 +584,8 @@ class _IncrementalBound:
         With `floor`, when the insertion delays the departure, the sum
         with the later stations unchanged is checked against `limit`
         before they are recomputed.  That pays in `improve`'s relocate
-        probes; `branch` and `slots` skip it, where it costs
-        more time than it saves.  It drops no slot the finished sum
-        keeps.
+        probes; the searches skip it, where it costs more time than it
+        saves.  It drops no slot the finished sum keeps.
 
         The two inner loops are `_chain_tail` with each completion's
         term computed on the spot.
@@ -632,10 +624,9 @@ class _IncrementalBound:
 
         later = ki + 1  # tour positions before this one keep their times
         if new_dep != dep:
-            if floor and new_dep > dep and limit < math.inf:
+            if floor and new_dep > dep:
                 # every later time can only grow, and so can every term:
                 # the sum with the later stations unchanged is a floor
-                # (an infinite limit drops nothing, so it is not summed)
                 start = st.prefix[m]
                 if start > limit or reduce(add, islice(terms, m, None), start) > limit:
                     return None
@@ -678,11 +669,9 @@ class _IncrementalBound:
             return None
         return total, ki, r, pos, (ret, new_dep, later, m, terms)
 
-    def branch(self, st: _NodeSchedule, o: int, limit: float):
+    def branch(self, st: _NodeSchedule, o: int):
         """The candidates `(bound, ki, r, pos, change)` of customer `o`,
-        one per slot `probe` kept under `limit`, unsorted, with the
-        counts of slots probed, slots dropped past `limit` and chains
-        rejected by range.
+        one `probe` with no limit per slot, unsorted.
 
         The slots are every position of every chain within range after
         `o` joins it, in (tour position, robot, position) order.  Robots
@@ -691,48 +680,21 @@ class _IncrementalBound:
         The range verdict is `fits`'s: the carried length `st.used`
         plus o's addend decides when it is clear of `cap` (see
         `_StepTables`), `fits` otherwise.
-
-        A slot where o's own term already exceeds `limit` is dropped
-        without a `probe`, which would drop it at that first term: o's
-        completion is computed here with `probe`'s operations.
         """
         probe, fits = self.probe, self.fits
         clear_below, clear_above = self.clear
-        w, due = self.weight[o], self.deadline[o]
         candidates = []
-        probed = dropped = rejected = 0
         for ki, k in enumerate(self.tour):
-            lists = self.groups[k]
-            step, used, comps = self.step[k], st.used[ki], st.chains[ki]
-            d = self.doubled[k][o]
-            # the customer completes no earlier than a direct first
-            # service: past the limit there, it is past it in every slot
-            late = st.arrive[ki] + self.first[k][o] - due
-            hopeless = late > 0.0 and w * late > limit
+            lists, used, d = self.groups[k], st.used[ki], self.doubled[k][o]
             n_r = len(lists)
             for r in range(min(n_r - lists.count([]) + 1, n_r)):
                 g = lists[r]
                 length = used[r] + d
                 if length > clear_below and (length > clear_above or not fits(k, g + [o])):
-                    rejected += 1
                     continue
-                probed += len(g) + 1
-                if hopeless:
-                    dropped += len(g) + 1
-                    continue
-                comp = comps[r]
-                for pos in range(len(g) + 1):
-                    if pos:  # o's completion after g[pos - 1], as `probe` computes it
-                        late = comp[pos - 1] + step[g[pos - 1]][o] - due
-                        if late > 0.0 and w * late > limit:
-                            dropped += 1
-                            continue
-                    found = probe(st, ki, r, pos, o, limit, False)
-                    if found is None:
-                        dropped += 1
-                    else:
-                        candidates.append(found)
-        return candidates, probed, dropped, rejected
+                candidates.extend(probe(st, ki, r, pos, o, math.inf, False)
+                                  for pos in range(len(g) + 1))
+        return candidates
 
     def slots(self, st: _NodeSchedule, o: int, limit: float, cap):
         """The slots of customer `o` that `probe` keeps under `limit`,
@@ -1000,14 +962,15 @@ class _Stop(Exception):
 
 
 def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
-                picks=None, stop=None) -> _NodeSchedule | None:
-    """Greedy insertion with backtracking, run by `heuristic.construct`
-    and by each of `solve_bnb`'s dives.
+                picks, stop) -> _NodeSchedule | None:
+    """Greedy insertion with backtracking, run by `heuristic.construct`,
+    by each of `heuristic.improve`'s recreates and by each of
+    `solve_bnb`'s dives.
 
-    From `sched`, the `root` schedule of the kernel's empty groups, each
-    customer of `order` in turn tries the slots `branch` gives with no
-    limit in (bound, tour position, robot, position) order; with
-    `picks` (the noisy seeds'), the customer at depth `idx` first tries
+    From `sched`, the kernel's `schedule` of the groups as they stand,
+    each customer of `order` in turn tries the slots `branch` gives in
+    (bound, tour position, robot, position) order; with `picks` (the
+    noisy seeds', None for the others), the customer at depth `idx` first tries
     slot `int(picks[idx] * min(3, n))` of its `n`, one of the three
     cheapest.  A customer with no slot left undoes the last choice.
     Returns the schedule of the first complete placement, whose plan
@@ -1034,18 +997,18 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     def place(idx: int, sched: _NodeSchedule):
         if idx == len(order):
             return sched
-        if stop is not None and stop():
+        if stop():
             raise _Stop
         if failed and bins() in failed:
             return None
         o = order[idx]
-        candidates = sorted(found[:4] for found in kernel.branch(sched, o, math.inf)[0])
+        candidates = sorted(found[:4] for found in kernel.branch(sched, o))
         if picks is not None and len(candidates) > 1:
             candidates.insert(0, candidates.pop(int(picks[idx] * min(3, len(candidates)))))
         for _, ki, r, pos in candidates:
             # probed again on entry: kept for every slot of every level,
             # the changes would hold a copy of the terms each
-            change = kernel.probe(sched, ki, r, pos, o, math.inf)[4]
+            change = kernel.probe(sched, ki, r, pos, o, math.inf, False)[4]
             g = groups[tour[ki]][r]
             g.insert(pos, o)
             leaf = place(idx + 1, kernel.child(sched, ki, r, pos, change))
@@ -1111,9 +1074,9 @@ def solve_bnb(
     some unplaced customer has no slot that `probe` keeps under the
     incumbent, since every slot of a descendant has a bound at least
     that of a slot of the node, so no completion of it is at or under
-    the incumbent (docs/MODEL.md, "Search order and ties").  Each
-    customer is counted only until it has more slots than the fewest
-    so far, and a slot is decided without a `probe` wherever its bound
+    the incumbent (docs/MODEL.md, "Search order and ties").  The
+    customers are counted in slack order, each only until it has as
+    many slots as the fewest so far, and a slot is decided without a `probe` wherever its bound
     in real arithmetic is clear of the incumbent by a margin for
     rounding.
 
@@ -1153,7 +1116,6 @@ def solve_bnb(
     station_ids = sorted(s.id for s in instance.stations)
     order = _slack(instance, ev)
 
-    slack_rank = {o: i for i, o in enumerate(order)}
     best = _Best({o: i for i, o in enumerate(_urgency(instance))})
     failed = set()  # bins no placement completes: the same for every tour
     node_cap = math.inf if budget.max_nodes is None else budget.max_nodes
@@ -1163,7 +1125,7 @@ def solve_bnb(
     # zero-length legs, which can put a bound a few units in the last
     # place above an optimal leaf below it
     state = {"nodes": 0, "aborted": False, "frontier": math.inf, "proved": False,
-             "doomed": None, "limit": math.inf}
+             "limit": math.inf}
     stats = {
         "nodes": 0, "candidates": 0, "pruned_by_bound": 0, "pruned_by_lookahead": 0,
         "counting_probes": 0, "forced": 0, "rejected_by_range": 0, "dives": 0,
@@ -1197,27 +1159,20 @@ def solve_bnb(
     def root(tour):
         groups = {k: [[] for _ in range(n_r)] for k in station_ids}
         kernel = _IncrementalBound(ev, tables, tour, groups)
-        return groups, kernel, kernel.root(relax)
+        return groups, kernel, kernel.schedule(relax)
 
     def pick(rest, kernel, sched):
-        """The customer of `rest` with the fewest slots under the limit,
-        ties to the earlier in slack order, with what `slots` gave for
-        it; None when some customer has none.  The one that had none
-        last is counted first, the rest in slack order, each only until
-        it has more slots than the fewest so far (as many, if it comes
-        earlier in slack order)."""
+        """The customer of `rest`, which is in slack order, with the
+        fewest slots under the limit, ties to the earlier, with what
+        `slots` gave for it; None when some customer has none.  Each is
+        counted only until it has as many slots as the fewest so far."""
         limit = state["limit"]
-        last = state["doomed"]
-        if last in rest:
-            rest = [last, *(o for o in rest if o != last)]
         chosen, found, fewest = None, None, math.inf
         for o in rest:
-            cap = fewest if chosen is None or slack_rank[o] < slack_rank[chosen] else fewest - 1
-            counted = kernel.slots(sched, o, limit, cap)
+            counted = kernel.slots(sched, o, limit, fewest - 1)
             if not counted[0]:
-                state["doomed"] = o
                 return None
-            if len(counted[0]) <= cap:
+            if len(counted[0]) < fewest:
                 chosen, found, fewest = o, counted, len(counted[0])
         return chosen, found
 
@@ -1277,7 +1232,7 @@ def solve_bnb(
                 break
             groups, kernel, sched = root(tour)
             placed = count(1)
-            leaf = _insert_all(kernel, sched, order, failed,
+            leaf = _insert_all(kernel, sched, order, failed, None,
                                stop=lambda: out_of_time() or next(placed) > dive_cap)
             if leaf is None:
                 if best.plan is None:  # the first dive: no plan to return

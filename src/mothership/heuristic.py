@@ -17,10 +17,11 @@ Both score with the branch-and-bound's schedule kernel
 (`exact._IncrementalBound`), reach its step tables' `fits` verdict on
 range, and write plans with `exact._canonical_plan`.  `construct` and
 every recreate run the package's one greedy search, `exact._insert_all`,
-which `solve_bnb`'s dives run too: slots come from the kernel's
-`branch` and are entered with `child`, so no slot costs a
-whole-schedule recomputation; tests check its plans against a plain
-construction that rescores the whole schedule per slot.
+which `solve_bnb`'s dives run too: from the kernel's `schedule` of the
+plan so far, slots come from its `branch` and are entered with
+`child`, so no slot costs a whole-schedule recomputation; tests check
+its plans against a plain construction that rescores the whole
+schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
 change in place and undo.  A relocate takes its customer out of the
@@ -258,7 +259,7 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     def halt() -> bool:
         return next(placed) > cap
 
-    if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), picks, halt) is None:
+    if _insert_all(kernel, kernel.schedule([0.0] * ev.n), order, set(), picks, halt) is None:
         raise BudgetExhaustedError(
             f"construct gave up after {cap} placements without a feasible plan"
         )
@@ -299,17 +300,16 @@ def _apply(work: _Work, name: str, move) -> None:
         work.tour[i : j + 1] = reversed(work.tour[i : j + 1])
 
 
-def _relocate(state: _Evaluator, limit: float, look: _Look | None = None):
+def _relocate(state: _Evaluator, limit: float, look: _Look):
     """Yield (score, move) for every relocate move: each customer by id
     to every other (station, robot) chain whose range allows it, at
     every position.  Robots at one station are interchangeable, so of
     the robots idle once the customer is out only the first is tried,
     as `branch` and `_reassign` do.
 
-    Only the customers flagged in `look` (every one when it is None)
-    are moved.  The customer is taken out of its chain once, the
-    schedule without it is built from the plan's with
-    `_IncrementalBound.without`, and every slot is one
+    Only the customers flagged in `look` are moved.  The customer is
+    taken out of its chain once, the schedule without it is built from
+    the plan's with `_IncrementalBound.without`, and every slot is one
     `_IncrementalBound.probe` of that schedule.  The score is
     None when the probe dropped the slot, which it does only once a
     partial sum exceeds `limit` (then the objective is above `limit`
@@ -327,7 +327,6 @@ def _relocate(state: _Evaluator, limit: float, look: _Look | None = None):
     cap = state.tables.cap
     doubled = state.tables.doubled
     legs = {k: [[doubled[k][x] for x in g] for g in groups[k]] for k in tour}
-    look = look or _Look(range(state.ev.n))
     for o, k, r, pos in _located(work):
         if o not in look.flagged:
             look.skips += 1
@@ -356,13 +355,12 @@ def _relocate(state: _Evaluator, limit: float, look: _Look | None = None):
         look.flagged.discard(o)
 
 
-def _swap(state: _Evaluator, limit: float, look: _Look | None = None):
+def _swap(state: _Evaluator, limit: float, look: _Look):
     """Yield (score, move) for every exchange of two customers on
     different chains, both chains within range, of which at least one
     is flagged in `look`."""
     groups, fits = state.work.groups, state.tables.fits
     spots = _located(state.work)
-    look = look or _Look(range(state.ev.n))
     flagged = look.flagged
     for i, (o, k, r, pos) in enumerate(spots):
         later = spots[i + 1 :]
@@ -382,10 +380,9 @@ def _swap(state: _Evaluator, limit: float, look: _Look | None = None):
         flagged.discard(o)
 
 
-def _reorder(state: _Evaluator, limit: float, look: _Look | None = None):
+def _reorder(state: _Evaluator, limit: float, look: _Look):
     """Yield (score, move) for every move of a customer flagged in
     `look` to another position of its own chain."""
-    look = look or _Look(range(state.ev.n))
     for o, k, r, pos in _located(state.work):
         if o not in look.flagged:
             look.skips += 1
@@ -401,12 +398,11 @@ def _reorder(state: _Evaluator, limit: float, look: _Look | None = None):
         look.flagged.discard(o)
 
 
-def _reassign(state: _Evaluator, limit: float, look: _Look | None = None):
+def _reassign(state: _Evaluator, limit: float, look: _Look):
     """Yield (score, move) for every move of a whole chain with a
     customer flagged in `look` to the first idle robot of another
     station, within range there."""
     work, fits = state.work, state.tables.fits
-    look = look or _Look(range(state.ev.n))
     for k in work.tour:
         for r, g in enumerate(work.groups[k]):
             if not g:
@@ -428,7 +424,7 @@ def _reassign(state: _Evaluator, limit: float, look: _Look | None = None):
             look.flagged.difference_update(g)
 
 
-def _two_opt(state: _Evaluator, limit: float, look: _Look | None = None):
+def _two_opt(state: _Evaluator, limit: float, look):
     """Yield (score, move) for every reversal of a tour segment; it has
     no don't-look bits, so `look` is ignored."""
     work = state.work
@@ -495,18 +491,16 @@ def _touched(work: _Work, name: str, move) -> list[int]:
     return groups[k][r] + groups[k2][r2]
 
 
-def _descend(state: _Evaluator, params: SearchParams, late, stats: dict, flagged=None) -> None:
+def _descend(state: _Evaluator, params: SearchParams, late, stats: dict, flagged) -> None:
     """First-improvement descent, in place, with don't-look bits in
     every neighborhood but two_opt; raises _Stop when a cap ends it.
 
-    Each bit starts set for the customers in `flagged` (every customer
-    when None), and a kept move sets them for the customers `_touched`.
+    Each bit starts set for the customers in `flagged`, and a kept
+    move sets them for the customers `_touched`.
     The descent ends when no scan finds an improving move: at a local
     optimum over the moves of flagged customers, which need not be one
     over every move."""
     stats["descents"] += 1
-    if flagged is None:
-        flagged = range(state.ev.n)
     looks = {name: _Look(flagged) for name in NEIGHBORHOODS if name != "two_opt"}
     try:
         while True:
@@ -547,8 +541,8 @@ def _ruin(state: _Evaluator, removal: str, size: int, rnd: random.Random) -> lis
 
 def _ruined(work: _Work, removed, tour) -> _Work:
     """A copy of `work` on `tour` without the customers `removed`, each
-    station's busy chains first: `branch` tries only the first idle
-    robot of a station."""
+    station's busy chains first: `exact._insert_all` recreates from it,
+    and `branch` tries only the first idle robot of a station."""
     gone = set(removed)
     groups = {}
     for k, lists in work.groups.items():
@@ -614,10 +608,10 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     def late() -> bool:
         return time.perf_counter() - started > params.max_seconds
 
-    def descend(state: _Evaluator, flagged=None) -> bool:
+    def descend(state: _Evaluator, flagged) -> bool:
         """Descend from `state` in place, with the don't-look bits of
-        the customers in `flagged` set (every one when None); False when
-        a cap ended the descent."""
+        the customers in `flagged` set; False when a cap ended the
+        descent."""
         try:
             _descend(state, params, late, stats, flagged)
         except _Stop:
@@ -633,7 +627,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         return lower
 
     current = _Evaluator(ev, tables, _Work.from_plan(instance, plan))
-    going = descend(current)
+    going = descend(current, range(instance.n_customers))
     offer(current)
     temperature = START_TEMPERATURE * current.objective
     stall = 0
@@ -654,7 +648,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
         work = _ruined(current.work, removed, tour)
         kernel = _IncrementalBound(ev, tables, work.tour, work.groups)
         order = sorted(removed, key=rank.__getitem__)
-        if _insert_all(kernel, kernel.root([0.0] * ev.n), order, set(), None, late) is None:
+        if _insert_all(kernel, kernel.schedule([0.0] * ev.n), order, set(), None, late) is None:
             break
         # the descent looks at the customers the recreate touched: the
         # removed ones, the others on their chains, and the moved

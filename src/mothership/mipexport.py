@@ -907,7 +907,7 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
         recomputed[f"tc_{o}"] = schedule.complete[o]
         recomputed[f"tt_{o}"] = schedule.tardiness[o]
     for name, want in recomputed.items():
-        if name in values and abs(values[name] - want) > TIME_MISMATCH_TOLERANCE:
+        if name in values and not abs(values[name] - want) <= TIME_MISMATCH_TOLERANCE:  # NaN too
             logger.warning(
                 "solution reports %s = %s, propagation gives %s",
                 name,

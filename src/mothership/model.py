@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -30,10 +31,9 @@ class ParseError(ModelError):
 
 
 def _as_float(value, name: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{name} must be a real number, got {value!r}") from None
+    if not isinstance(value, numbers.Real):  # strings too; numpy scalars and bools pass
+        raise ModelError(f"{name} must be a real number, got {value!r}")
+    out = float(value)
     if not math.isfinite(out):
         raise ModelError(f"{name} must be finite, got {value!r}")
     return out

@@ -289,7 +289,7 @@ def first_descent(inst, start, params):
     for prefix in ("evals_", "moves_", "skips_"):
         stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
     try:
-        _descend(state, params, lambda: False, stats)
+        _descend(state, params, lambda: False, stats, range(ev.n))
     except _Stop:
         pass
     text = serialize_plan(_canonical_plan(state.work.tour, state.work.groups))
@@ -455,8 +455,8 @@ class TestIncrementalEvaluator:
             assert state.objective == propagate(inst, plan).objective
             before = serialize_plan(_canonical_plan(state.work.tour, state.work.groups))
             for name in NEIGHBORHOODS:
-                scored = list(_MOVES[name](state, math.inf))
-                limited = list(_MOVES[name](state, state.objective))
+                scored = list(_MOVES[name](state, math.inf, _Look(range(ev.n))))
+                limited = list(_MOVES[name](state, state.objective, _Look(range(ev.n))))
                 assert [move for _, move in limited] == [move for _, move in scored]
                 for (score, move), (bounded, _) in zip(scored, limited):
                     candidate = _Work(state.work.tour, state.work.groups)
@@ -730,7 +730,8 @@ class TestRuinAndRecreate:
 
         def recreate(work):
             kernel = _IncrementalBound(ev, tables, work.tour, work.groups)
-            return _insert_all(kernel, kernel.root([0.0] * ev.n), order, set())
+            return _insert_all(kernel, kernel.schedule([0.0] * ev.n), order, set(), None,
+                               lambda: False)
 
         ruined = _ruined(_Work([1], {1: [[0], [1], [2, 3]]}), [0, 1, 3], [1])
         assert ruined.groups == {1: [[2], [], []]}

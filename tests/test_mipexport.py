@@ -486,10 +486,13 @@ class TestImportSolution:
         back, _ = import_solution(inst, solution_text(noisy))
         assert serialize_plan(back) == serialize_plan(plan)
 
-    def test_time_mismatch_warns_but_imports(self, caplog):
+    @pytest.mark.parametrize("reported", [lambda t: t + 1.0, lambda t: math.nan],
+                             ids=["off-by-one", "nan"])
+    def test_time_mismatch_warns_but_imports(self, caplog, reported):
         inst, plan = builtin_fixture("small")
         values = plan_assignment(inst, plan)
-        values[f"ta_{plan.tour[0]}"] += 1.0
+        name = f"ta_{plan.tour[0]}"
+        values[name] = reported(values[name])
         with caplog.at_level(logging.WARNING):
             back, sched = import_solution(inst, solution_text(values))
         assert serialize_plan(back) == serialize_plan(plan)

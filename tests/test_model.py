@@ -100,6 +100,7 @@ class TestInstance:
             ("robot_range", -1.0),
             ("vehicle_speed", 0.0),
             ("robot_speed", -2.0),
+            ("robot_range", "200"),
         ],
     )
     def test_positive_scalars_enforced(self, field, value):
