@@ -31,7 +31,9 @@ leg when the sum is clear of the cap, with `fits` otherwise.
 `_insert_all`, cheapest `branch` slot first with backtracking and a
 memo of failed bins, is the one greedy search: `solve_bnb`'s dives and
 `heuristic.construct` run it.  `heuristic.improve` scores its moves
-with the same kernel and checks range with `fits`.  Both solvers, and
+with the same kernel, and its relocates and swaps are ruled out from
+the same kind of floor first: `slots`, and `exchange_floor`.  Both
+solvers, and
 `construct`, first run `check_capacity`, so an instance whose
 customers need more range, or more places in a sortie, than the fleet
 has fails at once; one whose bins cannot be packed fails when the
@@ -59,6 +61,7 @@ import time
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, count, islice, permutations
+from numbers import Real
 from operator import add
 
 from .evaluation import PlanEvaluator, propagate
@@ -98,10 +101,12 @@ class SolveBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and not self.max_nodes >= 1:  # NaN too
-            raise ModelError("max_nodes must be positive")
-        if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
-            raise ModelError("max_seconds must be positive")
+        if self.max_nodes is not None and not (isinstance(self.max_nodes, Real)
+                                               and self.max_nodes >= 1):  # NaN too
+            raise ModelError(f"max_nodes must be positive, got {self.max_nodes!r}")
+        if self.max_seconds is not None and not (isinstance(self.max_seconds, Real)
+                                                 and self.max_seconds > 0):  # NaN too
+            raise ModelError(f"max_seconds must be positive, got {self.max_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -424,6 +429,22 @@ def _chain_tail(first, step, g, j, before, arrive):
     return out, c + first[o]
 
 
+def _delayed(after, delay):
+    """What moving the times of the customers a `_lateness` entry covers
+    `delay` later adds to their terms, in real arithmetic: exactly that
+    for a delay of 0 or more, and a floor for a negative one, since a
+    term past its deadline then falls by at most its weight times the
+    advance and a term at 0 stays there."""
+    tardy, slack = after
+    extra = delay * tardy
+    if delay > 0.0:
+        for s, w in slack:
+            if s >= delay:
+                break
+            extra += w * (delay - s)
+    return extra
+
+
 class _StepTables:
     """Per-station quotients of the chain recurrence, keyed by station id:
     `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
@@ -431,8 +452,9 @@ class _StepTables:
     range check against `cap` = TR + EPSILON.  Built once per
     `solve_bnb`, `heuristic.construct` and `heuristic.improve` call.
 
-    `fits` is the range verdict.  `branch` and `slots` reach the same
-    verdict from a chain's carried length plus the newcomer's addend
+    `fits` is the range verdict.  `branch`, `slots` and `improve`'s
+    relocate and swap reach the same verdict from a chain's carried
+    length plus the newcomer's addend (less the leaver's, for a swap)
     when that sum is below `clear_below` or above `clear_above`: it is
     within a few units in the last place of the exact length, far
     inside the relative 1e-12 margin, so the exactly rounded `fsum`
@@ -470,19 +492,21 @@ class _NodeSchedule:
     the node.
     `used[i][r]` is the length of robot r's chain at tour position i,
     bit-equal to `group_length`, for the range verdict of `branch` and
-    `slots`; `_IncrementalBound.schedule` and `child` carry it, and the
-    schedules of `without`, which only relocate probes read, leave it
-    None.
+    `slots`; `_IncrementalBound.schedule`, `child` and `without` carry
+    it.
     `lateness` is `_IncrementalBound._lateness` of the schedule, filled
-    in by the first `slots` call, None before.
-    Apart from that, a schedule is never changed once built; children
-    copy what differs.
+    in by its first use, None before.  `carried` is what that first use
+    starts from: for a schedule `child` or `without` built from one
+    whose table was filled in, that table and the first tour position
+    whose times did not change; None otherwise.
+    Apart from those two, a schedule is never changed once built;
+    children copy what differs.
     """
 
     __slots__ = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix", "used",
-                 "lateness")
+                 "lateness", "carried")
 
-    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used=None):
+    def __init__(self, arrive, depart, chains, returns, low, terms, prefix, used, carried=None):
         self.arrive = arrive
         self.depart = depart
         self.chains = chains
@@ -492,6 +516,7 @@ class _NodeSchedule:
         self.prefix = prefix
         self.used = used
         self.lateness = None
+        self.carried = carried
 
 
 class _IncrementalBound:
@@ -509,8 +534,10 @@ class _IncrementalBound:
     The kernel reads `groups` as they stand, so a caller may change
     them in place and score the result.  `improve` does that: a
     relocate takes its customer out, builds that plan's schedule from
-    the whole plan's with `without` and makes every insertion slot one
-    `probe` of it; the other moves are scored with `rescore`.
+    the whole plan's with `without`, and probes only the insertion
+    slots its `slots` keep; a swap is scored with `rescore` unless
+    `exchange_floor` rules it out, and the other moves are scored with
+    `rescore`.
     `_insert_all` walks down like the search: from the empty plan's
     `schedule` it takes every slot `branch` gives and enters the chosen
     one with `child`.
@@ -570,8 +597,7 @@ class _IncrementalBound:
         return _NodeSchedule(arrive, depart, chains, returns, low, terms,
                              list(accumulate(terms, add, initial=0.0)), used)
 
-    def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float,
-              floor=True):
+    def probe(self, st: _NodeSchedule, ki: int, r: int, pos: int, o: int, limit: float):
         """Bound of the child that inserts customer `o` at `pos` of robot
         `r`'s chain at tour position `ki`, as the candidate tuple
         `(bound, ki, r, pos, change)`, where `change` is what `child`
@@ -580,12 +606,6 @@ class _IncrementalBound:
         fixed order, and a float sum of non-negative terms never
         decreases, so it is at least any one of its terms and any of
         its prefix sums.
-
-        With `floor`, when the insertion delays the departure, the sum
-        with the later stations unchanged is checked against `limit`
-        before they are recomputed.  That pays in `improve`'s relocate
-        probes; the searches skip it, where it costs more time than it
-        saves.  It drops no slot the finished sum keeps.
 
         The two inner loops are `_chain_tail` with each completion's
         term computed on the spot.
@@ -624,12 +644,6 @@ class _IncrementalBound:
 
         later = ki + 1  # tour positions before this one keep their times
         if new_dep != dep:
-            if floor and new_dep > dep:
-                # every later time can only grow, and so can every term:
-                # the sum with the later stations unchanged is a floor
-                start = st.prefix[m]
-                if start > limit or reduce(add, islice(terms, m, None), start) > limit:
-                    return None
             tour, rides, arrive, low = self.tour, self.rides, st.arrive, st.low
             t = new_dep
             for i in range(ki + 1, len(tour)):
@@ -692,17 +706,21 @@ class _IncrementalBound:
                 length = used[r] + d
                 if length > clear_below and (length > clear_above or not fits(k, g + [o])):
                     continue
-                candidates.extend(probe(st, ki, r, pos, o, math.inf, False)
+                candidates.extend(probe(st, ki, r, pos, o, math.inf)
                                   for pos in range(len(g) + 1))
         return candidates
 
     def slots(self, st: _NodeSchedule, o: int, limit: float, cap):
         """The slots of customer `o` that `probe` keeps under `limit`,
-        from `branch`'s slots and range verdict, with the counts of
-        slots tried, slots dropped and chains rejected by range at the
-        stations the station floor leaves.  A kept slot is `probe`'s
-        candidate tuple, or `(None, ki, r, pos, None)` when kept without
-        a `probe`.  The walk, the stations last in the tour first and
+        from `branch`'s range verdict, with the counts of slots tried,
+        slots dropped and chains rejected by range at the stations the
+        station floor leaves.  The slots are every position of every
+        busy chain and of each station's first idle robot, in robot
+        order: `branch`'s set where the searches fill robots in
+        first-use order, and the right one where the local search has
+        left an idle robot before a busy one.  A kept slot is `probe`'s candidate
+        tuple, or `(None, ki, r, pos, None)` when kept without a
+        `probe`.  The walk, the stations last in the tour first and
         each chain from its end slot in, stops once more than `cap`
         slots are kept, the counts then partial.  `self.probes` counts
         the `probe` calls it spends.
@@ -725,8 +743,7 @@ class _IncrementalBound:
         w, due = weight[o], deadline[o]
         margin = 1e-9 * (1.0 + limit)
         rest = st.prefix[-1] - terms[o] - limit  # the node's bound less o's term, less the limit
-        if st.lateness is None:
-            st.lateness = self._lateness(st)
+        lateness = self.lateness(st)
         kept = []
         tried = dropped = rejected = 0
         for ki in range(len(tour) - 1, -1, -1):
@@ -738,13 +755,15 @@ class _IncrementalBound:
             head = w * late if late > 0.0 else 0.0
             if rest + head > margin:  # the station floor
                 continue
-            tardy, slack = st.lateness[ki + 1]
-            lists = groups[k]
+            after = lateness[ki + 1]
             step, used, comps, rets = self.step[k], st.used[ki], st.chains[ki], st.returns[ki]
             d = self.doubled[k][o]
-            n_r = len(lists)
-            for r in range(min(n_r - lists.count([]) + 1, n_r)):
-                g = lists[r]
+            idle = False
+            for r, g in enumerate(groups[k]):
+                if not g:
+                    if idle:
+                        continue
+                    idle = True
                 length = used[r] + d
                 if length > clear_below and (length > clear_above or not fits(k, g + [o])):
                     rejected += 1
@@ -755,11 +774,7 @@ class _IncrementalBound:
                 delay = (rets[r] if g else arrive) + twice - dep
                 extra = 0.0
                 if delay > 0.0:
-                    extra = delay * tardy
-                    for s, wb in slack:
-                        if s >= delay:
-                            break
-                        extra += wb * (delay - s)
+                    extra = _delayed(after, delay)
                     if rest + head + extra > margin:  # the chain floor
                         dropped += len(g) + 1
                         continue
@@ -779,7 +794,7 @@ class _IncrementalBound:
                             return kept, tried, dropped, rejected
                     else:
                         self.probes += 1
-                        found = probe(st, ki, r, pos, o, limit, False)
+                        found = probe(st, ki, r, pos, o, limit)
                         if found is None:
                             dropped += 1
                         else:
@@ -792,18 +807,108 @@ class _IncrementalBound:
                             extra += weight[b] * late - terms[b]
         return kept, tried, dropped, rejected
 
+    def exchange_floor(self, st: _NodeSchedule):
+        """A function of two customers on different chains, `o` and `p`,
+        giving a floor of the objective, in real arithmetic, once they
+        trade places; `st` is the plan's schedule, every customer served.
+
+        Say o is at the earlier tour position i (or at the same one) and
+        p at j.  p completes at o's slot after o's predecessor, as
+        `probe` computes it, and each customer after the slot completes
+        exactly `shift = 2 (L(k,p) - L(k,o)) / VR` later, which may be
+        negative, and so does the chain's return; the departure from i
+        moves by the latest of the arrival, the station's other returns
+        and that return, less the departure.  Every time at the positions
+        between i and j moves by that much, which adds at least it
+        times their late weight; at j everything moves by it too, o's
+        own shift added after o's slot, and every time after j moves by
+        the departure's move from j, which `_delayed` gives, a floor
+        when negative.  When i is j, both chains change there and only
+        the later positions move.  docs/MODEL.md, "Floors before
+        scores", has the argument and the margin the caller adds.
+        """
+        deadline, weight, terms = self.deadline, self.weight, st.terms
+        first_at, step_at, depart = self.first, self.step, st.depart
+        lateness = self.lateness(st)
+        objective = st.prefix[-1]
+        spots = {}  # customer -> what the floor reads of its slot
+        for i, k in enumerate(self.tour):
+            chains, rets, a = st.chains[i], st.returns[i], st.arrive[i]
+            for r, (g, comp) in enumerate(zip(self.groups[k], chains)):
+                others = max([a, *rets[:r], *rets[r + 1 :]])
+                for pos, o in enumerate(g):
+                    tail = [(comp[q] - deadline[b], weight[b], terms[b])
+                            for q, b in enumerate(g[pos + 1 :], pos + 1)]
+                    mine = sum(w for gap, w, _ in tail if gap > 0.0)  # late weight of o and after
+                    if comp[pos] > deadline[o]:
+                        mine += weight[o]
+                    prev, before = (g[pos - 1], comp[pos - 1]) if pos else (None, a)
+                    spots[o] = (i, k, r, prev, before, tail, rets[r], others, mine)
+
+        def arrive(b, at, prev, before, k, shift, tail):
+            """b's term once it takes the slot after `prev`, done at
+            `before`, at station k with every time there `at` later, plus
+            what the terms of the customers after it gain, moved `shift`
+            more."""
+            c = before + at + (first_at[k][b] if prev is None else step_at[k][prev][b])
+            late = c - deadline[b]
+            total = weight[b] * late if late > 0.0 else 0.0
+            for gap, w, t in tail:
+                late = gap + at + shift
+                total += (w * late if late > 0.0 else 0.0) - t
+            return total
+
+        def floor(o, p):
+            one, two = spots[o], spots[p]
+            if one[0] > two[0]:
+                o, p, one, two = p, o, two, one
+            i, k, r, prev, before, tail, ret, others, _ = one
+            j, k2, r2, prev2, before2, tail2, ret2, others2, mine = two
+            shift = 2.0 * (first_at[k][p] - first_at[k][o])
+            shift2 = 2.0 * (first_at[k2][o] - first_at[k2][p])
+            total = objective - terms[o] - terms[p] + arrive(p, 0.0, prev, before, k, shift, tail)
+            if i == j:
+                rets = st.returns[i]
+                others = max([st.arrive[i], *(x for q, x in enumerate(rets) if q != r and q != r2)])
+                move = max(others, ret + shift, ret2 + shift2) - depart[i]
+                total += arrive(o, 0.0, prev2, before2, k2, shift2, tail2)
+                return total + _delayed(lateness[i + 1], move)
+            move = max(others, ret + shift) - depart[i]
+            # the positions between i and j, and at j all but p and the
+            # customers after it
+            total += move * (lateness[i + 1][0] - lateness[j + 1][0] - mine)
+            total += arrive(o, move, prev2, before2, k2, shift2, tail2)
+            move += max(others2, ret2 + shift2) - depart[j]
+            return total + _delayed(lateness[j + 1], move)
+
+        return floor
+
+    def lateness(self, st: _NodeSchedule):
+        """`st.lateness`, filled in with `_lateness` on first use."""
+        if st.lateness is None:
+            st.lateness = self._lateness(st)
+        return st.lateness
+
     def _lateness(self, st: _NodeSchedule):
         """Per tour position i, of the customers served at positions i
         and after: the weight of those past their deadline, and the
         (slack, weight) pairs of the others by slack, so all their terms
         grow by `delay * tardy` plus `w * (delay - s)` for each pair with
-        `s < delay` when their times move `delay` later."""
-        deadline, weight = self.deadline, self.weight
-        tardy, slack = 0.0, []
-        out = [(tardy, slack)]
-        for i in range(len(self.tour) - 1, -1, -1):
+        `s < delay` when their times move `delay` later (`_delayed`).
+        Entry 0, which nothing reads, is None.  The entries of the tour
+        positions from `st.carried`'s on are its table's, since those
+        positions' times did not change; only the others are built."""
+        deadline, weight, tour, groups = self.deadline, self.weight, self.tour, self.groups
+        if st.carried is None:
+            later = len(tour)
+            out = [None] * later + [(0.0, [])]
+        else:
+            base, later = st.carried
+            out = base[:]
+        tardy, slack = out[later]
+        for i in range(later - 1, 0, -1):
             slack = slack[:]
-            for g, comp in zip(self.groups[self.tour[i]], st.chains[i]):
+            for g, comp in zip(groups[tour[i]], st.chains[i]):
                 for b, c in zip(g, comp):
                     s = deadline[b] - c
                     if s < 0.0:
@@ -811,8 +916,8 @@ class _IncrementalBound:
                     else:
                         slack.append((s, weight[b]))
             slack.sort()
-            out.append((tardy, slack))
-        return out[::-1]
+            out[i] = (tardy, slack)
+        return out
 
     def rescore(self, st: _NodeSchedule, changed, limit: float) -> float | None:
         """Bound with the groups (and tour) as they stand, where they
@@ -901,7 +1006,8 @@ class _IncrementalBound:
                 depart[i] = t
         prefix = st.prefix[:m]
         prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
-        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used)
+        carried = None if st.lateness is None else (st.lateness, later)
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used, carried)
 
     def without(self, st: _NodeSchedule, ki: int, o: int) -> _NodeSchedule:
         """The schedule once customer `o` has left a chain at tour
@@ -911,18 +1017,23 @@ class _IncrementalBound:
         and the sum restarts below the smallest recomputed customer id;
         o's term becomes 0.0, the term `improve` gives a customer taken
         out.  Same operations as `schedule`, so the schedule is
-        bit-equal to it.  Chain lengths are not carried."""
+        bit-equal to it, chain lengths included."""
         deadline, weight = self.deadline, self.weight
         terms = st.terms[:]
         terms[o] = 0.0
         m = o
         arrive, depart = st.arrive[:], st.depart[:]
         chains, returns, low = st.chains[:], st.returns[:], st.low[:]
+        used = st.used[:]
+        doubled = self.doubled[self.tour[ki]]
+        used[ki] = [math.fsum([doubled[b] for b in g]) for g in self.groups[self.tour[ki]]]
         a = arrive[ki]
-        for i in range(ki, len(self.tour)):
+        later = len(self.tour)
+        for i in range(ki, later):
             if i > ki:
                 a = depart[i - 1] + self.rides[i]
                 if a == arrive[i]:
+                    later = i
                     break  # this station and all after it keep their times
                 arrive[i] = a
             chains[i], returns[i], depart[i] = self._station(i, a)
@@ -937,7 +1048,8 @@ class _IncrementalBound:
                 m = low[i]
         prefix = st.prefix[:m]
         prefix.extend(accumulate(islice(terms, m, None), add, initial=st.prefix[m]))
-        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix)
+        carried = None if st.lateness is None else (st.lateness, later)
+        return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used, carried)
 
     def _station(self, i: int, a: float):
         """Chains, returns and departure at tour position `i` for arrival `a`."""
@@ -1008,7 +1120,7 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
         for _, ki, r, pos in candidates:
             # probed again on entry: kept for every slot of every level,
             # the changes would hold a copy of the terms each
-            change = kernel.probe(sched, ki, r, pos, o, math.inf, False)[4]
+            change = kernel.probe(sched, ki, r, pos, o, math.inf)[4]
             g = groups[tour[ki]][r]
             g.insert(pos, o)
             leaf = place(idx + 1, kernel.child(sched, ki, r, pos, change))
@@ -1197,7 +1309,7 @@ def solve_bnb(
         candidates = []
         for found in kept:
             if found[0] is None:  # kept without a probe: probed for its bound and child
-                found = kernel.probe(sched, *found[1:4], o, state["limit"], False)
+                found = kernel.probe(sched, *found[1:4], o, state["limit"])
                 if found is None:
                     dropped += 1
                     continue

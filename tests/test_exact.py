@@ -363,6 +363,13 @@ class TestBranchAndBound:
         with pytest.raises(ModelError):
             SolveBudget(max_seconds=math.nan)
 
+    @pytest.mark.parametrize("kwargs", [{"max_seconds": "1"}, {"max_nodes": "5"},
+                                        {"max_seconds": None, "max_nodes": [5]}])
+    def test_budget_rejects_caps_that_are_not_numbers(self, kwargs):
+        # a string compared with a number raised TypeError
+        with pytest.raises(ModelError, match="must be positive"):
+            SolveBudget(**kwargs)
+
     def test_budget_rejects_nan_node_cap(self):
         # nan < 1 is false: a plain comparison let the cap through unfired
         with pytest.raises(ModelError, match="max_nodes"):
@@ -639,7 +646,7 @@ def shortened_chains(instance, monkeypatch):
     probe = exact._IncrementalBound.probe
     counts = [0, 0]
 
-    def watched(kernel, st, ki, r, pos, o, limit, floor=True):
+    def watched(kernel, st, ki, r, pos, o, limit):
         k = kernel.tour[ki]
         g = kernel.groups[k][r]
         before = st.chains[ki][r][pos - 1] if pos else 0.0
@@ -648,7 +655,7 @@ def shortened_chains(instance, monkeypatch):
         if ret < st.returns[ki][r]:
             counts[0] += 1
             counts[1] += st.returns[ki][r] == st.depart[ki] > ret
-        return probe(kernel, st, ki, r, pos, o, limit, floor)
+        return probe(kernel, st, ki, r, pos, o, limit)
 
     with monkeypatch.context() as m:
         m.setattr(exact._IncrementalBound, "probe", watched)
@@ -672,6 +679,7 @@ def checked_slots(instance, monkeypatch, tamper=None):
 
     def watched(kernel, st, o, limit, cap):
         if tamper is not None:
+            st.carried = None  # built from scratch, not from a parent's tampered table
             st.lateness = tamper(kernel._lateness(st))
         probes = kernel.probes
         kept = slots(kernel, st, o, limit, math.inf)[0]
@@ -768,8 +776,8 @@ class TestIncrementalBound:
         # and slots `probe` keeps are dropped
         wrongly_kept, wrongly_dropped, _, _ = checked_slots(
             search_case("3-2-8-s3"), monkeypatch,
-            lambda table: [(2.0 * tardy, [(s, 2.0 * w) for s, w in slack])
-                           for tardy, slack in table],
+            lambda table: [table[0]] + [(2.0 * tardy, [(s, 2.0 * w) for s, w in slack])
+                                        for tardy, slack in table[1:]],
         )
         assert wrongly_dropped and not wrongly_kept
 
@@ -1069,10 +1077,8 @@ class TestDropRule:
                         bound, ki, r, pos, _ = full
                         for limit in limits_near(bound, rnd):
                             dropped = bound > limit
-                            # with the floor pre-sum (`improve`) and without (the B&B)
-                            for floor in (True, False):
-                                found = kernel.probe(st, ki, r, pos, o, limit, floor)
-                                assert found == (None if dropped else full)
+                            found = kernel.probe(st, ki, r, pos, o, limit)
+                            assert found == (None if dropped else full)
                             seen[dropped] += 1
         assert seen[True] and seen[False], seen
 

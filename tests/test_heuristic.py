@@ -2,6 +2,7 @@
 Construction and local search: feasibility, determinism, quality.
 """
 
+import collections
 import gc
 import math
 import random
@@ -79,6 +80,8 @@ class TestSearchParams:
             {"max_iterations": 2.5},
             {"max_iterations": "4"},
             {"max_iterations": 1e5},
+            {"max_seconds": "2"},
+            {"max_seconds": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -286,7 +289,7 @@ def first_descent(inst, start, params):
     ev = PlanEvaluator(inst)
     state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, start))
     stats = {"evals": 0, "descents": 0}
-    for prefix in ("evals_", "moves_", "skips_"):
+    for prefix in ("evals_", "moves_", "skips_", "scored_"):
         stats.update((prefix + name, 0) for name in NEIGHBORHOODS)
     try:
         _descend(state, params, lambda: False, stats, range(ev.n))
@@ -499,6 +502,115 @@ class TestIncrementalEvaluator:
         report = improve(inst, construct(inst), SearchParams(max_iterations=20_000))
         assert report.objective <= base
         assert validate(inst, report.plan) == []
+
+
+def descent_states(inst, start, at):
+    """The evaluator of the plan a first descent from `start` has after
+    each count of kept moves in `at` (0 is `start` itself), every bit
+    set in each scan."""
+    ev = PlanEvaluator(inst)
+    state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, start))
+    stats = collections.defaultdict(int)
+    params = SearchParams(max_seconds=1e6)
+    for kept in range(max(at) + 1):
+        if kept in at:
+            yield state
+        for name in NEIGHBORHOODS:
+            move = _first_improvement(state, name, params, lambda: False, stats, _Look(range(ev.n)))
+            if move is not None:
+                break
+        else:
+            return
+        _apply(state.work, name, move)
+        state.refresh()
+
+
+def floored_candidates(inst, state, counts):
+    """Check every relocate and swap candidate of `state` under its
+    objective against `propagate` of the candidate plan, counting into
+    `counts`: a None score (ruled out by a floor, or by a partial sum)
+    has an exact score above the limit, so no improving candidate is
+    ruled out, and every other score is exact.  Each swap's floor
+    (`exchange_floor`) is at most its exact score, up to the margin."""
+    limit = state.objective
+    margin = 1e-9 * (1.0 + limit)
+    groups = state.work.groups
+    floor = state.kernel.exchange_floor(state.sched)
+    for name in heuristic.FLOORED:
+        look = _Look(range(state.ev.n))
+        yielded = list(_MOVES[name](state, limit, look))  # the plan is whole again
+        for score, move in yielded:
+            candidate = _Work(state.work.tour, groups)
+            _apply(candidate, name, move)
+            exact = propagate(inst, _canonical_plan(candidate.tour, candidate.groups)).objective
+            if score is None:
+                assert exact > limit, (name, move)
+                counts["none_" + name] += 1
+            else:
+                assert score == exact, (name, move)
+            counts["improving_" + name] += exact < limit
+            if name == "swap":
+                k, r, pos, k2, r2, pos2 = move
+                assert floor(groups[k][r][pos], groups[k2][r2][pos2]) <= exact + margin, move
+                counts["same_station"] += k == k2
+        counts[name] += len(yielded)
+        counts["scored_" + name] += look.scored
+
+
+class TestFloors:
+    """Relocate and swap rule nearly every candidate out from a floor in
+    real arithmetic plus a margin for rounding, without a score: a
+    candidate a floor rules out must be one whose exact score is above
+    the limit, so that the scan yields what scoring it would."""
+
+    @pytest.mark.parametrize("make,at", [
+        pytest.param(lambda: generate(1, 6, 4, 40), (0, 12, 40), id="large-s1"),
+        pytest.param(lambda: builtin_fixture("medium"), range(12), id="medium"),
+        pytest.param(lambda: generate(2, 3, 1, 8), range(8), id="one-robot-s2"),
+        pytest.param(lambda: generate(0, 3, 2, 10), range(8), id="3-2-10-s0"),
+    ])
+    def test_floored_candidates_score_above_the_limit(self, make, at):
+        # the medium fixture's own plan has idle robots before busy ones
+        # (station 1 serves only with robot 3); the others start from
+        # construct's plan.  A one-robot fleet has no second return at a
+        # station, and two robots none once both exchanged chains are
+        # set aside
+        made = make()
+        inst, start = made if isinstance(made, tuple) else (made, construct(made))
+        counts = collections.Counter()
+        states = 0
+        for state in descent_states(inst, start, set(at)):
+            floored_candidates(inst, state, counts)
+            states += 1
+        assert states > 2
+        for move in heuristic.FLOORED:
+            # a floor ruled candidates out, and the improving ones were scored
+            assert counts["improving_" + move] <= counts["scored_" + move] < counts[move]
+        assert counts["same_station"] > 0 or inst.fleet_size == 1
+
+    def test_slots_walk_every_busy_robot_and_the_first_idle_one(self):
+        # in robot order, as relocate does, where an idle robot comes
+        # before a busy one: with no limit, the slots `slots` keeps are
+        # the slots relocate yields, besides the customer's own chain
+        inst, plan = builtin_fixture("medium")
+        ev = PlanEvaluator(inst)
+        state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, plan))
+        assert state.work.groups[2] == [[10], [3], [], [11]]
+        kernel, at = state.kernel, state.at
+        walked = set()
+        for o, k, r, pos in heuristic._located(state.work):
+            chain = state.work.groups[k][r]
+            chain.pop(pos)
+            try:
+                sched = kernel.without(state.sched, at[k], o)
+                kept = {found[1:4] for found in kernel.slots(sched, o, math.inf, math.inf)[0]
+                        if found[1:3] != (at[k], r)}
+            finally:
+                chain.insert(pos, o)
+            moves = {(at[m[3]], m[4], m[5]) for _, m in _relocate(state, math.inf, _Look([o]))}
+            assert kept == moves, o
+            walked |= {(ki, r2) for ki, r2, _ in kept}
+        assert {(at[2], 2), (at[2], 3), (at[1], 0)} <= walked and (at[1], 1) not in walked
 
 
 def on_stations(seed):
@@ -827,13 +939,16 @@ class TestSearchStats:
             f"{kind}_{name}" for kind in ("evals", "moves") for name in NEIGHBORHOODS
         } | {f"{kind}_{name}" for kind in ("tries", "accepted", "bests") for name in operators} | {
             f"skips_{name}" for name in looked
-        }
+        } | {f"scored_{name}" for name in heuristic.FLOORED}
         assert report.nodes < SearchParams().max_iterations
         assert sum(stats[f"evals_{name}"] for name in NEIGHBORHOODS) == report.nodes
         assert sum(stats[f"moves_{name}"] for name in NEIGHBORHOODS) > 0
         assert all(stats[f"skips_{name}"] > 0 for name in looked)
         for name in NEIGHBORHOODS:
             assert stats[f"moves_{name}"] <= stats[f"evals_{name}"]
+        # a kept move got an exact score
+        for name in heuristic.FLOORED:
+            assert stats[f"moves_{name}"] <= stats[f"scored_{name}"] <= stats[f"evals_{name}"]
         assert stats["descents"] == stats["iterations"] + 1
         assert sum(stats[f"tries_{name}"] for name in heuristic.REMOVALS) == stats["iterations"]
         assert 0 < stats["tries_station"] < stats["iterations"]
