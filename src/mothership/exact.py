@@ -77,6 +77,12 @@ ORACLE_LEAF_LIMIT = 5_000_000
 # bound them.
 CONSTRUCT_UNDOS = 10_000
 
+# A floor (`_IncrementalBound.slots`, `heuristic._swap`'s use of
+# `exchange_floor`) rules a candidate out only when it exceeds the limit
+# by more than FLOOR_MARGIN * (1 + limit), a margin for the rounding the
+# floor's real-arithmetic terms may carry.
+FLOOR_MARGIN = 1e-9
+
 _UNPACKABLE = "no feasible plan: customers cannot be packed into per-robot sorties within range"
 
 
@@ -101,9 +107,9 @@ class SolveBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and not (isinstance(self.max_nodes, Real)
-                                               and self.max_nodes >= 1):  # NaN too
-            raise ModelError(f"max_nodes must be positive, got {self.max_nodes!r}")
+        if self.max_nodes is not None and not (isinstance(self.max_nodes, int)
+                                               and self.max_nodes >= 1):
+            raise ModelError(f"max_nodes must be positive and an integer, got {self.max_nodes!r}")
         if self.max_seconds is not None and not (isinstance(self.max_seconds, Real)
                                                  and self.max_seconds > 0):  # NaN too
             raise ModelError(f"max_seconds must be positive, got {self.max_seconds!r}")
@@ -226,12 +232,26 @@ def lower_bound(instance: Instance, node: SearchNode) -> float:
     customers contribute their relaxed bound: the weighted tardiness of
     the earliest conceivable completion, a direct depot ride to the
     nearest-in-time station plus one service leg.  Never exceeds the
-    objective of any completion of the node.
+    objective of any completion of the node.  A malformed node (a
+    repeated station, an unknown customer or robot, a customer assigned
+    twice, a slot outside the prefix, a position taken twice or a gap)
+    raises ModelError.
     """
+    if len(set(node.tour_prefix)) != len(node.tour_prefix):
+        raise ModelError(f"node's tour prefix {node.tour_prefix} repeats a station")
     ev = PlanEvaluator(instance)
     relax = _relaxed_contributions(instance, ev)
+    customers, robots = range(instance.n_customers), range(instance.fleet_size)
+    seen = set()
     groups: dict[int, dict[int, dict[int, int]]] = {}
     for o, (k, r, pos) in node.assigned:
+        if not isinstance(o, int) or o not in customers:
+            raise ModelError(f"node assigns customer {o}, which the instance does not have")
+        if o in seen:
+            raise ModelError(f"node assigns customer {o} twice")
+        seen.add(o)
+        if not isinstance(r, int) or r not in robots:
+            raise ModelError(f"node assigns customer {o} to robot {r} outside the fleet")
         if k not in node.tour_prefix:
             raise ModelError(f"node assigns customer {o} to station {k} outside the tour prefix")
         positions = groups.setdefault(k, {}).setdefault(r, {})
@@ -730,8 +750,8 @@ class _IncrementalBound:
         by o's term at the slot, plus what the customers after the slot
         in its chain add, each completing 2*L(k,o)/VR later, plus what
         the later stations add, all moving by the delay of the
-        departure.  Beyond a margin of `1e-9 * (1 + limit)` for rounding
-        that decides the slot, and within it a `probe` does.  o's term
+        departure.  Beyond a margin of `FLOOR_MARGIN * (1 + limit)` for
+        rounding that decides the slot, and within it a `probe` does.  o's term
         at the station's head, where o completes earliest, is a floor
         for every slot at the station (the station floor), and with
         what the later stations add, for every slot of the chain (the
@@ -741,7 +761,7 @@ class _IncrementalBound:
         clear_below, clear_above = self.clear
         weight, deadline, terms = self.weight, self.deadline, st.terms
         w, due = weight[o], deadline[o]
-        margin = 1e-9 * (1.0 + limit)
+        margin = FLOOR_MARGIN * (1.0 + limit)
         rest = st.prefix[-1] - terms[o] - limit  # the node's bound less o's term, less the limit
         lateness = self.lateness(st)
         kept = []

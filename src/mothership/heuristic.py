@@ -63,6 +63,7 @@ from numbers import Real
 from .evaluation import PlanEvaluator, validate
 from .exact import (
     CONSTRUCT_UNDOS,
+    FLOOR_MARGIN,
     BudgetExhaustedError,
     SolveReport,
     _Best,
@@ -98,14 +99,16 @@ WORST_BIAS = 3  # worst removal takes rank int(u**WORST_BIAS * left), u uniform
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs of one `improve` run; both caps must be positive, and the
-    evaluation cap an integer."""
+    """Knobs of one `improve` run; the seed must be a nonnegative
+    integer, both caps positive, and the evaluation cap an integer."""
 
     seed: int = 0
     max_iterations: int = 200_000
     max_seconds: float = 10.0
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ModelError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise ModelError(f"max_iterations must be a positive integer, got {self.max_iterations!r}")
         if not (isinstance(self.max_seconds, Real) and self.max_seconds > 0):  # NaN too
@@ -235,6 +238,8 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
     most one placement per customer plus `CONSTRUCT_UNDOS` more, and
     raises BudgetExhaustedError when that cap stops it.
     """
+    if not isinstance(seed, int) or seed < 0:
+        raise ModelError(f"seed must be a nonnegative integer, got {seed!r}")
     ev = PlanEvaluator(instance)
     check_capacity(ev)
     ids = sorted(s.id for s in instance.stations)
@@ -388,7 +393,7 @@ def _swap(state: _Evaluator, limit: float, look: _Look):
     groups, used, at = work.groups, state.sched.used, state.at
     clear_below, clear_above = kernel.clear
     floor = kernel.exchange_floor(state.sched)
-    bar = limit + 1e-9 * (1.0 + limit)
+    bar = limit + FLOOR_MARGIN * (1.0 + limit)
 
     def fits_with(k, r, pos, b):
         """Whether chain (k, r) is within range with b at `pos`."""

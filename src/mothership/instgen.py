@@ -30,6 +30,8 @@ def station_layout(n_s: int, width: float, height: float) -> tuple[Point, ...]:
     centered half-size box (counterclockwise from the lower left);
     other counts fill a centered grid in row-major id order.
     """
+    if not isinstance(n_s, int) or n_s < 1:
+        raise ModelError(f"n_stations must be a positive integer, got {n_s!r}")
     if n_s == 2:
         return (
             Point(width / 4.0, height / 4.0),
@@ -68,12 +70,12 @@ def generate(
     robot_speed: float = 5.0,
 ) -> Instance:
     """Generate a random instance; equal arguments give equal instances."""
-    if n_stations < 1:
-        raise ModelError("n_stations must be positive")
-    if n_robots < 1:
-        raise ModelError("n_robots must be positive")
-    if n_customers < 0:
-        raise ModelError("n_customers must not be negative")
+    if not isinstance(seed, int) or seed < 0:
+        raise ModelError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(n_robots, int) or n_robots < 1:
+        raise ModelError(f"n_robots must be a positive integer, got {n_robots!r}")
+    if not isinstance(n_customers, int) or n_customers < 0:
+        raise ModelError(f"n_customers must be a nonnegative integer, got {n_customers!r}")
     if width <= 0 or height <= 0:
         raise ModelError("width and height must be positive")
 

@@ -128,62 +128,17 @@ class _Names:
             *self.tt,
         ]
 
-
-def _variable_names(instance: Instance) -> dict[str, float]:
-    """Every model variable, initialized to 0.0, in emission order."""
-    return dict.fromkeys(_Names(instance).every(), 0.0)
-
-
-# A file with fewer than one name per this many model names has its
-# names checked one by one; past it, formatting every model name once
-# costs less.  The crossover: checked one by one, a name costs about
-# 2.5 us, and formatted and looked up, a model name about 0.18 us (on
-# (4,3,20) and (6,4,40) instances).
-_SPARSE_RATIO = 16
-
-
-def _first_unknown(instance: Instance, names) -> str | None:
-    """The first of `names`, in order, that is no model variable of
-    `instance`, or None when all are.
-
-    A sparse file, such as a solver's nonzero values, has each name
-    parsed and its indices checked against the instance; the name must
-    also be the text the model writes (`y_01_2` is not `y_1_2`).  A
-    denser file is checked against the model's names (`_Names`)."""
-    stations = {s.id for s in instance.stations}
-    n_s, n_c = len(stations), instance.n_customers
-    # y, then x, z and w (w's diagonal included), then the times
-    size = (n_s + 1) * n_s + instance.fleet_size * n_s * n_c * (n_c + 2) + 2 * (n_s + n_c)
-    if len(names) * _SPARSE_RATIO >= size:
-        known = _Names(instance).every()
+    def first_unknown(self, names) -> str | None:
+        """The first of `names`, in order, that is no model variable,
+        or None when all are; a name must be the text the model writes
+        (`y_01_2` is not `y_1_2`)."""
+        known = self.every()
         # the model's names are distinct: all of `names` are known iff
         # they hold as many of them as they have names
         if sum(map(names.__contains__, known)) == len(names):
             return None
         known = set(known)
         return next(name for name in names if name not in known)
-    nodes = stations | {0}
-    robots, customers = range(instance.fleet_size), range(n_c)
-    fits = {
-        "y": lambda k, l: k != l and k in nodes and l in nodes,
-        "x": lambda r, k, o: r in robots and k in stations and o in customers,
-        "z": lambda r, o, k: r in robots and o in customers and k in stations,
-        "w": lambda r, k, o, p: (
-            r in robots and k in stations and o in customers and p in customers
-        ),
-        "ta": stations.__contains__,
-        "td": stations.__contains__,
-        "tc": customers.__contains__,
-        "tt": customers.__contains__,
-    }
-    for name in names:
-        try:
-            kind, idx = parse_variable(name)
-        except ModelError:
-            return name
-        if not fits[kind](*idx) or name != "_".join([kind, *map(str, idx)]):
-            return name
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +674,7 @@ def plan_assignment(instance: Instance, plan: RoutePlan) -> dict[str, float]:
     be structurally sound; range violations are tolerated, matching
     `propagate`.
     """
-    values = _variable_names(instance)
+    values = dict.fromkeys(_Names(instance).every(), 0.0)
 
     def set_one(name: str):
         if name not in values:
@@ -774,15 +729,15 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
     Binaries may be absent (treated as 0) and may carry solver noise up
     to 1e-4, so a file may list only its nonzero values.  A diagonal
     succession `w_r_k_o_o`, which both exports fix to 0, must read 0 too.
-    Only the set binaries are dispatched, and a file much smaller than
-    the model has its names checked one by one (`_first_unknown`), so
-    the cost is linear in the file.  The schedule is recomputed by
-    propagation; reported time values that disagree by more than 1e-4
-    are logged as warnings, not errors, since solvers may return
-    non-tight schedules.
+    The file's names are checked in one pass over the model's names;
+    past that, only the set binaries are dispatched, so the cost is
+    linear in the file.  The schedule is recomputed by propagation;
+    reported time values that disagree by more than 1e-4 are logged as
+    warnings, not errors, since solvers may return non-tight schedules.
     """
     values = _parse_solution_values(text)
-    unknown = _first_unknown(instance, values)
+    names = _Names(instance)
+    unknown = names.first_unknown(values)
     if unknown is not None:
         raise SolutionImportError(f"unknown variable {unknown}")
 
@@ -901,11 +856,11 @@ def import_solution(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]
     schedule = _tight_schedule(instance, plan)  # validate checked the structure
     recomputed = {}
     for k in stations:
-        recomputed[f"ta_{k}"] = schedule.arrive[k]
-        recomputed[f"td_{k}"] = schedule.depart[k]
+        recomputed[names.ta[k]] = schedule.arrive[k]
+        recomputed[names.td[k]] = schedule.depart[k]
     for o in customers:
-        recomputed[f"tc_{o}"] = schedule.complete[o]
-        recomputed[f"tt_{o}"] = schedule.tardiness[o]
+        recomputed[names.tc[o]] = schedule.complete[o]
+        recomputed[names.tt[o]] = schedule.tardiness[o]
     for name, want in recomputed.items():
         if name in values and not abs(values[name] - want) <= TIME_MISMATCH_TOLERANCE:  # NaN too
             logger.warning(

@@ -20,7 +20,7 @@ from mothership.mipexport import (
     BINARY_TOLERANCE,
     TIME_MISMATCH_TOLERANCE,
     SolutionImportError,
-    _variable_names,
+    _Names,
     name_w,
     name_x,
     name_y,
@@ -62,7 +62,7 @@ def _binary(values: dict[str, float], name: str) -> int:
 def reference_import(instance: Instance, text: str) -> tuple[RoutePlan, Schedule]:
     """`import_solution` by name lookup over every model binary."""
     values = _reference_parse(text)
-    known = _variable_names(instance)
+    known = set(_Names(instance).every())
     for name in values:
         if name not in known:
             raise SolutionImportError(f"unknown variable {name}")

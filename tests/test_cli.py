@@ -79,6 +79,15 @@ class TestGenerate:
         assert result.exit_code == 1
         assert "n_stations" in result.output
 
+    def test_negative_seed_exits_1(self, runner):
+        # numpy's ValueError escaped as a traceback
+        result = runner.invoke(
+            cli, ["generate", "--seed", "-1", "--stations", "2", "--robots", "1",
+                  "--customers", "1"]
+        )
+        assert result.exit_code == 1
+        assert "Error: seed must be a nonnegative integer" in result.output
+
 
 class TestValidate:
     def test_clean_fixture_exits_0(self, runner):

@@ -364,9 +364,11 @@ class TestBranchAndBound:
             SolveBudget(max_seconds=math.nan)
 
     @pytest.mark.parametrize("kwargs", [{"max_seconds": "1"}, {"max_nodes": "5"},
-                                        {"max_seconds": None, "max_nodes": [5]}])
+                                        {"max_seconds": None, "max_nodes": [5]},
+                                        {"max_nodes": 1.5}, {"max_nodes": math.inf}])
     def test_budget_rejects_caps_that_are_not_numbers(self, kwargs):
-        # a string compared with a number raised TypeError
+        # a string compared with a number raised TypeError; a node cap
+        # that is no integer was let through (1.5 stopped at 2 nodes)
         with pytest.raises(ModelError, match="must be positive"):
             SolveBudget(**kwargs)
 
@@ -1401,6 +1403,25 @@ class TestLowerBound:
         )
         with pytest.raises(ModelError):
             lower_bound(inst, node)
+
+    @pytest.mark.parametrize(
+        "prefix, assigned, message",
+        [
+            ((1,), ((4, (1, 0, 0)),), "customer 4, which the instance does not have"),
+            ((1,), ((-1, (1, 0, 0)),), "customer -1, which the instance does not have"),
+            ((1,), ((0.0, (1, 0, 0)),), "customer 0.0, which the instance does not have"),
+            ((1,), ((0, (1, 0, 0)), (0, (1, 0, 1))), "customer 0 twice"),
+            ((1,), ((0, (1, 2, 0)),), "robot 2 outside the fleet"),
+            ((1,), ((0, (1, -1, 0)),), "robot -1 outside the fleet"),
+            ((1, 1), (), "repeats a station"),
+            ((1, 2, 1), ((0, (2, 0, 0)),), "repeats a station"),
+        ],
+    )
+    def test_malformed_nodes_rejected(self, prefix, assigned, message):
+        # each got past the checks: an IndexError or a number
+        inst = generate(0, 2, 2, 4)
+        with pytest.raises(ModelError, match=message):
+            lower_bound(inst, SearchNode(prefix, assigned, 0.0))
 
 
 class TestHorizon:

@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from reference_construct import reference_construct
 from reference_improve import reference_descent
@@ -37,6 +38,7 @@ from mothership import (
 )
 from mothership import heuristic
 from mothership.exact import (
+    FLOOR_MARGIN,
     _canonical_plan,
     _IncrementalBound,
     _insert_all,
@@ -82,6 +84,9 @@ class TestSearchParams:
             {"max_iterations": 1e5},
             {"max_seconds": "2"},
             {"max_seconds": None},
+            {"seed": "a"},
+            {"seed": 1.5},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -121,6 +126,12 @@ class TestConstruct:
         plan = construct(inst)
         assert sorted(plan.tour) == [1, 2]
         assert plan.sorties == ()
+
+    @pytest.mark.parametrize("seed", [1.5, "2", np.int64(2), -1])
+    def test_rejects_seeds_that_are_not_nonnegative_integers(self, seed):
+        inst, _ = builtin_fixture("small")
+        with pytest.raises(ModelError, match="seed"):
+            construct(inst, seed)
 
     def test_unpackable_instance_raises(self):
         inst = Instance(
@@ -533,7 +544,7 @@ def floored_candidates(inst, state, counts):
     ruled out, and every other score is exact.  Each swap's floor
     (`exchange_floor`) is at most its exact score, up to the margin."""
     limit = state.objective
-    margin = 1e-9 * (1.0 + limit)
+    margin = FLOOR_MARGIN * (1.0 + limit)
     groups = state.work.groups
     floor = state.kernel.exchange_floor(state.sched)
     for name in heuristic.FLOORED:

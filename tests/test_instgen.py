@@ -51,6 +51,11 @@ class TestStationLayout:
     def test_scales_with_field(self):
         assert station_layout(2, 40.0, 8.0) == (Point(10.0, 2.0), Point(30.0, 2.0))
 
+    @pytest.mark.parametrize("n_s", [0, -2, 2.5, "2"])
+    def test_bad_counts_rejected(self, n_s):
+        with pytest.raises(ModelError, match="n_stations"):
+            station_layout(n_s, 100.0, 100.0)
+
 
 class TestGenerate:
     def test_deterministic(self):
@@ -125,6 +130,12 @@ class TestGenerate:
             {"n_customers": -1},
             {"width": 0.0},
             {"height": -5.0},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": "x"},
+            {"n_stations": 2.5},
+            {"n_customers": 2.5},
+            {"n_robots": 1.5},
         ],
     )
     def test_bad_arguments_rejected(self, kwargs):
