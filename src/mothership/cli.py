@@ -224,7 +224,8 @@ _IGNORED_BY = {"exact": ("seed",), "heuristic": ("budget_nodes",),
     show_default=True,
 )
 @click.option("--budget-nodes", type=int, default=None)
-@click.option("--budget-seconds", type=float, default=None)
+@click.option("--budget-seconds", type=float, default=None,
+              help="Time cap: none for exact, 10 s for heuristic if not given.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False),
               help="Write the plan JSON here.")

@@ -512,11 +512,11 @@ class _NodeSchedule:
     the node.
     `used[i][r]` is the length of robot r's chain at tour position i,
     bit-equal to `group_length`, for the range verdict of `branch` and
-    `slots`; `_IncrementalBound.schedule`, `child` and `without` carry
+    `slots`; `_IncrementalBound.schedule`, `child` and `rebuilt` carry
     it.
     `lateness` is `_IncrementalBound._lateness` of the schedule, filled
     in by its first use, None before.  `carried` is what that first use
-    starts from: for a schedule `child` or `without` built from one
+    starts from: for a schedule `child` or `rebuilt` built from one
     whose table was filled in, that table and the first tour position
     whose times did not change; None otherwise.
     Apart from those two, a schedule is never changed once built;
@@ -554,10 +554,11 @@ class _IncrementalBound:
     The kernel reads `groups` as they stand, so a caller may change
     them in place and score the result.  `improve` does that: a
     relocate takes its customer out, builds that plan's schedule from
-    the whole plan's with `without`, and probes only the insertion
+    the whole plan's with `rebuilt`, and probes only the insertion
     slots its `slots` keep; a swap is scored with `rescore` unless
     `exchange_floor` rules it out, and the other moves are scored with
-    `rescore`.
+    `rescore`.  A kept move's schedule is `rebuilt` from the plan's
+    too, unless it changed the tour.
     `_insert_all` walks down like the search: from the empty plan's
     `schedule` it takes every slot `branch` gives and enters the chosen
     one with `child`.
@@ -1029,36 +1030,43 @@ class _IncrementalBound:
         carried = None if st.lateness is None else (st.lateness, later)
         return _NodeSchedule(arrive, depart, chains, returns, low, terms, prefix, used, carried)
 
-    def without(self, st: _NodeSchedule, ki: int, o: int) -> _NodeSchedule:
-        """The schedule once customer `o` has left a chain at tour
-        position `ki`, built from `st`, the schedule with it, once the
-        groups are without it: the counterpart of `child`.  That station
-        is recomputed, the later ones only while their arrival moves,
-        and the sum restarts below the smallest recomputed customer id;
-        o's term becomes 0.0, the term `improve` gives a customer taken
-        out.  Same operations as `schedule`, so the schedule is
-        bit-equal to it, chain lengths included."""
-        deadline, weight = self.deadline, self.weight
+    def rebuilt(self, st: _NodeSchedule, changed, gone=None) -> _NodeSchedule:
+        """The schedule of the groups as they stand, built from `st`,
+        where they differ from `st`'s only at the tour positions in
+        `changed` (the tour the same), and `gone`, when given, is a
+        customer that has left them: its term becomes 0.0, the term
+        `improve` gives a customer taken out.  Those stations are
+        recomputed, the others only while their arrival moves, and the
+        sum restarts below the smallest recomputed customer id, as in
+        `rescore`.  Same operations as `schedule`, so the schedule is
+        bit-equal to it, chain lengths included; it carries `st`'s
+        lateness table from the first unchanged position after the last
+        recomputed one."""
+        deadline, weight, tour, rides = self.deadline, self.weight, self.tour, self.rides
         terms = st.terms[:]
-        terms[o] = 0.0
-        m = o
+        m = len(terms)
+        if gone is not None:
+            terms[gone] = 0.0
+            m = gone
         arrive, depart = st.arrive[:], st.depart[:]
         chains, returns, low = st.chains[:], st.returns[:], st.low[:]
         used = st.used[:]
-        doubled = self.doubled[self.tour[ki]]
-        used[ki] = [math.fsum([doubled[b] for b in g]) for g in self.groups[self.tour[ki]]]
-        a = arrive[ki]
-        later = len(self.tour)
-        for i in range(ki, later):
-            if i > ki:
-                a = depart[i - 1] + self.rides[i]
-                if a == arrive[i]:
+        for i in changed:
+            doubled = self.doubled[tour[i]]
+            used[i] = [math.fsum([doubled[b] for b in g]) for g in self.groups[tour[i]]]
+        hi = max(changed)
+        later = len(tour)
+        for i in range(min(changed), later):
+            a = (depart[i - 1] if i else 0.0) + rides[i]
+            if a == arrive[i] and i not in changed:
+                if i > hi:
                     later = i
                     break  # this station and all after it keep their times
-                arrive[i] = a
+                continue
+            arrive[i] = a
             chains[i], returns[i], depart[i] = self._station(i, a)
             low[i] = len(terms)
-            for g, comp in zip(self.groups[self.tour[i]], chains[i]):
+            for g, comp in zip(self.groups[tour[i]], chains[i]):
                 for b, c in zip(g, comp):
                     late = c - deadline[b]
                     terms[b] = weight[b] * late if late > 0.0 else 0.0

@@ -25,10 +25,12 @@ schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
 change in place and undo.  A relocate takes its customer out of the
-plan once, builds that schedule from the plan's (`without`), and probes
+plan once, builds that schedule from the plan's (`rebuilt`), and probes
 an insertion slot from the insertion point on; the other neighborhoods
 rescore the stations a move changed and the later ones whose arrival
-moves.  A candidate whose partial sum already exceeds the current
+moves.  A kept move's schedule is `rebuilt` from the plan's the same
+way; only a kept 2-opt, which changes the tour, builds it anew.  A
+candidate whose partial sum already exceeds the current
 objective is dropped unfinished (docs/MODEL.md, monotone float sums).
 Every score is bit-equal to `propagate(...).objective`.
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from itertools import count
@@ -100,10 +103,14 @@ WORST_BIAS = 3  # worst removal takes rank int(u**WORST_BIAS * left), u uniform
 @dataclass(frozen=True)
 class SearchParams:
     """Knobs of one `improve` run; the seed must be a nonnegative
-    integer, both caps positive, and the evaluation cap an integer."""
+    integer, both caps positive, and the evaluation cap an integer.
+
+    By default the evaluation cap is `sys.maxsize`, which no run
+    reaches: the time cap and the stall rule end the search.  An
+    explicit `max_iterations` makes a run the same on every machine."""
 
     seed: int = 0
-    max_iterations: int = 200_000
+    max_iterations: int = sys.maxsize
     max_seconds: float = 10.0
 
     def __post_init__(self):
@@ -147,12 +154,17 @@ class _Evaluator:
         self.reached = reached  # the evaluation count the objective was reached at
         self.refresh()
 
-    def refresh(self) -> None:
-        """Re-read the plan after a move was kept."""
-        self.kernel = _IncrementalBound(self.ev, self.tables, self.work.tour, self.work.groups)
-        self.sched = self.kernel.schedule(self.unserved)
+    def refresh(self, stations=None) -> None:
+        """Re-read the plan after a move was kept: one that changed the
+        chains of `stations` (ids) only, whose schedule is `rebuilt`
+        from the plan's, or with None, any move, a tour change too."""
+        if stations is None:
+            self.kernel = _IncrementalBound(self.ev, self.tables, self.work.tour, self.work.groups)
+            self.sched = self.kernel.schedule(self.unserved)
+            self.at = {k: i for i, k in enumerate(self.work.tour)}
+        else:
+            self.sched = self.kernel.rebuilt(self.sched, {self.at[k] for k in stations})
         self.objective = self.sched.prefix[-1]
-        self.at = {k: i for i, k in enumerate(self.work.tour)}
 
     def score(self, k: int, k2: int, limit: float) -> float | None:
         """Objective of the plan as it stands, when a move changed the
@@ -327,7 +339,7 @@ def _relocate(state: _Evaluator, limit: float, look: _Look):
 
     Only the customers flagged in `look` are moved.  The customer is
     taken out of its chain once, and the schedule without it is built
-    from the plan's with `_IncrementalBound.without`.  Its `slots` under
+    from the plan's with `_IncrementalBound.rebuilt`.  Its `slots` under
     `limit` rule out nearly every slot from a floor; the score of such a
     slot is None, as is the score of a slot whose `probe` dropped it,
     which it does only once a partial sum exceeds `limit` (then the
@@ -340,7 +352,7 @@ def _relocate(state: _Evaluator, limit: float, look: _Look):
     tour, groups = work.tour, work.groups
     kernel, fits, doubled = state.kernel, state.tables.fits, state.tables.doubled
     clear_below, clear_above = kernel.clear
-    kernel.lateness(state.sched)  # each `without` schedule carries most of it down
+    kernel.lateness(state.sched)  # each `rebuilt` schedule carries most of it down
     for o, k, r, pos in _located(work):
         if o not in look.flagged:
             look.skips += 1
@@ -348,7 +360,7 @@ def _relocate(state: _Evaluator, limit: float, look: _Look):
         chain = groups[k][r]
         chain.pop(pos)
         try:
-            sched = kernel.without(state.sched, state.at[k], o)
+            sched = kernel.rebuilt(state.sched, (state.at[k],), o)
             kept = {found[1:4]: found for found in kernel.slots(sched, o, limit, math.inf)[0]}
             for ki2, k2 in enumerate(tour):
                 used, d = sched.used[ki2], doubled[k2][o]
@@ -385,10 +397,13 @@ def _swap(state: _Evaluator, limit: float, look: _Look):
     The range verdict is `fits`'s, from each chain's carried length
     less the addend of the customer leaving it plus that of the one
     joining, as `branch` decides, with `fits` asked only near the cap.
-    The score is None for an exchange whose floor
-    (`_IncrementalBound.exchange_floor`) exceeds `limit` by more than a
-    margin for rounding, and `rescore`'s, None only above `limit` too,
-    for the others."""
+    Each slot first compares the joining addend with its `room`, the
+    largest addend it found to keep that length at most `clear_below`:
+    a rounded sum never falls as an addend grows, so an addend up to
+    the room is one `fits_with` admits at once.  The score is None for
+    an exchange whose floor (`_IncrementalBound.exchange_floor`)
+    exceeds `limit` by more than a margin for rounding, and
+    `rescore`'s, None only above `limit` too, for the others."""
     work, kernel, fits, doubled = state.work, state.kernel, state.tables.fits, state.tables.doubled
     groups, used, at = work.groups, state.sched.used, state.at
     clear_below, clear_above = kernel.clear
@@ -402,15 +417,27 @@ def _swap(state: _Evaluator, limit: float, look: _Look):
         return length <= clear_below or length <= clear_above and fits(
             k, g[:pos] + [b] + g[pos + 1 :])
 
-    spots = _located(work)
+    def room(k, r, o):
+        """An addend x with `used - doubled[k][o] + x <= clear_below`
+        as rounded, the largest unless rounding took a step off it."""
+        base = used[at[k]][r] - doubled[k][o]
+        x = clear_below - base
+        while base + x > clear_below:
+            x -= math.ulp(x)
+        return x
+
+    spots = [(o, k, r, pos, doubled[k], room(k, r, o)) for o, k, r, pos in _located(work)]
     flagged = look.flagged
-    for i, (o, k, r, pos) in enumerate(spots):
+    for i, (o, k, r, pos, dk, rm) in enumerate(spots):
         later = spots[i + 1 :]
         if o not in flagged:
             look.skips += 1
             later = [spot for spot in later if spot[0] in flagged]
-        for p, k2, r2, pos2 in later:
-            if (k, r) == (k2, r2) or not (fits_with(k, r, pos, p) and fits_with(k2, r2, pos2, o)):
+        for p, k2, r2, pos2, dk2, rm2 in later:
+            if k == k2 and r == r2 or not (
+                (dk[p] <= rm or fits_with(k, r, pos, p))
+                and (dk2[o] <= rm2 or fits_with(k2, r2, pos2, o))
+            ):
                 continue
             move = (k, r, pos, k2, r2, pos2)
             if floor(o, p) > bar:
@@ -519,6 +546,16 @@ def _first_improvement(state: _Evaluator, name: str, params: SearchParams, late,
         stats["evals"] = evals
 
 
+def _chains(name: str, move):
+    """The (station, robot) chains a move of any neighborhood `name` but
+    two_opt changes."""
+    if name == "reorder":
+        return [move[:2]]
+    if name == "reassign":
+        return [move[:2], move[2:]]
+    return [move[:2], move[3:5]]
+
+
 def _touched(work: _Work, name: str, move) -> list[int]:
     """The customers on the chains a move of neighborhood `name`, once
     applied, changed; for two_opt, every customer at the reversed
@@ -527,12 +564,7 @@ def _touched(work: _Work, name: str, move) -> list[int]:
     if name == "two_opt":
         i, j = move
         return [o for k in work.tour[i : j + 1] for g in groups[k] for o in g]
-    if name == "reorder":
-        return groups[move[0]][move[1]]
-    if name == "reassign":
-        return groups[move[2]][move[3]]
-    k, r, _, k2, r2, _ = move
-    return groups[k][r] + groups[k2][r2]
+    return [o for k, r in _chains(name, move) for o in groups[k][r]]
 
 
 def _descend(state: _Evaluator, params: SearchParams, late, stats: dict, flagged) -> None:
@@ -552,7 +584,8 @@ def _descend(state: _Evaluator, params: SearchParams, late, stats: dict, flagged
                 move = _first_improvement(state, name, params, late, stats, looks.get(name))
                 if move is not None:
                     _apply(state.work, name, move)
-                    state.refresh()
+                    state.refresh(None if name == "two_opt" else
+                                  {k for k, _ in _chains(name, move)})
                     state.reached = stats["evals"]
                     stats["moves_" + name] += 1
                     touched = _touched(state.work, name, move)
@@ -615,9 +648,9 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
     iterations as one under a higher cap.
 
     The loop stops at the first of: the time cap (read inside a
-    recreate too), the evaluation cap, a best objective at or below the
-    root bound (the sum of the relaxed contributions, which no plan
-    beats), and `STALL` iterations per customer without a new best.
+    recreate too), the evaluation cap (none by default, see
+    `SearchParams`), a best objective at or below the root bound (the
+    sum of the relaxed contributions, which no plan beats), and `STALL` iterations per customer without a new best.
     Returns the best plan met, never worse than the input, always
     feasible.  The report status is "heuristic": no optimality proof is
     implied.  `nodes` counts move evaluations; `stats` splits them by

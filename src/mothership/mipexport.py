@@ -63,7 +63,8 @@ def parse_variable(name: str) -> tuple[str, tuple[int, ...]]:
     """Inverse of the name_* helpers; also covers the time variables.
 
     Returns (kind, indices) where kind is one of "y", "x", "z", "w",
-    "ta", "td", "tc", "tt".
+    "ta", "td", "tc", "tt".  An index must be written as the helpers
+    write it: ASCII digits, no sign, no leading zero.
     """
     parts = name.split("_")
     kind = parts[0]
@@ -71,9 +72,11 @@ def parse_variable(name: str) -> tuple[str, tuple[int, ...]]:
     if kind not in arity or len(parts) != arity[kind] + 1:
         raise ModelError(f"unknown variable name {name!r}")
     try:
-        idx = tuple(int(p) for p in parts[1:])
+        idx = tuple(map(int, parts[1:]))
     except ValueError:
         raise ModelError(f"unknown variable name {name!r}") from None
+    if "-" in name or list(map(str, idx)) != parts[1:]:
+        raise ModelError(f"unknown variable name {name!r}")
     return kind, idx
 
 

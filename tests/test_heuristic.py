@@ -4,8 +4,10 @@ Construction and local search: feasibility, determinism, quality.
 
 import collections
 import gc
+import hashlib
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -14,6 +16,7 @@ from reference_construct import reference_construct
 from reference_improve import reference_descent
 
 from mothership import (
+    EPSILON,
     NEIGHBORHOODS,
     BudgetExhaustedError,
     Customer,
@@ -56,6 +59,8 @@ from mothership.heuristic import (
     _Look,
     _relocate,
     _ruined,
+    _chains,
+    _swap,
     _touched,
     _Work,
 )
@@ -67,7 +72,23 @@ class TestSearchParams:
     def test_defaults(self):
         p = SearchParams()
         assert p.seed == 0
-        assert p.max_iterations >= 1 and p.max_seconds > 0
+        assert p.max_iterations == sys.maxsize and p.max_seconds > 0
+
+    def test_default_has_no_evaluation_cap(self, clock):
+        # each clock reading moves it 1 ms, so the 5 s cap passes after
+        # about 5,000 readings, one per 64 evaluations in a descent: the
+        # run goes past the old default cap of 200,000 evaluations and
+        # the clock ends it, as neither the stall rule nor the root
+        # bound can have
+        inst = generate(1, 6, 4, 40)
+        clock.step = 1e-3
+        report = improve(inst, construct(inst), SearchParams(max_seconds=5.0))
+        assert report.nodes > 200_000
+        assert clock.now > 5.0
+        assert report.stats["iterations"] < heuristic.STALL * inst.n_customers
+        assert report.objective > math.fsum(_relaxed_contributions(inst, PlanEvaluator(inst)))
+        assert validate(inst, report.plan) == []
+        assert report.objective == propagate(inst, report.plan).objective
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -492,20 +513,86 @@ class TestIncrementalEvaluator:
         # the schedule with one customer taken out, built from the
         # plan's, is the one built from scratch, field by field; the
         # on-stations instances have chains that rounding shortens
-        cases = [builtin_fixture("medium")[0], generate(0, 6, 4, 40)]
-        cases += [on_stations(seed) for seed in (44, 90, 254)]
-        for inst in cases:
+        for inst in rebuilt_cases():
             ev = PlanEvaluator(inst)
             state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, construct(inst)))
-            fields = ("arrive", "depart", "chains", "returns", "low", "terms", "prefix")
+            state.kernel.lateness(state.sched)  # carried into each schedule built from it
             for o, k, r, pos in heuristic._located(state.work):
                 chain = state.work.groups[k][r]
                 chain.pop(pos)
-                built = state.kernel.without(state.sched, state.at[k], o)
+                built = state.kernel.rebuilt(state.sched, (state.at[k],), o)
                 whole = state.kernel.schedule(state.unserved)
                 chain.insert(pos, o)
-                for name in fields:
-                    assert getattr(built, name) == getattr(whole, name), (o, name)
+                assert_same_schedule(state.kernel, built, whole, o)
+
+    @pytest.mark.parametrize("name", [name for name in NEIGHBORHOODS if name != "two_opt"])
+    def test_rebuilt_after_every_kept_move(self, name):
+        # every candidate move of the neighborhood, applied as a kept
+        # move is: the schedule `refresh` builds from the plan's, at the
+        # stations the move changed, is the one built from scratch,
+        # lateness table included
+        inverse = {
+            "relocate": lambda k, r, pos, k2, r2, pos2: (k2, r2, pos2, k, r, pos),
+            "reorder": lambda k, r, pos, pos2: (k, r, pos2, pos),
+        }
+        moves = 0
+        for inst in rebuilt_cases():
+            ev = PlanEvaluator(inst)
+            state = _Evaluator(ev, _StepTables(ev), _Work.from_plan(inst, construct(inst)))
+            kernel, plan = state.kernel, state.sched
+            kernel.lateness(plan)
+            for _, move in list(_MOVES[name](state, math.inf, _Look(range(ev.n)))):
+                _apply(state.work, name, move)
+                state.refresh({k for k, _ in _chains(name, move)})
+                assert state.kernel is kernel
+                assert_same_schedule(kernel, state.sched, kernel.schedule(state.unserved), move)
+                _apply(state.work, name, inverse.get(name, lambda *m: m)(*move))
+                state.sched = plan
+                moves += 1
+        assert moves > 0
+
+    def test_swap_range_check_at_the_boundary(self):
+        # ten customers on a line from station 1, their legs 2e-12
+        # apart around a quarter of the cap, so two-customer chains end
+        # within 1e-11 of the cap: exchanges land below `clear_below`,
+        # between it and the cap, and between the cap and `clear_above`.
+        # The exchanges swap yields are those `fits` admits on both
+        # chains
+        cap = 10.0 + EPSILON
+        inst = Instance(
+            depot=Point(0.0, 0.0),
+            stations=(Station(1, Point(0.0, 0.0)), Station(2, Point(0.0, 3.0))),
+            customers=tuple(
+                Customer(o, Point(cap / 4 + (o - 5) * 2e-12, 0.0), 1.0, 1.0 + o)
+                for o in range(10)
+            ),
+            fleet_size=5,
+            robot_range=10.0,
+            vehicle_speed=1.0,
+            robot_speed=1.0,
+        )
+        ev = PlanEvaluator(inst)
+        tables = _StepTables(ev)
+        state = _Evaluator(ev, tables, _Work.from_plan(inst, construct(inst)))
+        groups = state.work.groups
+        yielded = {move for _, move in _swap(state, math.inf, _Look(range(ev.n)))}
+        spots = heuristic._located(state.work)
+        admitted, lengths = set(), collections.Counter()
+        for i, (o, k, r, pos) in enumerate(spots):
+            for p, k2, r2, pos2 in spots[i + 1 :]:
+                if (k, r) == (k2, r2):
+                    continue
+                a, b = groups[k][r][:], groups[k2][r2][:]
+                a[pos], b[pos2] = p, o
+                for station, chain in ((k, a), (k2, b)):
+                    length = math.fsum(tables.doubled[station][x] for x in chain)
+                    lengths[(length > tables.clear_below, length > tables.cap,
+                             length > tables.clear_above)] += 1
+                if tables.fits(k, a) and tables.fits(k2, b):
+                    admitted.add((k, r, pos, k2, r2, pos2))
+        assert yielded == admitted
+        assert lengths[(True, False, False)] and lengths[(True, True, False)]
+        assert lengths[(False, False, False)] and len(admitted) < len(spots) * (len(spots) - 1) / 2
 
     def test_medium_fixture_improves(self):
         inst, plan = builtin_fixture("medium")
@@ -513,6 +600,22 @@ class TestIncrementalEvaluator:
         report = improve(inst, construct(inst), SearchParams(max_iterations=20_000))
         assert report.objective <= base
         assert validate(inst, report.plan) == []
+
+
+def rebuilt_cases():
+    """Instances for the incremental schedule builder: the on-stations
+    ones have chains that rounding shortens."""
+    return [builtin_fixture("medium")[0], generate(0, 6, 4, 40)] + [
+        on_stations(seed) for seed in (44, 90, 254)
+    ]
+
+
+def assert_same_schedule(kernel, built, whole, label):
+    """`built`, a schedule built from another, equals `whole`, one
+    built from scratch, field by field, lateness table included."""
+    for name in ("arrive", "depart", "chains", "returns", "low", "terms", "prefix", "used"):
+        assert getattr(built, name) == getattr(whole, name), (label, name)
+    assert kernel.lateness(built) == kernel.lateness(whole), label
 
 
 def descent_states(inst, start, at):
@@ -613,7 +716,7 @@ class TestFloors:
             chain = state.work.groups[k][r]
             chain.pop(pos)
             try:
-                sched = kernel.without(state.sched, at[k], o)
+                sched = kernel.rebuilt(state.sched, (at[k],), o)
                 kept = {found[1:4] for found in kernel.slots(sched, o, math.inf, math.inf)[0]
                         if found[1:3] != (at[k], r)}
             finally:
@@ -676,6 +779,15 @@ DESCENT_CASES = (
 # evaluations
 LARGE_OBJECTIVES = (423.0947064514268, 290.1382497222017, 261.44919167605167, 202.99959520236854)
 
+# sha256 of repr(sorted(report.stats.items())) of the same four runs:
+# every counter, the scored_* and skips_* ones too
+LARGE_STATS_SHA256 = (
+    "037ba3d1a9943262258546201d6e35a17e8de42015cf72f1c461f231ccde0907",
+    "0b97fab3fd69eb0a1220498e78d7836f3802c071b5853378fa0a20e4bfe1f142",
+    "58913d1a47a0a8b53da8e8b8ca0d4b308d2af63fc4aa7a0e699ec14f1cc1a089",
+    "17cfa2decad5fb9d1ca1c40be52bbd07d9f660dd6bb1d8d75c20570c038e1061",
+)
+
 
 class TestReferenceDescent:
     """`improve` scores moves with the B&B's incremental kernel; the
@@ -695,6 +807,13 @@ class TestReferenceDescent:
         report = improve(inst, construct(inst), params)
         assert report.objective == LARGE_OBJECTIVES[seed]
         assert report.nodes == 52_000
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_stats_pinned(self, seed):
+        inst = generate(seed, 6, 4, 40)
+        params = SearchParams(max_iterations=52_000, max_seconds=1e6)
+        stats = sorted(improve(inst, construct(inst), params).stats.items())
+        assert hashlib.sha256(repr(stats).encode()).hexdigest() == LARGE_STATS_SHA256[seed], stats
 
     @pytest.mark.parametrize(
         "which,cap",

@@ -430,7 +430,12 @@ class TestVariableNames:
             else:
                 assert f"{kind}_{idx[0]}" == name
 
-    @pytest.mark.parametrize("bad", ["y_1", "x_1_2", "q_1_2_3", "tc_x", "w_1_2_3", ""])
+    @pytest.mark.parametrize("bad", [
+        "y_1", "x_1_2", "q_1_2_3", "tc_x", "w_1_2_3", "",
+        # indices the helpers never write: a leading zero, a sign, a
+        # space, a non-ASCII digit
+        "y_01_2", "y_+1_2", "y_ 1_2", "y_1_\u0662", "y_1_\u00b2", "tc_-0", "tc_-1",
+    ])
     def test_rejects_malformed_names(self, bad):
         with pytest.raises(ModelError):
             parse_variable(bad)
