@@ -15,6 +15,15 @@ their own plan and data.
 
 import argparse
 import sys
+from pathlib import Path
+
+try:
+    import mothership  # installed, or on PYTHONPATH
+except ModuleNotFoundError as exc:
+    if exc.name != "mothership":
+        raise
+    # run from a checkout: the package is in the repository's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mothership import (
     builtin_fixture,

@@ -28,13 +28,16 @@ look-ahead).  The range verdict is
 `_StepTables.fits`'s: the node schedule carries each chain's length,
 and `branch` and `slots` decide from that length plus the newcomer's
 leg when the sum is clear of the cap, with `fits` otherwise.
-`_insert_all`, cheapest `branch` slot first with backtracking and a
-memo of failed bins, is the one greedy search: `solve_bnb`'s dives and
-`heuristic.construct` run it.  `heuristic.improve` scores its moves
-with the same kernel, and its relocates and swaps are ruled out from
-the same kind of floor first: `slots`, and `exchange_floor`.  Both
-solvers, and
-`construct`, first run `check_capacity`, so an instance whose
+`_insert_all`, cheapest slot first with backtracking and a memo of
+failed bins, is the one greedy search: `solve_bnb`'s dives,
+`heuristic.construct` and `heuristic.improve`'s recreates run it.  It
+takes its slots from `_IncrementalBound.cheapest`, which estimates
+every slot's bound in real arithmetic as `slots` does and probes only
+the slots that can be the cheapest.  `heuristic.improve` scores its
+moves with the same kernel, and its relocates and swaps are ruled out
+from the same kind of floor first: `slots`, and `exchange_floor`.
+Both solvers, and `construct`, first run `check_capacity`, so an
+instance whose
 customers need more range, or more places in a sortie, than the fleet
 has fails at once; one whose bins cannot be packed fails when the
 first dive, or `construct`, exhausts its search.
@@ -56,6 +59,7 @@ reports apart from wall time.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -80,7 +84,9 @@ CONSTRUCT_UNDOS = 10_000
 # A floor (`_IncrementalBound.slots`, `heuristic._swap`'s use of
 # `exchange_floor`) rules a candidate out only when it exceeds the limit
 # by more than FLOOR_MARGIN * (1 + limit), a margin for the rounding the
-# floor's real-arithmetic terms may carry.
+# floor's real-arithmetic terms may carry; `_IncrementalBound.cheapest`
+# leaves a slot unprobed only when its estimate exceeds the least ones
+# by more than three such margins.
 FLOOR_MARGIN = 1e-9
 
 _UNPACKABLE = "no feasible plan: customers cannot be packed into per-robot sorties within range"
@@ -560,8 +566,9 @@ class _IncrementalBound:
     `rescore`.  A kept move's schedule is `rebuilt` from the plan's
     too, unless it changed the tour.
     `_insert_all` walks down like the search: from the empty plan's
-    `schedule` it takes every slot `branch` gives and enters the chosen
-    one with `child`.
+    `schedule` it asks `cheapest` for the slots to enter and enters
+    each with `child`.  `branch`, which probes every slot, is the
+    tests' reference for that walk.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -706,7 +713,8 @@ class _IncrementalBound:
 
     def branch(self, st: _NodeSchedule, o: int):
         """The candidates `(bound, ki, r, pos, change)` of customer `o`,
-        one `probe` with no limit per slot, unsorted.
+        one `probe` with no limit per slot, unsorted: the reference the
+        tests hold `estimates` and `cheapest` to.
 
         The slots are every position of every chain within range after
         `o` joins it, in (tour position, robot, position) order.  Robots
@@ -827,6 +835,74 @@ class _IncrementalBound:
                         if late > 0.0:
                             extra += weight[b] * late - terms[b]
         return kept, tried, dropped, rejected
+
+    def estimates(self, st: _NodeSchedule, o: int):
+        """`branch`'s slots of customer `o`, as `(estimate, ki, r, pos)`
+        in no set order, where the estimate is the slot's bound in real
+        arithmetic, as `slots` computes it: the node's bound with o's
+        term at the slot for its present one, plus what the chain's
+        later customers add, each completing 2*L(k,o)/VR later, plus
+        what the later stations add when the departure moves later."""
+        fits, groups = self.fits, self.groups
+        clear_below, clear_above = self.clear
+        weight, deadline, terms = self.weight, self.deadline, st.terms
+        w, due = weight[o], deadline[o]
+        rest = st.prefix[-1] - terms[o]  # the node's bound less o's term
+        lateness = self.lateness(st)
+        out = []
+        add = out.append
+        for ki, k in enumerate(self.tour):
+            lists, used, d = groups[k], st.used[ki], self.doubled[k][o]
+            first = self.first[k][o]
+            twice = 2.0 * first
+            arrive, dep = st.arrive[ki], st.depart[ki]
+            late = arrive + first - due
+            head = rest + (w * late if late > 0.0 else 0.0)
+            after = lateness[ki + 1]
+            step, comps, rets = self.step[k], st.chains[ki], st.returns[ki]
+            n_r = len(lists)
+            for r in range(min(n_r - lists.count([]) + 1, n_r)):
+                g = lists[r]
+                length = used[r] + d
+                if length > clear_below and (length > clear_above or not fits(k, g + [o])):
+                    continue
+                delay = (rets[r] if g else arrive) + twice - dep
+                extra = _delayed(after, delay) if delay > 0.0 else 0.0
+                comp = comps[r]
+                for pos in range(len(g), 0, -1):
+                    b = g[pos - 1]
+                    c = comp[pos - 1]
+                    late = c + step[b][o] - due  # o's completion, as `probe` computes it
+                    add((rest + (w * late if late > 0.0 else 0.0) + extra, ki, r, pos))
+                    late = c + twice - deadline[b]  # b completes `twice` later before it
+                    if late > 0.0:
+                        extra += weight[b] * late - terms[b]
+                add((head + extra, ki, r, 0))
+        return out
+
+    def cheapest(self, st: _NodeSchedule, o: int, want: int):
+        """The number n of `branch`'s slots of customer `o`, and the
+        `want` least of their candidate tuples `(bound, ki, r, pos,
+        change)` in that order (all n when `want >= n`), from `probe`
+        with no limit, as `branch` gives them.
+
+        Only the slots whose estimate (`estimates`) is at most `e +
+        3 * FLOOR_MARGIN * (1 + |e|)` are probed, where e is the
+        `want`-th least estimate.  With every bound within
+        `FLOOR_MARGIN * (1 + bound)` of its estimate, the margin
+        `slots` rests on, each slot left out has a bound above that of
+        each of the `want` slots with the least estimates, so it is not
+        among the `want` least (docs/MODEL.md, "Floors before scores").
+        """
+        slots = self.estimates(st, o)
+        n = len(slots)
+        if want < n:
+            e = heapq.nsmallest(want, slots)[-1][0]
+            cut = e + 3.0 * FLOOR_MARGIN * (1.0 + abs(e))
+            slots = [s for s in slots if s[0] <= cut]
+        probe = self.probe
+        found = sorted(probe(st, ki, r, pos, o, math.inf) for _, ki, r, pos in slots)
+        return n, found[:want]
 
     def exchange_floor(self, st: _NodeSchedule):
         """A function of two customers on different chains, `o` and `p`,
@@ -1108,11 +1184,16 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     `solve_bnb`'s dives.
 
     From `sched`, the kernel's `schedule` of the groups as they stand,
-    each customer of `order` in turn tries the slots `branch` gives in
-    (bound, tour position, robot, position) order; with `picks` (the
-    noisy seeds', None for the others), the customer at depth `idx` first tries
-    slot `int(picks[idx] * min(3, n))` of its `n`, one of the three
-    cheapest.  A customer with no slot left undoes the last choice.
+    each customer of `order` in turn tries its slots (`branch`'s set)
+    in (bound, tour position, robot, position) order; with `picks` (the
+    noisy seeds', None for the others), the customer at depth `idx`
+    first tries slot `int(picks[idx] * min(3, n))` of its `n`, one of
+    the three cheapest.  The slot tried first comes from `cheapest`,
+    which probes only the slots that can be among the cheapest one (or
+    three, for a pick), and is entered with the `change` of its probe.
+    Only when its subtree fails does `cheapest` probe every slot, and
+    the others follow in that order, each probed again on entry.  A
+    customer with no slot left undoes the last choice.
     Returns the schedule of the first complete placement, whose plan
     the groups then hold, or None when `stop()`, read before each
     placement, turns true (the groups left part-filled).  Every slot of
@@ -1142,13 +1223,7 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
         if failed and bins() in failed:
             return None
         o = order[idx]
-        candidates = sorted(found[:4] for found in kernel.branch(sched, o))
-        if picks is not None and len(candidates) > 1:
-            candidates.insert(0, candidates.pop(int(picks[idx] * min(3, len(candidates)))))
-        for _, ki, r, pos in candidates:
-            # probed again on entry: kept for every slot of every level,
-            # the changes would hold a copy of the terms each
-            change = kernel.probe(sched, ki, r, pos, o, math.inf)[4]
+        for _, ki, r, pos, change in tries(idx, sched, o):
             g = groups[tour[ki]][r]
             g.insert(pos, o)
             leaf = place(idx + 1, kernel.child(sched, ki, r, pos, change))
@@ -1157,6 +1232,22 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
             g.pop(pos)
         failed.add(bins())
         return None
+
+    def tries(idx: int, sched: _NodeSchedule, o: int):
+        """o's candidates in the order the search enters them; each is
+        asked for once the one before has failed."""
+        n, cheap = kernel.cheapest(sched, o, 1 if picks is None else 3)
+        if not n:
+            return
+        chosen = 0 if picks is None else int(picks[idx] * min(3, n))
+        yield cheap[chosen]
+        if n > 1:
+            rest = [found[:4] for found in kernel.cheapest(sched, o, n)[1]]
+            del rest[chosen]
+            for _, ki, r, pos in rest:
+                # probed again on entry: kept for every slot of every
+                # level, the changes would hold a copy of the terms each
+                yield kernel.probe(sched, ki, r, pos, o, math.inf)
 
     try:
         leaf = place(0, sched)

@@ -18,9 +18,10 @@ Both score with the branch-and-bound's schedule kernel
 range, and write plans with `exact._canonical_plan`.  `construct` and
 every recreate run the package's one greedy search, `exact._insert_all`,
 which `solve_bnb`'s dives run too: from the kernel's `schedule` of the
-plan so far, slots come from its `branch` and are entered with
-`child`, so no slot costs a whole-schedule recomputation; tests check
-its plans against a plain construction that rescores the whole
+plan so far, slots come from its `cheapest`, which estimates every
+slot and probes only those that can be the cheapest, and are entered
+with `child`, so no slot costs a whole-schedule recomputation; tests
+check its plans against a plain construction that rescores the whole
 schedule per slot.
 
 `improve` scores moves over the plan under improvement, which moves
@@ -621,7 +622,8 @@ def _ruin(state: _Evaluator, removal: str, size: int, rnd: random.Random) -> lis
 def _ruined(work: _Work, removed, tour) -> _Work:
     """A copy of `work` on `tour` without the customers `removed`, each
     station's busy chains first: `exact._insert_all` recreates from it,
-    and `branch` tries only the first idle robot of a station."""
+    and its slots (`branch`'s set) take only the first idle robot of a
+    station."""
     gone = set(removed)
     groups = {}
     for k, lists in work.groups.items():

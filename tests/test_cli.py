@@ -512,6 +512,21 @@ def test_audit_script_runs():
     assert "=== small ===" in proc.stdout and "=== medium ===" in proc.stdout
 
 
+def test_audit_script_runs_from_a_checkout():
+    # as README writes the command: from the repository root, with no
+    # PYTHONPATH, so the script finds the package in src/ itself
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "scripts/audit_reference_tables.py", "--only", "small"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={"PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "=== small ===" in proc.stdout
+
+
 def test_benchmark_reference_check_runs():
     # the check re-proves frozen benchmark optima and compares their
     # plans bit-exactly, so a change to the search's tie rule that would

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from reference_construct import reference_construct
 from reference_improve import reference_descent
+from test_exact import SEARCH_CASES, search_case
 
 from mothership import (
     EPSILON,
@@ -39,7 +40,7 @@ from mothership import (
     solve_oracle,
     validate,
 )
-from mothership import heuristic
+from mothership import exact, heuristic
 from mothership.exact import (
     FLOOR_MARGIN,
     _canonical_plan,
@@ -281,6 +282,116 @@ class TestReferenceConstruct:
             with pytest.raises(InfeasibleInstanceError, match="cannot be packed"):
                 construct(inst, seed)
             assert time.perf_counter() - started < 1.0, seed
+
+
+class WalkWatch:
+    """Replaces `_insert_all` with one that checks, at every level the
+    search enters, each slot it enters against `branch`, the reference
+    enumerator: the first is the head of the sorted candidates, or the
+    one its pick names, and after a failed subtree the others follow in
+    sorted order, each with the `change` a fresh `probe` gives.  At each
+    level's first entry the kernel's `estimates` must cover `branch`'s
+    slots, each within the margin of its probed bound."""
+
+    def __init__(self, monkeypatch):
+        self.levels = []  # per level: [schedule, customer, expected slots, slots entered]
+        self.worst = 0.0  # largest |bound - estimate| / (FLOOR_MARGIN * (1 + bound))
+        insert_all = exact._insert_all
+
+        def watched(kernel, sched, order, failed, picks, stop):
+            at = {}  # id of a parent schedule -> its level, the schedule kept alive
+            child = kernel.child
+
+            def entered(st, ki, r, pos, change):
+                g = kernel.groups[kernel.tour[ki]][r]
+                o = g.pop(pos)
+                try:
+                    level = at.get(id(st))
+                    if level is None:
+                        level = at[id(st)] = self.level(kernel, st, o, order, picks)
+                    assert level[1] == o
+                    assert (ki, r, pos) == level[2][level[3]][1:], level[3]
+                    assert change == kernel.probe(st, ki, r, pos, o, math.inf)[4]
+                    level[3] += 1
+                finally:
+                    g.insert(pos, o)
+                return child(st, ki, r, pos, change)
+
+            kernel.child = entered
+            return insert_all(kernel, sched, order, failed, picks, stop)
+
+        monkeypatch.setattr(exact, "_insert_all", watched)
+        monkeypatch.setattr(heuristic, "_insert_all", watched)
+
+    def level(self, kernel, st, o, order, picks):
+        found = kernel.branch(st, o)
+        bounds = {f[1:4]: f[0] for f in found}
+        estimates = {s[1:]: s[0] for s in kernel.estimates(st, o)}
+        assert estimates.keys() == bounds.keys()
+        for slot, bound in bounds.items():
+            self.worst = max(self.worst, abs(bound - estimates[slot]) / (FLOOR_MARGIN * (1.0 + bound)))
+        expected = sorted(f[:4] for f in found)
+        if picks is not None and len(expected) > 1:
+            pick = int(picks[order.index(o)] * min(3, len(expected)))
+            expected.insert(0, expected.pop(pick))
+        self.levels.append([st, o, expected, 0])
+        return self.levels[-1]
+
+    def backtracked(self):
+        """The levels where a subtree failed and another slot was entered."""
+        return sum(level[3] > 1 for level in self.levels)
+
+
+class TestCheapestWalk:
+    """`_insert_all` probes only the slots whose estimate can be among
+    the cheapest (`_IncrementalBound.cheapest`), and must enter exactly
+    the slots, in exactly the order, that sorting `branch` gives."""
+
+    @pytest.mark.parametrize("name", [*CONSTRUCT_CASES, "on-stations-s254"])
+    def test_construct_enters_branch_order(self, name, monkeypatch):
+        watch = WalkWatch(monkeypatch)
+        inst, seeds = construct_case(name)
+        for seed in seeds:
+            before = watch.backtracked()
+            construct(inst, seed)
+            if name == "backtracking" and seed in (3, 7):  # a pick, then a failed subtree
+                assert watch.backtracked() > before, seed
+        assert watch.levels and watch.worst <= 1.0
+
+    def test_recreates_enter_branch_order(self, monkeypatch):
+        watch = WalkWatch(monkeypatch)
+        inst = generate(0, 6, 4, 40)
+        start = construct(inst)
+        watch.levels.clear()
+        report = improve(inst, start, SearchParams(max_iterations=40_000, max_seconds=1e6))
+        assert report.stats["iterations"] >= 5
+        assert len(watch.levels) >= 5 * 2 and watch.worst <= 1.0
+
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_dives_enter_branch_order(self, name, monkeypatch):
+        watch = WalkWatch(monkeypatch)
+        solve_bnb(search_case(name))
+        assert watch.levels and watch.worst <= 1.0
+
+    def test_probes_fewer_than_half_the_slots(self, monkeypatch):
+        # one probe per slot would be `branch`'s cost; the estimates
+        # leave most slots unprobed
+        counts = collections.Counter()
+        probe, cheapest = _IncrementalBound.probe, _IncrementalBound.cheapest
+
+        def probed(self, *args):
+            counts["probes"] += 1
+            return probe(self, *args)
+
+        def counted(self, st, o, want):
+            n, found = cheapest(self, st, o, want)
+            counts["slots"] += n
+            return n, found
+
+        monkeypatch.setattr(_IncrementalBound, "probe", probed)
+        monkeypatch.setattr(_IncrementalBound, "cheapest", counted)
+        construct(generate(0, 6, 4, 40), 123456)
+        assert 0 < counts["probes"] < counts["slots"] / 2, counts
 
 
 def _medium_improve(**caps):
