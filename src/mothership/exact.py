@@ -31,9 +31,11 @@ leg when the sum is clear of the cap, with `fits` otherwise.
 `_insert_all`, cheapest slot first with backtracking and a memo of
 failed bins, is the one greedy search: `solve_bnb`'s dives,
 `heuristic.construct` and `heuristic.improve`'s recreates run it.  It
-takes its slots from `_IncrementalBound.cheapest`, which estimates
-every slot's bound in real arithmetic as `slots` does and probes only
-the slots that can be the cheapest.  `heuristic.improve` scores its
+takes its slots from `_IncrementalBound.cheapest`, which reads every
+slot's bound estimate from `slots` with no limit and probes only the
+slots that can be the cheapest.  One robot rule serves `slots`,
+`branch` and the local search's relocate: every busy robot of a
+station and its first idle one.  `heuristic.improve` scores its
 moves with the same kernel, and its relocates and swaps are ruled out
 from the same kind of floor first: `slots`, and `exchange_floor`.
 Both solvers, and `construct`, first run `check_capacity`, so an
@@ -85,8 +87,8 @@ CONSTRUCT_UNDOS = 10_000
 # `exchange_floor`) rules a candidate out only when it exceeds the limit
 # by more than FLOOR_MARGIN * (1 + limit), a margin for the rounding the
 # floor's real-arithmetic terms may carry; `_IncrementalBound.cheapest`
-# leaves a slot unprobed only when its estimate exceeds the least ones
-# by more than three such margins.
+# leaves a slot unprobed only when its estimate (from `slots` with no
+# limit) exceeds the least ones by more than three such margins.
 FLOOR_MARGIN = 1e-9
 
 _UNPACKABLE = "no feasible plan: customers cannot be packed into per-robot sorties within range"
@@ -566,9 +568,10 @@ class _IncrementalBound:
     `rescore`.  A kept move's schedule is `rebuilt` from the plan's
     too, unless it changed the tour.
     `_insert_all` walks down like the search: from the empty plan's
-    `schedule` it asks `cheapest` for the slots to enter and enters
-    each with `child`.  `branch`, which probes every slot, is the
-    tests' reference for that walk.
+    `schedule` it asks `cheapest`, which reads its estimates from
+    `slots` with no limit, for the slots to enter and enters each with
+    `child`.  `branch`, which probes every slot with the same robot
+    rule, is the tests' reference for that walk and for `slots`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -714,24 +717,28 @@ class _IncrementalBound:
     def branch(self, st: _NodeSchedule, o: int):
         """The candidates `(bound, ki, r, pos, change)` of customer `o`,
         one `probe` with no limit per slot, unsorted: the reference the
-        tests hold `estimates` and `cheapest` to.
+        tests hold `slots` and `cheapest` to.
 
         The slots are every position of every chain within range after
-        `o` joins it, in (tour position, robot, position) order.  Robots
-        at one station are interchangeable, so of the idle robots only
-        the first is tried: the searches fill robots in first-use order.
-        The range verdict is `fits`'s: the carried length `st.used`
-        plus o's addend decides when it is clear of `cap` (see
-        `_StepTables`), `fits` otherwise.
+        `o` joins it, in (tour position, robot, position) order, with
+        `slots`' robot rule: every busy robot and the first idle one,
+        in robot order.  Robots at one station are interchangeable, so
+        one idle robot stands for them all.  The range verdict is
+        `fits`'s: the carried length `st.used` plus o's addend decides
+        when it is clear of `cap` (see `_StepTables`), `fits`
+        otherwise.
         """
         probe, fits = self.probe, self.fits
         clear_below, clear_above = self.clear
         candidates = []
         for ki, k in enumerate(self.tour):
-            lists, used, d = self.groups[k], st.used[ki], self.doubled[k][o]
-            n_r = len(lists)
-            for r in range(min(n_r - lists.count([]) + 1, n_r)):
-                g = lists[r]
+            used, d = st.used[ki], self.doubled[k][o]
+            idle = False
+            for r, g in enumerate(self.groups[k]):
+                if not g:
+                    if idle:
+                        continue
+                    idle = True
                 length = used[r] + d
                 if length > clear_below and (length > clear_above or not fits(k, g + [o])):
                     continue
@@ -741,37 +748,38 @@ class _IncrementalBound:
 
     def slots(self, st: _NodeSchedule, o: int, limit: float, cap):
         """The slots of customer `o` that `probe` keeps under `limit`,
-        from `branch`'s range verdict, with the counts of slots tried,
-        slots dropped and chains rejected by range at the stations the
-        station floor leaves.  The slots are every position of every
-        busy chain and of each station's first idle robot, in robot
-        order: `branch`'s set where the searches fill robots in
-        first-use order, and the right one where the local search has
-        left an idle robot before a busy one.  A kept slot is `probe`'s candidate
-        tuple, or `(None, ki, r, pos, None)` when kept without a
-        `probe`.  The walk, the stations last in the tour first and
-        each chain from its end slot in, stops once more than `cap`
-        slots are kept, the counts then partial.  `self.probes` counts
-        the `probe` calls it spends.
+        of `branch`'s slots and range verdict, with the counts of slots
+        tried, slots dropped and chains rejected by range at the
+        stations the station floor leaves.  A kept slot is `probe`'s
+        candidate tuple, or `(None, ki, r, pos, estimate)` when kept on
+        a certificate, without a `probe`.  The walk, the stations last
+        in the tour first and each chain from its end slot in, stops
+        once more than `cap` slots are kept, the counts then partial.
+        `self.probes` counts the `probe` calls it spends.  With no
+        limit and no cap (both `math.inf`) nothing is floored or
+        probed, and every slot comes back with its estimate: that is
+        where `cheapest` reads them.
 
         In real arithmetic (docs/MODEL.md, "Search order and ties"), a
-        slot's bound is the node's bound with o's relaxed term replaced
-        by o's term at the slot, plus what the customers after the slot
-        in its chain add, each completing 2*L(k,o)/VR later, plus what
-        the later stations add, all moving by the delay of the
-        departure.  Beyond a margin of `FLOOR_MARGIN * (1 + limit)` for
-        rounding that decides the slot, and within it a `probe` does.  o's term
-        at the station's head, where o completes earliest, is a floor
-        for every slot at the station (the station floor), and with
-        what the later stations add, for every slot of the chain (the
-        chain floor).
+        slot's bound, its estimate, is the node's bound with o's
+        relaxed term replaced by o's term at the slot, plus what the
+        customers after the slot in its chain add, each completing
+        2*L(k,o)/VR later, plus what the later stations add, all moving
+        by the delay of the departure.  Beyond a margin of
+        `FLOOR_MARGIN * (1 + limit)` for rounding the estimate decides
+        the slot, and within it a `probe` does.  The estimate with o's
+        term at the station's head, where o completes earliest, is a
+        floor for every slot at the station (the station floor), and
+        with what the later stations add, for every slot of the chain
+        (the chain floor).
         """
         probe, fits, tour, groups = self.probe, self.fits, self.tour, self.groups
         clear_below, clear_above = self.clear
         weight, deadline, terms = self.weight, self.deadline, st.terms
         w, due = weight[o], deadline[o]
         margin = FLOOR_MARGIN * (1.0 + limit)
-        rest = st.prefix[-1] - terms[o] - limit  # the node's bound less o's term, less the limit
+        bar = limit + margin
+        rest = st.prefix[-1] - terms[o]  # the node's bound less o's term
         lateness = self.lateness(st)
         kept = []
         tried = dropped = rejected = 0
@@ -781,8 +789,8 @@ class _IncrementalBound:
             twice = 2.0 * first
             arrive, dep = st.arrive[ki], st.depart[ki]
             late = arrive + first - due
-            head = w * late if late > 0.0 else 0.0
-            if rest + head > margin:  # the station floor
+            head = rest + (w * late if late > 0.0 else 0.0)
+            if head > bar:  # the station floor
                 continue
             after = lateness[ki + 1]
             step, used, comps, rets = self.step[k], st.used[ki], st.chains[ki], st.returns[ki]
@@ -804,7 +812,7 @@ class _IncrementalBound:
                 extra = 0.0
                 if delay > 0.0:
                     extra = _delayed(after, delay)
-                    if rest + head + extra > margin:  # the chain floor
+                    if head + extra > bar:  # the chain floor
                         dropped += len(g) + 1
                         continue
                 comp = comps[r]
@@ -814,11 +822,11 @@ class _IncrementalBound:
                         late = comp[pos - 1] + step[b][o] - due
                         low = rest + (w * late if late > 0.0 else 0.0) + extra
                     else:
-                        low = rest + head + extra
-                    if low > margin:  # a floor
+                        low = head + extra
+                    if low > bar:  # a floor
                         dropped += 1
-                    elif low + margin <= 0.0:  # a certificate
-                        kept.append((None, ki, r, pos, None))
+                    elif low + margin <= limit:  # a certificate
+                        kept.append((None, ki, r, pos, low))
                         if len(kept) > cap:
                             return kept, tried, dropped, rejected
                     else:
@@ -836,72 +844,29 @@ class _IncrementalBound:
                             extra += weight[b] * late - terms[b]
         return kept, tried, dropped, rejected
 
-    def estimates(self, st: _NodeSchedule, o: int):
-        """`branch`'s slots of customer `o`, as `(estimate, ki, r, pos)`
-        in no set order, where the estimate is the slot's bound in real
-        arithmetic, as `slots` computes it: the node's bound with o's
-        term at the slot for its present one, plus what the chain's
-        later customers add, each completing 2*L(k,o)/VR later, plus
-        what the later stations add when the departure moves later."""
-        fits, groups = self.fits, self.groups
-        clear_below, clear_above = self.clear
-        weight, deadline, terms = self.weight, self.deadline, st.terms
-        w, due = weight[o], deadline[o]
-        rest = st.prefix[-1] - terms[o]  # the node's bound less o's term
-        lateness = self.lateness(st)
-        out = []
-        add = out.append
-        for ki, k in enumerate(self.tour):
-            lists, used, d = groups[k], st.used[ki], self.doubled[k][o]
-            first = self.first[k][o]
-            twice = 2.0 * first
-            arrive, dep = st.arrive[ki], st.depart[ki]
-            late = arrive + first - due
-            head = rest + (w * late if late > 0.0 else 0.0)
-            after = lateness[ki + 1]
-            step, comps, rets = self.step[k], st.chains[ki], st.returns[ki]
-            n_r = len(lists)
-            for r in range(min(n_r - lists.count([]) + 1, n_r)):
-                g = lists[r]
-                length = used[r] + d
-                if length > clear_below and (length > clear_above or not fits(k, g + [o])):
-                    continue
-                delay = (rets[r] if g else arrive) + twice - dep
-                extra = _delayed(after, delay) if delay > 0.0 else 0.0
-                comp = comps[r]
-                for pos in range(len(g), 0, -1):
-                    b = g[pos - 1]
-                    c = comp[pos - 1]
-                    late = c + step[b][o] - due  # o's completion, as `probe` computes it
-                    add((rest + (w * late if late > 0.0 else 0.0) + extra, ki, r, pos))
-                    late = c + twice - deadline[b]  # b completes `twice` later before it
-                    if late > 0.0:
-                        extra += weight[b] * late - terms[b]
-                add((head + extra, ki, r, 0))
-        return out
-
     def cheapest(self, st: _NodeSchedule, o: int, want: int):
         """The number n of `branch`'s slots of customer `o`, and the
         `want` least of their candidate tuples `(bound, ki, r, pos,
         change)` in that order (all n when `want >= n`), from `probe`
         with no limit, as `branch` gives them.
 
-        Only the slots whose estimate (`estimates`) is at most `e +
-        3 * FLOOR_MARGIN * (1 + |e|)` are probed, where e is the
-        `want`-th least estimate.  With every bound within
-        `FLOOR_MARGIN * (1 + bound)` of its estimate, the margin
-        `slots` rests on, each slot left out has a bound above that of
-        each of the `want` slots with the least estimates, so it is not
-        among the `want` least (docs/MODEL.md, "Floors before scores").
+        The slots and their estimates come from `slots` with no limit.
+        Only the slots whose estimate is at most `e + 3 * FLOOR_MARGIN
+        * (1 + |e|)` are probed, where e is the `want`-th least
+        estimate.  With every bound within `FLOOR_MARGIN * (1 + bound)`
+        of its estimate, the margin `slots` rests on, each slot left out
+        has a bound above that of each of the `want` slots with the
+        least estimates, so it is not among the `want` least
+        (docs/MODEL.md, "Floors before scores").
         """
-        slots = self.estimates(st, o)
-        n = len(slots)
+        kept = self.slots(st, o, math.inf, math.inf)[0]
+        n = len(kept)
         if want < n:
-            e = heapq.nsmallest(want, slots)[-1][0]
+            e = heapq.nsmallest(want, [s[4] for s in kept])[-1]
             cut = e + 3.0 * FLOOR_MARGIN * (1.0 + abs(e))
-            slots = [s for s in slots if s[0] <= cut]
+            kept = [s for s in kept if s[4] <= cut]
         probe = self.probe
-        found = sorted(probe(st, ki, r, pos, o, math.inf) for _, ki, r, pos in slots)
+        found = sorted(probe(st, ki, r, pos, o, math.inf) for _, ki, r, pos, _ in kept)
         return n, found[:want]
 
     def exchange_floor(self, st: _NodeSchedule):
@@ -1184,12 +1149,14 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     `solve_bnb`'s dives.
 
     From `sched`, the kernel's `schedule` of the groups as they stand,
-    each customer of `order` in turn tries its slots (`branch`'s set)
-    in (bound, tour position, robot, position) order; with `picks` (the
+    each customer of `order` in turn tries its slots (every busy robot
+    of a station and its first idle one, `branch`'s set) in (bound,
+    tour position, robot, position) order; with `picks` (the
     noisy seeds', None for the others), the customer at depth `idx`
     first tries slot `int(picks[idx] * min(3, n))` of its `n`, one of
     the three cheapest.  The slot tried first comes from `cheapest`,
-    which probes only the slots that can be among the cheapest one (or
+    which reads every slot's estimate from `slots` with no limit and
+    probes only the slots that can be among the cheapest one (or
     three, for a pick), and is entered with the `change` of its probe.
     Only when its subtree fails does `cheapest` probe every slot, and
     the others follow in that order, each probed again on entry.  A

@@ -18,11 +18,13 @@ Both score with the branch-and-bound's schedule kernel
 range, and write plans with `exact._canonical_plan`.  `construct` and
 every recreate run the package's one greedy search, `exact._insert_all`,
 which `solve_bnb`'s dives run too: from the kernel's `schedule` of the
-plan so far, slots come from its `cheapest`, which estimates every
-slot and probes only those that can be the cheapest, and are entered
-with `child`, so no slot costs a whole-schedule recomputation; tests
-check its plans against a plain construction that rescores the whole
-schedule per slot.
+plan so far, slots come from its `cheapest`, which reads every slot's
+estimate from the kernel's `slots` with no limit and probes only those
+that can be the cheapest, and are entered with `child`, so no slot
+costs a whole-schedule recomputation; tests check its plans against a
+plain construction that rescores the whole schedule per slot.  The
+slots at a station are on every busy robot and its first idle one,
+the kernel's one robot rule, which relocate follows too.
 
 `improve` scores moves over the plan under improvement, which moves
 change in place and undo.  A relocate takes its customer out of the
@@ -621,9 +623,10 @@ def _ruin(state: _Evaluator, removal: str, size: int, rnd: random.Random) -> lis
 
 def _ruined(work: _Work, removed, tour) -> _Work:
     """A copy of `work` on `tour` without the customers `removed`, each
-    station's busy chains first: `exact._insert_all` recreates from it,
-    and its slots (`branch`'s set) take only the first idle robot of a
-    station."""
+    station's busy chains first, for `exact._insert_all` to recreate.
+    Its slots, every busy robot and the first idle one, reach every
+    chain wherever the idle robots sit; the busy chains go first
+    because that fixes the robot numbering `improve` scans in."""
     gone = set(removed)
     groups = {}
     for k, lists in work.groups.items():

@@ -161,13 +161,13 @@ class Instance:
         return len(self.customers)
 
     def station(self, sid: int) -> Station:
-        if not 1 <= sid <= len(self.stations):
-            raise ModelError(f"unknown station id {sid}")
+        if not (isinstance(sid, int) and 1 <= sid <= len(self.stations)):
+            raise ModelError(f"unknown station id {sid!r}")
         return self.stations[sid - 1]
 
     def customer(self, cid: int) -> Customer:
-        if not 0 <= cid < len(self.customers):
-            raise ModelError(f"unknown customer id {cid}")
+        if not (isinstance(cid, int) and 0 <= cid < len(self.customers)):
+            raise ModelError(f"unknown customer id {cid!r}")
         return self.customers[cid]
 
 

@@ -1415,6 +1415,8 @@ class TestLowerBound:
             ((1,), ((0, (1, -1, 0)),), "robot -1 outside the fleet"),
             ((1, 1), (), "repeats a station"),
             ((1, 2, 1), ((0, (2, 0, 0)),), "repeats a station"),
+            ((1.5,), (), "unknown station id 1.5"),
+            (("2",), (), "unknown station id '2'"),
         ],
     )
     def test_malformed_nodes_rejected(self, prefix, assigned, message):

@@ -207,6 +207,25 @@ def backtracking_instance():
     )
 
 
+def ruin_instance():
+    """One station, three robots of range 10; customers 0 and 1 are 4.5
+    away (one to a sortie), 2 and 3 are 1 away (they can share one)."""
+    return Instance(
+        depot=Point(0.0, 0.0),
+        stations=(Station(1, Point(0.0, 0.0)),),
+        customers=(
+            Customer(0, Point(4.5, 0.0), 1.0, 5.0),
+            Customer(1, Point(0.0, 4.5), 1.0, 5.0),
+            Customer(2, Point(1.0, 0.0), 1.0, 5.0),
+            Customer(3, Point(0.0, 1.0), 1.0, 1.0),
+        ),
+        fleet_size=3,
+        robot_range=10.0,
+        vehicle_speed=1.0,
+        robot_speed=1.0,
+    )
+
+
 def construct_case(name):
     """(instance, construct seeds) of a named case: a fixture at seeds
     0-12; "<stations>-<robots>-<customers>-s<seed>" for a generated
@@ -290,8 +309,9 @@ class WalkWatch:
     enumerator: the first is the head of the sorted candidates, or the
     one its pick names, and after a failed subtree the others follow in
     sorted order, each with the `change` a fresh `probe` gives.  At each
-    level's first entry the kernel's `estimates` must cover `branch`'s
-    slots, each within the margin of its probed bound."""
+    level's first entry the estimates of the kernel's `slots` with no
+    limit must cover `branch`'s slots, each within the margin of its
+    probed bound."""
 
     def __init__(self, monkeypatch):
         self.levels = []  # per level: [schedule, customer, expected slots, slots entered]
@@ -326,7 +346,7 @@ class WalkWatch:
     def level(self, kernel, st, o, order, picks):
         found = kernel.branch(st, o)
         bounds = {f[1:4]: f[0] for f in found}
-        estimates = {s[1:]: s[0] for s in kernel.estimates(st, o)}
+        estimates = {s[1:4]: s[4] for s in kernel.slots(st, o, math.inf, math.inf)[0]}
         assert estimates.keys() == bounds.keys()
         for slot, bound in bounds.items():
             self.worst = max(self.worst, abs(bound - estimates[slot]) / (FLOOR_MARGIN * (1.0 + bound)))
@@ -372,6 +392,30 @@ class TestCheapestWalk:
         watch = WalkWatch(monkeypatch)
         solve_bnb(search_case(name))
         assert watch.levels and watch.worst <= 1.0
+
+    @pytest.mark.parametrize("case", ["ruined", "medium-station-2"])
+    def test_idle_first_layouts(self, case):
+        # an idle robot before a busy one, as a ruin can leave a
+        # station: `slots` with no limit keeps `branch`'s slots, the
+        # busy robot behind the idle ones among them, and spends no
+        # probe, and `cheapest` ranks them as sorting `branch` does
+        if case == "ruined":
+            inst, tour, groups, o, k, busy = ruin_instance(), [1], {1: [[], [], [2]]}, 3, 1, 2
+        else:  # station 2 holds [[10], [3], [], [11]]; take 3 out
+            inst, plan = builtin_fixture("medium")
+            work = _Work.from_plan(inst, plan)
+            tour, groups, o, k, busy = work.tour, work.groups, 3, 2, 3
+            groups[k][1].remove(o)
+        ev = PlanEvaluator(inst)
+        kernel = _IncrementalBound(ev, _StepTables(ev), tour, groups)
+        st = kernel.schedule([0.0] * ev.n)
+        every = kernel.branch(st, o)
+        kept = kernel.slots(st, o, math.inf, math.inf)[0]
+        assert kernel.probes == 0
+        assert all(found[0] is None for found in kept)
+        assert sorted(found[1:4] for found in kept) == sorted(found[1:4] for found in every)
+        assert (tour.index(k), busy) in {found[1:3] for found in kept}
+        assert kernel.cheapest(st, o, len(every))[1] == sorted(every)
 
     def test_probes_fewer_than_half_the_slots(self, monkeypatch):
         # one probe per slot would be `branch`'s cost; the estimates
@@ -1056,27 +1100,12 @@ class TestRuinAndRecreate:
         assert report.stats["bests_station"] == 1
 
     def test_a_ruin_that_empties_the_first_robots_still_recreates(self):
-        # one station, three robots of range 10; customers 0 and 1 are
-        # 4.5 away (one to a sortie), 2 and 3 are 1 away (they can
-        # share one).  From the chains [0], [1], [2, 3], a ruin of 0, 1
-        # and 3 leaves the third robot busy.  `branch` tries a station's
-        # first (busy + 1) robots, so with the two idle robots in front,
-        # customer 3 (the most urgent) cannot join 2, and then 0 and 1
-        # find no sortie: `_ruined` puts the busy chains first
-        inst = Instance(
-            depot=Point(0.0, 0.0),
-            stations=(Station(1, Point(0.0, 0.0)),),
-            customers=(
-                Customer(0, Point(4.5, 0.0), 1.0, 5.0),
-                Customer(1, Point(0.0, 4.5), 1.0, 5.0),
-                Customer(2, Point(1.0, 0.0), 1.0, 5.0),
-                Customer(3, Point(0.0, 1.0), 1.0, 1.0),
-            ),
-            fleet_size=3,
-            robot_range=10.0,
-            vehicle_speed=1.0,
-            robot_speed=1.0,
-        )
+        # from the chains [0], [1], [2, 3] of `ruin_instance`, a ruin of
+        # 0, 1 and 3 leaves the third robot busy.  A station's slots are on
+        # every busy robot and the first idle one, so customer 3 (the
+        # most urgent) can join 2 with the two idle robots in front or
+        # behind, and 0 and 1 each find a sortie either way
+        inst = ruin_instance()
         ev = PlanEvaluator(inst)
         tables = _StepTables(ev)
         order = [3, 0, 1]  # urgency order
@@ -1090,9 +1119,11 @@ class TestRuinAndRecreate:
         assert ruined.groups == {1: [[2], [], []]}
         assert recreate(ruined) is not None
         assert validate(inst, _canonical_plan(ruined.tour, ruined.groups)) == []
-        # teeth: the same ruin with the emptied chains left in front
-        with pytest.raises(InfeasibleInstanceError):
-            recreate(_Work([1], {1: [[], [], [2]]}))
+        # the same ruin with the emptied chains left in front
+        front = _Work([1], {1: [[], [], [2]]})
+        assert recreate(front) is not None
+        assert sorted(map(sorted, front.groups[1])) == [[0], [1], [2, 3]]
+        assert validate(inst, _canonical_plan(front.tour, front.groups)) == []
 
 
 class TestDontLookBits:

@@ -61,6 +61,15 @@ class TestInstance:
         with pytest.raises(ModelError):
             inst.customer(9)
 
+    @pytest.mark.parametrize("bad", [1.5, "2", None])
+    def test_non_integer_ids_raise_model_error(self, bad):
+        # each raised TypeError from the range comparison or the index
+        inst = tiny_instance()
+        with pytest.raises(ModelError, match="unknown station id"):
+            inst.station(bad)
+        with pytest.raises(ModelError, match="unknown customer id"):
+            inst.customer(bad)
+
     def test_sorts_members_by_id(self):
         inst = tiny_instance(
             stations=(Station(2, Point(0.0, 10.0)), Station(1, Point(10.0, 0.0))),
