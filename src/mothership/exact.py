@@ -31,9 +31,11 @@ leg when the sum is clear of the cap, with `fits` otherwise.
 `_insert_all`, cheapest slot first with backtracking and a memo of
 failed bins, is the one greedy search: `solve_bnb`'s dives,
 `heuristic.construct` and `heuristic.improve`'s recreates run it.  It
-takes its slots from `_IncrementalBound.cheapest`, which reads every
-slot's bound estimate from `slots` with no limit and probes only the
-slots that can be the cheapest.  One robot rule serves `slots`,
+takes its slots from `_IncrementalBound.cheapest`, which reads the
+slots' bound estimates from `slots` with no limit, floored against a
+running window of the least estimates so far, and probes only the
+slots that can be the cheapest.  The step tables are built once per
+instance (`_step_tables`).  One robot rule serves `slots`,
 `branch` and the local search's relocate: every busy robot of a
 station and its first idle one.  `heuristic.improve` scores its
 moves with the same kernel, and its relocates and swaps are ruled out
@@ -64,11 +66,12 @@ from __future__ import annotations
 import heapq
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, count, islice, permutations
 from numbers import Real
-from operator import add
+from operator import add, itemgetter
 
 from .evaluation import PlanEvaluator, propagate
 from .model import EPSILON, Instance, ModelError, RoutePlan, Schedule, Sortie, serialize_plan
@@ -477,8 +480,10 @@ class _StepTables:
     """Per-station quotients of the chain recurrence, keyed by station id:
     `first[k][o]` = L(k,o)/VR, `step[k][a][b]` = (L(k,a)+L(k,b))/VR, and
     `doubled[k][o]` = 2*L(k,o), the addend of `group_length`, for the
-    range check against `cap` = TR + EPSILON.  Built once per
-    `solve_bnb`, `heuristic.construct` and `heuristic.improve` call.
+    range check against `cap` = TR + EPSILON.  Built once per instance,
+    on first use, by `_step_tables`, which `solve_bnb`,
+    `heuristic.construct` and `heuristic.improve` read them from; they
+    hold no reference back to the instance.
 
     `fits` is the range verdict.  `branch`, `slots` and `improve`'s
     relocate and swap reach the same verdict from a chain's carried
@@ -504,6 +509,23 @@ class _StepTables:
         bit-equal to `PlanEvaluator.group_length`, is at most `cap`."""
         doubled = self.doubled[k]
         return math.fsum([doubled[o] for o in chain]) <= self.cap
+
+
+# id(instance) -> its `_StepTables`, while the instance lives
+_TABLES: dict[int, _StepTables] = {}
+
+
+def _step_tables(ev: PlanEvaluator) -> _StepTables:
+    """The step tables of `ev.instance`, built from `ev` on first use
+    and kept until the instance is collected: keyed by its id, so
+    neither the instance nor its equality, hash or pickle changes, and
+    the tables hold no reference back to it."""
+    key = id(ev.instance)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _TABLES[key] = _StepTables(ev)
+        weakref.finalize(ev.instance, _TABLES.pop, key, None)
+    return tables
 
 
 class _NodeSchedule:
@@ -569,9 +591,10 @@ class _IncrementalBound:
     too, unless it changed the tour.
     `_insert_all` walks down like the search: from the empty plan's
     `schedule` it asks `cheapest`, which reads its estimates from
-    `slots` with no limit, for the slots to enter and enters each with
-    `child`.  `branch`, which probes every slot with the same robot
-    rule, is the tests' reference for that walk and for `slots`.
+    `slots` with no limit and a window, for the slots to enter and
+    enters each with `child`.  `branch`, which probes every slot with
+    the same robot rule, is the tests' reference for that walk and for
+    `slots`.
     """
 
     def __init__(self, ev: PlanEvaluator, tables: _StepTables, tour, groups):
@@ -746,7 +769,7 @@ class _IncrementalBound:
                                   for pos in range(len(g) + 1))
         return candidates
 
-    def slots(self, st: _NodeSchedule, o: int, limit: float, cap):
+    def slots(self, st: _NodeSchedule, o: int, limit: float, cap, want=None):
         """The slots of customer `o` that `probe` keeps under `limit`,
         of `branch`'s slots and range verdict, with the counts of slots
         tried, slots dropped and chains rejected by range at the
@@ -757,8 +780,18 @@ class _IncrementalBound:
         once more than `cap` slots are kept, the counts then partial.
         `self.probes` counts the `probe` calls it spends.  With no
         limit and no cap (both `math.inf`) nothing is floored or
-        probed, and every slot comes back with its estimate: that is
-        where `cheapest` reads them.
+        probed, and every slot comes back with its estimate.
+
+        With no limit and a `want` (`cap` then unused), the walk keeps
+        only the slots `cheapest` may probe: those whose estimate is at
+        most `e + 3 * FLOOR_MARGIN * (1 + |e|)`, where e is the `want`-th
+        least estimate.  It holds the `want` least estimates seen so
+        far, and their largest in place of e gives a running cut, which
+        the station, chain and slot floors test instead of the limit.
+        The running e is at least the final one and the cut grows with
+        it, so a slot floored on the way is outside the final window
+        too, and the slots at or under the final cut are those the walk
+        keeps.
 
         In real arithmetic (docs/MODEL.md, "Search order and ties"), a
         slot's bound, its estimate, is the node's bound with o's
@@ -781,6 +814,9 @@ class _IncrementalBound:
         bar = limit + margin
         rest = st.prefix[-1] - terms[o]  # the node's bound less o's term
         lateness = self.lateness(st)
+        least = None  # the `want` least estimates so far, negated, once there are `want`
+        if want is not None:
+            cap = want - 1
         kept = []
         tried = dropped = rejected = 0
         for ki in range(len(tour) - 1, -1, -1):
@@ -828,7 +864,15 @@ class _IncrementalBound:
                     elif low + margin <= limit:  # a certificate
                         kept.append((None, ki, r, pos, low))
                         if len(kept) > cap:
-                            return kept, tried, dropped, rejected
+                            if want is None:
+                                return kept, tried, dropped, rejected
+                            if least is None:
+                                least = [-s[4] for s in kept]
+                                heapq.heapify(least)
+                            else:
+                                heapq.heappushpop(least, -low)
+                            e = -least[0]  # the running cut
+                            bar = e + 3.0 * FLOOR_MARGIN * (1.0 + abs(e))
                     else:
                         self.probes += 1
                         found = probe(st, ki, r, pos, o, limit)
@@ -842,32 +886,36 @@ class _IncrementalBound:
                         late = comp[pos - 1] + twice - deadline[b]
                         if late > 0.0:
                             extra += weight[b] * late - terms[b]
+        if least is not None:  # the final cut
+            kept = [s for s in kept if s[4] <= bar]
         return kept, tried, dropped, rejected
 
-    def cheapest(self, st: _NodeSchedule, o: int, want: int):
-        """The number n of `branch`'s slots of customer `o`, and the
-        `want` least of their candidate tuples `(bound, ki, r, pos,
-        change)` in that order (all n when `want >= n`), from `probe`
-        with no limit, as `branch` gives them.
+    def cheapest(self, st: _NodeSchedule, o: int, want=None):
+        """The `want` least of the candidate tuples `(bound, ki, r, pos,
+        change)` of `branch`'s slots of customer `o`, in that order (all
+        of them when they are fewer, or with no `want`), from `probe`
+        with no limit, as `branch` gives them; a slot the estimates
+        alone rank comes as `(None, ki, r, pos, estimate)`, unprobed.
 
-        The slots and their estimates come from `slots` with no limit.
-        Only the slots whose estimate is at most `e + 3 * FLOOR_MARGIN
-        * (1 + |e|)` are probed, where e is the `want`-th least
-        estimate.  With every bound within `FLOOR_MARGIN * (1 + bound)`
-        of its estimate, the margin `slots` rests on, each slot left out
-        has a bound above that of each of the `want` slots with the
-        least estimates, so it is not among the `want` least
-        (docs/MODEL.md, "Floors before scores").
+        Only the slots `slots` keeps with no limit and this `want` are
+        looked at: those whose estimate is at most `e + 3 * FLOOR_MARGIN
+        * (1 + |e|)`, where e is the `want`-th least estimate.  With
+        every bound within `FLOOR_MARGIN * (1 + bound)` of its estimate,
+        the margin `slots` rests on, each slot left out has a bound
+        above that of each of the `want` slots with the least estimates,
+        so it is not among the `want` least (docs/MODEL.md, "Floors
+        before scores").  By the same argument, when each kept estimate
+        exceeds the one below it by more than that window, the bounds
+        are in the estimates' order, and none is probed; otherwise every
+        kept slot is.
         """
-        kept = self.slots(st, o, math.inf, math.inf)[0]
-        n = len(kept)
-        if want < n:
-            e = heapq.nsmallest(want, [s[4] for s in kept])[-1]
-            cut = e + 3.0 * FLOOR_MARGIN * (1.0 + abs(e))
-            kept = [s for s in kept if s[4] <= cut]
+        kept = self.slots(st, o, math.inf, math.inf, want)[0]
+        kept.sort(key=itemgetter(4))
+        if all(b[4] > a[4] + 3.0 * FLOOR_MARGIN * (1.0 + a[4]) for a, b in zip(kept, kept[1:])):
+            return kept  # the estimates alone rank them, and no more than `want`
         probe = self.probe
         found = sorted(probe(st, ki, r, pos, o, math.inf) for _, ki, r, pos, _ in kept)
-        return n, found[:want]
+        return found if want is None else found[:want]
 
     def exchange_floor(self, st: _NodeSchedule):
         """A function of two customers on different chains, `o` and `p`,
@@ -1154,11 +1202,14 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     tour position, robot, position) order; with `picks` (the
     noisy seeds', None for the others), the customer at depth `idx`
     first tries slot `int(picks[idx] * min(3, n))` of its `n`, one of
-    the three cheapest.  The slot tried first comes from `cheapest`,
-    which reads every slot's estimate from `slots` with no limit and
-    probes only the slots that can be among the cheapest one (or
-    three, for a pick), and is entered with the `change` of its probe.
-    Only when its subtree fails does `cheapest` probe every slot, and
+    the three cheapest (`cheapest` gives min(3, n) of them).  The slot
+    tried first comes from `cheapest`, which reads the estimates of
+    `slots` with no limit, walked against a running window of the one
+    (or three, for a pick) least so far, and probes only the slots that
+    can be among the cheapest one (or three), none when the estimates
+    alone rank them; it is entered with the `change` of its probe,
+    probed then if `cheapest` did not.
+    Only when its subtree fails does `cheapest` rank every slot, and
     the others follow in that order, each probed again on entry.  A
     customer with no slot left undoes the last choice.
     Returns the schedule of the first complete placement, whose plan
@@ -1203,18 +1254,21 @@ def _insert_all(kernel: _IncrementalBound, sched: _NodeSchedule, order, failed,
     def tries(idx: int, sched: _NodeSchedule, o: int):
         """o's candidates in the order the search enters them; each is
         asked for once the one before has failed."""
-        n, cheap = kernel.cheapest(sched, o, 1 if picks is None else 3)
-        if not n:
+        cheap = kernel.cheapest(sched, o, 1 if picks is None else 3)
+        if not cheap:
             return
-        chosen = 0 if picks is None else int(picks[idx] * min(3, n))
-        yield cheap[chosen]
-        if n > 1:
-            rest = [found[:4] for found in kernel.cheapest(sched, o, n)[1]]
-            del rest[chosen]
-            for _, ki, r, pos in rest:
-                # probed again on entry: kept for every slot of every
-                # level, the changes would hold a copy of the terms each
-                yield kernel.probe(sched, ki, r, pos, o, math.inf)
+        # with n slots, cheap holds min(3, n) for a pick
+        chosen = 0 if picks is None else int(picks[idx] * len(cheap))
+        found = cheap[chosen]
+        if found[0] is None:  # ranked by its estimate alone
+            found = kernel.probe(sched, *found[1:4], o, math.inf)
+        yield found
+        rest = [found[:4] for found in kernel.cheapest(sched, o)]
+        del rest[chosen]
+        for _, ki, r, pos in rest:
+            # probed again on entry: kept for every slot of every
+            # level, the changes would hold a copy of the terms each
+            yield kernel.probe(sched, ki, r, pos, o, math.inf)
 
     try:
         leaf = place(0, sched)
@@ -1307,7 +1361,7 @@ def solve_bnb(
     budget = budget or SolveBudget()
     ev = PlanEvaluator(instance)
     check_capacity(ev)
-    tables = _StepTables(ev)
+    tables = _step_tables(ev)
     n_c, n_r = instance.n_customers, instance.fleet_size
     relax = _relaxed_contributions(instance, ev)
     root_bound = math.fsum(relax)

@@ -18,9 +18,10 @@ Both score with the branch-and-bound's schedule kernel
 range, and write plans with `exact._canonical_plan`.  `construct` and
 every recreate run the package's one greedy search, `exact._insert_all`,
 which `solve_bnb`'s dives run too: from the kernel's `schedule` of the
-plan so far, slots come from its `cheapest`, which reads every slot's
-estimate from the kernel's `slots` with no limit and probes only those
-that can be the cheapest, and are entered with `child`, so no slot
+plan so far, slots come from its `cheapest`, which reads the slots'
+estimates from the kernel's `slots` with no limit, walked against a
+running window of the least so far, and probes only those that can be
+the cheapest, and are entered with `child`, so no slot
 costs a whole-schedule recomputation; tests check its plans against a
 plain construction that rescores the whole schedule per slot.  The
 slots at a station are on every busy robot and its first idle one,
@@ -79,6 +80,7 @@ from .exact import (
     _relaxed_contributions,
     _report,
     _Stop,
+    _step_tables,
     _StepTables,
     _urgency,
     check_capacity,
@@ -284,7 +286,7 @@ def construct(instance: Instance, seed: int = 0) -> RoutePlan:
         jitter = [1.0 + 0.25 * rnd.random() for _ in instance.customers]
         picks = [rnd.random() for _ in instance.customers]
     groups = {k: [[] for _ in range(instance.fleet_size)] for k in ids}
-    kernel = _IncrementalBound(ev, _StepTables(ev), tour, groups)
+    kernel = _IncrementalBound(ev, _step_tables(ev), tour, groups)
     order = _urgency(instance, jitter)
     placed = count(1)
     cap = len(order) + CONSTRUCT_UNDOS
@@ -678,7 +680,7 @@ def improve(instance: Instance, plan: RoutePlan, params: SearchParams = SearchPa
             "improve requires a feasible plan: " + "; ".join(v.detail for v in violations)
         )
     ev = PlanEvaluator(instance)
-    tables = _StepTables(ev)
+    tables = _step_tables(ev)
     stats = {"evals": 0, "descents": 0, "iterations": 0, "best_eval": 0}
     for prefix in ("evals_", "moves_"):
         stats.update((prefix + name, 0) for name in NEIGHBORHOODS)

@@ -141,16 +141,34 @@ class Instance:
                     f"stations {other} and {s.id} share the location "
                     f"({s.location.x:g}, {s.location.y:g})"
                 )
+        service = 0.0  # every customer's farthest out-and-back, summed
         for c in self.customers:
-            best = min(
-                math.hypot(s.location.x - c.location.x, s.location.y - c.location.y)
-                for s in self.stations
-            )
+            legs = [math.hypot(s.location.x - c.location.x, s.location.y - c.location.y)
+                    for s in self.stations]
+            best = min(legs)
             if 2.0 * best > self.robot_range + EPSILON:
                 raise ModelError(
                     f"unreachable customer {c.id}: nearest station round trip "
                     f"{2.0 * best:.4f} exceeds robot_range {self.robot_range}"
                 )
+            service += 2.0 * max(legs)
+        # An overestimate of the schedule horizon: the tour's legs, each
+        # at most the longest, at the slower speed (the LP export can
+        # time arrivals at the robot's), plus `service` at the robot's.
+        # Every time is below it, the big-M export's rows below four
+        # times it and the objective below it times the total
+        # importance; once that overflows, times can turn inf and NaN.
+        places = [self.depot, *(s.location for s in self.stations)]
+        longest = max(math.hypot(a.x - b.x, a.y - b.y) for a in places for b in places)
+        slower = min(self.vehicle_speed, self.robot_speed)
+        horizon = len(places) * longest / slower + service / self.robot_speed
+        weights = sum(c.importance for c in self.customers)  # inf, not an error, on overflow
+        if not math.isfinite(horizon * max(4.0, weights)):
+            raise ModelError(
+                f"the schedule overflows: an overestimate of its horizon, {horizon:.4g} from "
+                f"the distances over the speeds, times 4 or the total importance "
+                f"{weights:.4g}, is not finite"
+            )
 
     @property
     def n_stations(self) -> int:

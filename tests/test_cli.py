@@ -225,6 +225,15 @@ class TestSolve:
         assert result.exit_code == 1
         assert "budget exhausted before any feasible plan" in result.output
 
+    def test_overflowing_times_exit_1(self, runner, tmp_path):
+        # an instance whose ride times overflow is rejected on parse
+        doc = json.loads(serialize_instance(generate(0, 3, 2, 6)))
+        ipath = tmp_path / "slow.json"
+        ipath.write_text(json.dumps({**doc, "vehicle_speed": 1e-320}))
+        result = runner.invoke(cli, ["solve", "-i", str(ipath)])
+        assert result.exit_code == 1
+        assert "Error: the schedule overflows" in result.output
+
     def test_dive_undo_cap_exits_1(self, runner, tmp_path):
         # with no budget the first dive stops at its undo cap
         ipath = tmp_path / "packing.json"

@@ -679,7 +679,9 @@ def checked_slots(instance, monkeypatch, tamper=None):
     wrongly_kept, wrongly_dropped = [], []
     unprobed = [0, 0]
 
-    def watched(kernel, st, o, limit, cap):
+    def watched(kernel, st, o, limit, cap, want=None):
+        if want is not None:  # the greedy's window, which `TestCheapestWalk` checks
+            return slots(kernel, st, o, limit, cap, want)
         if tamper is not None:
             st.carried = None  # built from scratch, not from a parent's tampered table
             st.lateness = tamper(kernel._lateness(st))
@@ -874,8 +876,8 @@ class TestIncrementalBound:
         seen, drops = [], []
         slots = exact._IncrementalBound.slots
 
-        def watched(kernel, st, o, limit, cap):
-            counted = slots(kernel, st, o, limit, cap)
+        def watched(kernel, st, o, limit, cap, want=None):
+            counted = slots(kernel, st, o, limit, cap, want)
             if not counted[0]:  # no slot: the node just expanded is dropped
                 drops.append((seen[-1], limit))
             return counted

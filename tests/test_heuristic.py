@@ -5,7 +5,9 @@ Construction and local search: feasibility, determinism, quality.
 import collections
 import gc
 import hashlib
+import inspect
 import math
+import pickle
 import random
 import sys
 import time
@@ -303,6 +305,17 @@ class TestReferenceConstruct:
             assert time.perf_counter() - started < 1.0, seed
 
 
+def assert_cheapest(kernel, st, o, ranked):
+    """`cheapest` gives the head of `ranked`, `branch`'s candidates
+    sorted, for one, three and every slot: each entry is `probe`'s
+    candidate, or the slot unprobed where the estimates alone rank it."""
+    for want in (1, 3, None):
+        got = kernel.cheapest(st, o, want)
+        head = ranked if want is None else ranked[:want]
+        assert [f[1:4] for f in got] == [f[1:4] for f in head], want
+        assert all(f[0] is None or f == h for f, h in zip(got, head)), want
+
+
 class WalkWatch:
     """Replaces `_insert_all` with one that checks, at every level the
     search enters, each slot it enters against `branch`, the reference
@@ -311,7 +324,8 @@ class WalkWatch:
     sorted order, each with the `change` a fresh `probe` gives.  At each
     level's first entry the estimates of the kernel's `slots` with no
     limit must cover `branch`'s slots, each within the margin of its
-    probed bound."""
+    probed bound, and `cheapest` must give the head of the sorted
+    candidates (`assert_cheapest`)."""
 
     def __init__(self, monkeypatch):
         self.levels = []  # per level: [schedule, customer, expected slots, slots entered]
@@ -350,6 +364,7 @@ class WalkWatch:
         assert estimates.keys() == bounds.keys()
         for slot, bound in bounds.items():
             self.worst = max(self.worst, abs(bound - estimates[slot]) / (FLOOR_MARGIN * (1.0 + bound)))
+        assert_cheapest(kernel, st, o, sorted(found))
         expected = sorted(f[:4] for f in found)
         if picks is not None and len(expected) > 1:
             pick = int(picks[order.index(o)] * min(3, len(expected)))
@@ -415,11 +430,12 @@ class TestCheapestWalk:
         assert all(found[0] is None for found in kept)
         assert sorted(found[1:4] for found in kept) == sorted(found[1:4] for found in every)
         assert (tour.index(k), busy) in {found[1:3] for found in kept}
-        assert kernel.cheapest(st, o, len(every))[1] == sorted(every)
+        assert_cheapest(kernel, st, o, sorted(every))
 
     def test_probes_fewer_than_half_the_slots(self, monkeypatch):
         # one probe per slot would be `branch`'s cost; the estimates
-        # leave most slots unprobed
+        # leave most slots unprobed, and where they rank a pick's three
+        # slots alone only the slot entered is probed
         counts = collections.Counter()
         probe, cheapest = _IncrementalBound.probe, _IncrementalBound.cheapest
 
@@ -427,15 +443,44 @@ class TestCheapestWalk:
             counts["probes"] += 1
             return probe(self, *args)
 
-        def counted(self, st, o, want):
-            n, found = cheapest(self, st, o, want)
-            counts["slots"] += n
-            return n, found
+        def counted(self, st, o, want=None):
+            counts["slots"] += len(self.slots(st, o, math.inf, math.inf)[0])  # probes none
+            counts["levels"] += want is not None
+            return cheapest(self, st, o, want)
 
         monkeypatch.setattr(_IncrementalBound, "probe", probed)
         monkeypatch.setattr(_IncrementalBound, "cheapest", counted)
         construct(generate(0, 6, 4, 40), 123456)
         assert 0 < counts["probes"] < counts["slots"] / 2, counts
+        assert counts["probes"] < 2 * counts["levels"], counts
+
+    def test_window_estimates_fewer_than_half_the_slots(self, monkeypatch):
+        # `cheapest`'s walk floors stations and chains against the
+        # running window: it reaches the slot floor, where each slot's
+        # estimate is tested, for fewer than half of the slots
+        lines, start = inspect.getsourcelines(_IncrementalBound.slots)
+        (tested,) = [start + i for i, line in enumerate(lines) if "if low > bar:" in line]
+        walk = _IncrementalBound.slots.__code__
+        counts = collections.Counter()
+        cheapest = _IncrementalBound.cheapest
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == tested:
+                counts["estimated"] += 1
+            return line
+
+        def counted(self, st, o, want=None):
+            counts["slots"] += len(self.slots(st, o, math.inf, math.inf)[0])
+            tracer = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: line if frame.f_code is walk else None)
+            try:
+                return cheapest(self, st, o, want)
+            finally:
+                sys.settrace(tracer)
+
+        monkeypatch.setattr(_IncrementalBound, "cheapest", counted)
+        construct(generate(0, 6, 4, 40), 123456)
+        assert 0 < counts["estimated"] < counts["slots"] / 2, counts
 
 
 def _medium_improve(**caps):
@@ -468,6 +513,48 @@ def test_solvers_leave_no_cyclic_garbage(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_step_tables_built_once_per_instance(monkeypatch):
+    # `construct`, `improve` and `solve_bnb` share the instance's step
+    # tables, which go with the instance
+    inits = collections.Counter()
+    init = _StepTables.__init__
+
+    def counted(self, ev):
+        inits[id(ev.instance)] += 1
+        init(self, ev)
+
+    monkeypatch.setattr(_StepTables, "__init__", counted)
+    inst = generate(0, 3, 2, 8)
+    before = (hash(inst), repr(inst), pickle.dumps(inst))
+    plans = [construct(inst, seed) for seed in (0, 1, 2, 7, 999)]
+    improve(inst, plans[0], SearchParams(max_iterations=2_000, max_seconds=1e6))
+    solve_bnb(inst)
+    assert inits == {id(inst): 1}
+    # the tables live outside the instance: equality, hash, repr and
+    # pickle are what they were, and a round trip gives an equal one
+    assert (hash(inst), repr(inst), pickle.dumps(inst)) == before
+    assert inst == generate(0, 3, 2, 8) == pickle.loads(before[2])
+    key = id(inst)
+    assert key in exact._TABLES
+    del inst, before
+    assert key not in exact._TABLES
+
+
+# sha256 of the plan texts, one a line, of `construct` on every
+# (shape, instance seed, construct seed) below, in that order
+CONSTRUCT_SHAPES = ((4, 3, 14), (5, 3, 25), (6, 4, 40))
+CONSTRUCT_SEEDS = (0, 1, 2, 7, 999, 123456)
+CONSTRUCT_PLANS_SHA256 = "3fe247574ff9c6ecaba8a1f6bba62b9a44bf26ecb97b498a6db54e733a0fc47e"
+
+
+def test_construct_plans_pinned():
+    # a change that keeps the greedy keeps every plan it builds
+    texts = [serialize_plan(construct(generate(s, *shape), seed))
+             for shape in CONSTRUCT_SHAPES for s in range(10) for seed in CONSTRUCT_SEEDS]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == CONSTRUCT_PLANS_SHA256
 
 
 def first_descent(inst, start, params):

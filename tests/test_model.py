@@ -1,5 +1,6 @@
 """Domain types, their invariants, and JSON round-trips."""
 
+import dataclasses
 import json
 import math
 import re
@@ -22,10 +23,15 @@ from mothership import (
     VIOLATION_KINDS,
     Violation,
     builtin_fixture,
+    construct,
+    export_bigm,
+    generate,
     parse_instance,
     parse_plan,
+    propagate,
     serialize_instance,
     serialize_plan,
+    solve_bnb,
 )
 
 
@@ -154,6 +160,28 @@ class TestInstance:
     def test_at_least_one_station(self):
         with pytest.raises(ModelError):
             tiny_instance(stations=(), customers=())
+
+    @pytest.mark.parametrize("speed", ["vehicle_speed", "robot_speed"])
+    def test_overflowing_times_rejected(self, speed):
+        # at 1e-320 the ride or service times overflow to inf: construct
+        # and solve_bnb raised TypeError, export_bigm OverflowError, and
+        # propagate returned an objective of inf
+        inst = generate(0, 3, 2, 6)
+        with pytest.raises(ModelError, match="the schedule overflows"):
+            dataclasses.replace(inst, **{speed: 1e-320})
+        with pytest.raises(ModelError, match="the schedule overflows"):
+            parse_instance(json.dumps({**json.loads(serialize_instance(inst)), speed: 1e-320}))
+        slow = dataclasses.replace(inst, **{speed: 1e-300})  # slow, but every time finite
+        optimum = solve_bnb(slow).objective
+        assert math.isfinite(optimum)
+        assert optimum <= propagate(slow, construct(slow)).objective < math.inf
+        assert export_bigm(slow)
+
+    def test_overflowing_objective_rejected(self):
+        # finite times, but a total importance of inf: the terms overflow
+        with pytest.raises(ModelError, match="total importance inf"):
+            tiny_instance(customers=(Customer(0, Point(12.0, 0.0), 1e308, 20.0),
+                                     Customer(1, Point(0.0, 14.0), 1e308, 30.0)))
 
 
 class TestPlanTypes:
